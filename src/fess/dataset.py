@@ -111,10 +111,17 @@ def project_sinusoidal(p: GeoCoord, lon0: float) -> PlanarCoord:
     """Project a geographic coordinate onto the plane (sinusoidal, km).
 
     Equal-area projection about the central meridian ``lon0``:
-    ``x = R (lon - lon0) cos(lat)``, ``y = R lat`` with angles in radians
-    and R the mean Earth radius 6371.0088 km.
+    ``x = R (lon - lon0) cos(lat)``, ``y = R lat`` with angles in radians,
+    ``lon - lon0`` wrapped into [-180, 180) degrees, and R the mean Earth
+    radius 6371.0088 km.
     """
-    lam = math.radians(p.lon - lon0)
+    # Wrap the offset into [-180, 180) so that sites on either side of the
+    # antimeridian stay neighbours. remainder is exact, so offsets already
+    # in range pass through unchanged.
+    dlon = math.remainder(p.lon - lon0, 360.0)
+    if dlon == 180.0:
+        dlon = -180.0
+    lam = math.radians(dlon)
     phi = math.radians(p.lat)
     return PlanarCoord(
         EARTH_RADIUS_KM * lam * math.cos(phi),
@@ -205,6 +212,59 @@ def pairwise_distances(locs) -> np.ndarray:
     return np.hypot(dx, dy)
 
 
+# Row-block budget of the streamed pair stages: a block of b rows against
+# the w columns right of its first row is sized so that the b x w x m
+# curve-difference array holds about this many float64 values (2 MB).
+# Larger blocks buy little speed and raise peak memory at small n.
+_PAIR_BLOCK_ELEMENTS = 2**18
+
+# Marks block entries that are not pairs (the diagonal and below it).
+# LagBins.index_of maps it to -1 and it never exceeds a real distance.
+_NOT_A_PAIR = -1.0
+
+
+def _canonical_order(dataset: "SpatialFunctionalDataset") -> np.ndarray:
+    """Row order that depends only on the rows' contents.
+
+    Rows are sorted by x, then y, then the curve values in grid order, so
+    duplicate sites are ordered too; rows equal in every key are
+    interchangeable. Pair stages that run over rows in this order and
+    reduce in a fixed block order give results that are bitwise invariant
+    under row relabelling.
+    """
+    keys = np.vstack([dataset.curves.T[::-1], dataset.xy.T[::-1]])
+    return np.lexsort(keys)
+
+
+def _pair_blocks(xy: np.ndarray, n_levels: int):
+    """Yield ``(i0, i1, d)`` row blocks covering every pair ``i < j`` once.
+
+    ``d[k, c]`` is the distance between rows ``i0 + k`` and ``i0 + c``
+    (the columns ``j >= i0``); entries with ``c <= k`` are not pairs and
+    hold ``_NOT_A_PAIR``. Blocks are sized by ``_PAIR_BLOCK_ELEMENTS`` for
+    curves of ``n_levels`` values, so no n-by-n array is ever formed.
+    """
+    n = xy.shape[0]
+    i0 = 0
+    while i0 < n - 1:
+        width = n - i0
+        i1 = min(n - 1, i0 + max(1, _PAIR_BLOCK_ELEMENTS // (width * n_levels)))
+        dx = xy[i0:i1, 0][:, None] - xy[i0:, 0][None, :]
+        dy = xy[i0:i1, 1][:, None] - xy[i0:, 1][None, :]
+        d = np.hypot(dx, dy)
+        d[np.arange(width)[None, :] <= np.arange(i1 - i0)[:, None]] = _NOT_A_PAIR
+        yield i0, i1, d
+        i0 = i1
+
+
+def _max_pair_distance(dataset: "SpatialFunctionalDataset") -> float:
+    """Largest distance between two sites (0 for a single site)."""
+    dmax = 0.0
+    for _, _, d in _pair_blocks(dataset.xy, dataset.n_levels):
+        dmax = max(dmax, float(np.max(d)))
+    return dmax
+
+
 def trapz_inner(a, b, grid: EvalGrid) -> float:
     """Trapezoidal approximation of the L2 inner product of two curves."""
     a = np.asarray(a, dtype=float)
@@ -222,7 +282,7 @@ class CsvSchema:
     order; the numeric column labels define the evaluation grid. With
     ``planar=True`` the coordinate columns are read as planar kilometers
     and no projection is applied. ``lon0`` overrides the central meridian
-    (default: mean longitude of the file). ``center_levels`` subtracts
+    (default: circular mean longitude of the file). ``center_levels`` subtracts
     the per-level mean after loading (off by default: raw values).
     """
 
@@ -266,8 +326,8 @@ def load_wide_csv(path, schema: CsvSchema | None = None) -> SpatialFunctionalDat
     Expected layout: a header row naming two coordinate columns followed
     by the value columns, whose numeric labels define the grid, then one
     record per curve. Geographic coordinates are projected with the
-    sinusoidal projection about the file's mean longitude unless the
-    schema says otherwise. A header starting ``x,y`` is auto-detected as
+    sinusoidal projection about the file's circular mean longitude unless
+    the schema says otherwise. A header starting ``x,y`` is auto-detected as
     already-planar coordinates.
     """
     path = Path(path)
@@ -349,7 +409,10 @@ def load_wide_csv(path, schema: CsvSchema | None = None) -> SpatialFunctionalDat
     else:
         lon0 = schema.lon0
         if lon0 is None:
-            lon0 = float(np.mean([c[0] for c in coords]))
+            lam = np.radians([c[0] for c in coords])
+            lon0 = math.degrees(
+                math.atan2(math.fsum(np.sin(lam)), math.fsum(np.cos(lam)))
+            )
         located = []
         for r, (cx, cy) in enumerate(coords, start=1):
             try:
@@ -366,10 +429,8 @@ def load_wide_csv(path, schema: CsvSchema | None = None) -> SpatialFunctionalDat
     )
 
 
-def write_wide_csv(dataset: SpatialFunctionalDataset, path, planar: bool = True) -> None:
+def write_wide_csv(dataset: SpatialFunctionalDataset, path) -> None:
     """Write a dataset in the wide-CSV layout (planar ``x,y`` headers)."""
-    if not planar:
-        raise ValidationError("only planar export is supported")
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         labels = [repr(float(t)) for t in dataset.grid.points]

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SpatialFunctionalDataset, pairwise_distances, _sorted_sum
+from .dataset import (
+    _NOT_A_PAIR,
+    SpatialFunctionalDataset,
+    _canonical_order,
+    _max_pair_distance,
+    _pair_blocks,
+    _sorted_sum,
+)
 from .errors import EstimationError, ValidationError
 from .variogram import (
     FitOptions,
@@ -109,6 +116,21 @@ def _validate_distance_matrix(D: np.ndarray) -> np.ndarray:
     return D
 
 
+def _ess_report(n: int, model: TraceCovModel, denom: float) -> EssReport:
+    """``n^2 cov_tr(0) / denom`` for the double sum ``denom`` over n sites."""
+    if denom <= 0:
+        raise EstimationError(
+            f"non-positive trace-covariogram mass ({denom:g}); ess undefined"
+        )
+    ess = n * n * (model.sill + model.nugget) / denom
+    warnings = ()
+    if ess > n * (1.0 + 1e-12):
+        warnings = (
+            "ess exceeds the nominal sample size (negative covariogram values)",
+        )
+    return EssReport(n=n, ess=ess, model=model, warnings=warnings)
+
+
 def ess_functional(D: np.ndarray, model: TraceCovModel) -> EssReport:
     """Functional ESS of the site set ``D`` under a covariance model.
 
@@ -117,20 +139,21 @@ def ess_functional(D: np.ndarray, model: TraceCovModel) -> EssReport:
     sill + nugget.
     """
     D = _validate_distance_matrix(D)
-    n = D.shape[0]
-    sigma0 = model.sill + model.nugget
-    denom = _sorted_sum(model_trace_cov(model, D))
-    if denom <= 0:
-        raise EstimationError(
-            f"non-positive trace-covariogram mass ({denom:g}); ess undefined"
-        )
-    ess = n * n * sigma0 / denom
-    warnings = ()
-    if ess > n * (1.0 + 1e-12):
-        warnings = (
-            "ess exceeds the nominal sample size (negative covariogram values)",
-        )
-    return EssReport(n=n, ess=ess, model=model, warnings=warnings)
+    return _ess_report(D.shape[0], model, _sorted_sum(model_trace_cov(model, D)))
+
+
+def _covariogram_mass(dataset: SpatialFunctionalDataset, model: TraceCovModel) -> float:
+    """``sum_ij cov_tr(d_ij)`` as ``n cov_tr(0)`` plus twice the pairs ``i < j``.
+
+    Summed over canonical row blocks in block order, so the value is
+    bitwise invariant under row relabelling. Coincident sites enter at
+    distance zero and so carry the nugget, as the diagonal does.
+    """
+    xy = dataset.xy[_canonical_order(dataset)]
+    upper = 0.0
+    for _, _, d in _pair_blocks(xy, dataset.n_levels):
+        upper += float(np.sum(model_trace_cov(model, d[d != _NOT_A_PAIR])))
+    return dataset.n_curves * (model.sill + model.nugget) + 2.0 * upper
 
 
 def ess_plugin(
@@ -144,13 +167,13 @@ def ess_plugin(
     Pipeline: empirical trace-variogram on binned lags, least-squares fit
     of the requested family, then the functional ESS under the fitted
     model. The report embeds the fitted model; fit warnings propagate.
+    Every pair stage streams over row blocks, so memory stays O(n m).
     """
-    D = pairwise_distances(dataset.xy)
     if bins is None:
-        bins = default_lag_bins(D)
+        bins = default_lag_bins(_max_pair_distance(dataset))
     ev = empirical_trace_variogram(dataset, bins)
     fit = fit_model(ev, family, opts)
-    report = ess_functional(D, fit.model)
+    report = _ess_report(dataset.n_curves, fit.model, _covariogram_mass(dataset, fit.model))
     return EssReport(
         n=report.n,
         ess=report.ess,

@@ -23,10 +23,11 @@ from scipy.optimize import minimize
 
 from .dataset import (
     SpatialFunctionalDataset,
+    _canonical_order,
     _column_means,
     _frozen_array,
+    _pair_blocks,
     _sorted_sum,
-    pairwise_distances,
 )
 from .errors import EstimationError, FitError, ValidationError
 
@@ -86,7 +87,10 @@ class LagBins:
 
 
 def default_lag_bins(distances: np.ndarray, n_bins: int = 15) -> LagBins:
-    """Equal-width bins spanning (0, max-distance/2]."""
+    """Equal-width bins spanning (0, max-distance/2].
+
+    ``distances`` is any array of pair distances, or just their maximum.
+    """
     dmax = float(np.max(distances))
     if dmax <= 0:
         raise ValidationError("all locations coincide; no positive lags to bin")
@@ -239,42 +243,46 @@ def _trace_variance(dataset: SpatialFunctionalDataset) -> float:
     return _sorted_sum(per_curve) / dataset.n_curves
 
 
-def _binned_pair_sums(values, idx, n_bins):
-    """Per-bin counts and sums, accumulated in a canonical order."""
-    counts = np.bincount(idx, minlength=n_bins)
-    order = np.lexsort((values, idx))
-    sums = np.bincount(idx[order], weights=values[order], minlength=n_bins)
-    return counts.astype(np.int64), sums
+def _binned_pair_stats(dataset: SpatialFunctionalDataset, rows, bins: LagBins, pair_values):
+    """Per-bin pair counts, value sums and mean pair distances.
 
-
-def _pair_bins(dataset: SpatialFunctionalDataset, bins: LagBins):
+    ``rows`` is an n-by-m matrix aligned with the dataset's rows. Rows go
+    into canonical order and the pairs stream in row blocks;
+    ``pair_values(rows, i0, i1)`` returns the block's ``b x (n - i0)``
+    pair values from the canonically ordered ``rows``. Plain
+    ``np.bincount`` sums in block order, which depends only on the data,
+    so results are bitwise invariant under row relabelling.
+    """
     if dataset.n_curves < 2:
         raise ValidationError("empirical estimation needs at least 2 curves")
-    dist = pairwise_distances(dataset.xy)
-    iu, ju = np.triu_indices(dataset.n_curves, k=1)
-    h = dist[iu, ju]
-    idx = bins.index_of(h)
-    keep = idx >= 0
-    if not np.any(keep):
+    order = _canonical_order(dataset)
+    rows = rows[order]
+    n_bins = len(bins)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    sums = np.zeros(n_bins)
+    hsums = np.zeros(n_bins)
+    for i0, i1, d in _pair_blocks(dataset.xy[order], dataset.n_levels):
+        idx = bins.index_of(d)
+        keep = idx >= 0
+        idx = idx[keep]
+        counts += np.bincount(idx, minlength=n_bins)
+        sums += np.bincount(idx, weights=pair_values(rows, i0, i1)[keep], minlength=n_bins)
+        hsums += np.bincount(idx, weights=d[keep], minlength=n_bins)
+    occ = counts > 0
+    if not np.any(occ):
         occupancy = ", ".join(
             f"[{lo:g}, {hi:g}): 0" for lo, hi in zip(bins.edges[:-1], bins.edges[1:])
         )
         raise EstimationError(
             f"no location pair falls in any lag bin (occupancy: {occupancy})"
         )
-    return iu[keep], ju[keep], h[keep], idx[keep]
-
-
-def _bin_centers(bins: LagBins, h: np.ndarray, idx: np.ndarray, counts) -> np.ndarray:
     # Report each occupied bin at its mean pair distance rather than the
     # edge midpoint: the pair-distance density grows with h, so the
     # midpoint systematically understates where the estimate lives and
     # biases fitted ranges low. Empty bins keep the midpoint.
-    _, hsums = _binned_pair_sums(h, idx, len(bins))
     centers = np.array(bins.centers)
-    occ = counts > 0
     centers[occ] = hsums[occ] / counts[occ]
-    return centers
+    return counts, sums, centers
 
 
 def empirical_trace_variogram(
@@ -288,25 +296,21 @@ def empirical_trace_variogram(
     distance of the curves to their pointwise mean (the i = j trace
     variance).
     """
-    iu, ju, h, idx = _pair_bins(dataset, bins)
-    X = dataset.curves
     w = dataset.grid.quad_weights
-    # Squared norms from explicit differences (not a Gram expansion), so
-    # every pair term is non-negative by construction.
-    vals = np.empty(iu.size)
-    step = max(1, 200_000 // max(1, X.shape[1]))
-    for start in range(0, iu.size, step):
-        sl = slice(start, min(start + step, iu.size))
-        diff = X[iu[sl]] - X[ju[sl]]
-        vals[sl] = (diff**2) @ w
-    counts, sums = _binned_pair_sums(vals, idx, len(bins))
+
+    def squared_distances(X, i0, i1):
+        # Squared norms from explicit differences (not a Gram expansion),
+        # so every pair term is non-negative by construction.
+        diff = X[i0:i1, None, :] - X[None, i0:, :]
+        return np.square(diff, out=diff) @ w
+
+    counts, sums, centers = _binned_pair_stats(
+        dataset, dataset.curves, bins, squared_distances
+    )
     gamma = np.full(len(bins), np.nan)
     occ = counts > 0
     gamma[occ] = sums[occ] / (2.0 * counts[occ])
-    return EmpiricalVariogram(
-        _bin_centers(bins, h, idx, counts), gamma, counts,
-        sigma0=_trace_variance(dataset),
-    )
+    return EmpiricalVariogram(centers, gamma, counts, sigma0=_trace_variance(dataset))
 
 
 def empirical_trace_covariogram(
@@ -319,16 +323,18 @@ def empirical_trace_covariogram(
     ``sigma0`` uses the i = j terms only and therefore matches the
     ``sigma0`` of :func:`empirical_trace_variogram`.
     """
-    iu, ju, h, idx = _pair_bins(dataset, bins)
+    w = dataset.grid.quad_weights
     dev = dataset.curves - _column_means(dataset.curves)[None, :]
-    gram = (dev * dataset.grid.quad_weights) @ dev.T
-    counts, sums = _binned_pair_sums(gram[iu, ju], idx, len(bins))
+
+    def inner_products(Z, i0, i1):
+        return (Z[i0:i1] * w) @ Z[i0:].T
+
+    counts, sums, centers = _binned_pair_stats(dataset, dev, bins, inner_products)
     sigma = np.full(len(bins), np.nan)
     occ = counts > 0
     sigma[occ] = sums[occ] / counts[occ]
     return EmpiricalVariogram(
-        _bin_centers(bins, h, idx, counts), sigma, counts,
-        sigma0=_trace_variance(dataset), kind="covariogram",
+        centers, sigma, counts, sigma0=_trace_variance(dataset), kind="covariogram",
     )
 
 

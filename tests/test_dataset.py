@@ -73,6 +73,11 @@ class TestProjection:
         assert abs(p.x - 111.195) < 1e-3
         assert abs(p.y) == 0.0
 
+    def test_offset_wraps_across_the_antimeridian(self):
+        # 179 W seen from a central meridian at 179 E is 2 degrees east
+        p = project_sinusoidal(GeoCoord(-179.0, 0.0), lon0=179.0)
+        assert p.x == pytest.approx(2.0 * EARTH_RADIUS_KM * math.pi / 180.0, rel=1e-12)
+
     def test_injective_on_study_box(self):
         rng = derived_rng(42)
         pts = [
@@ -237,6 +242,25 @@ class TestLoadWideCsv:
         ds = load_wide_csv(path)
         assert ds.lon0 == pytest.approx(-144.5)
         assert any("wrapped" in w for w in ds.warnings)
+
+    @pytest.mark.parametrize(
+        "lons,lon0",
+        [
+            ((179.0, -179.0), None),
+            ((179.0, 181.0), None),
+            ((179.0, -179.0, 181.0), None),
+            ((179.0, -179.0), 179.0),
+            ((179.0, 181.0), -150.0),
+        ],
+    )
+    def test_sites_across_the_antimeridian_stay_neighbours(self, tmp_path, lons, lon0):
+        # equator sites 2 degrees of longitude apart: R * 2 pi / 180 = 222.4 km
+        rows = "".join(f"{lon},0.0,0,0\n" for lon in lons)
+        path = self.write(tmp_path, "lon,lat,1,2\n" + rows)
+        ds = load_wide_csv(path, CsvSchema(lon0=lon0))
+        D = pairwise_distances(ds.xy)
+        assert np.max(D) == pytest.approx(2.0 * EARTH_RADIUS_KM * math.pi / 180.0, rel=1e-9)
+        assert abs(np.max(D) - 222.4) < 0.05
 
     def test_out_of_range_latitude_names_row(self, tmp_path):
         path = self.write(

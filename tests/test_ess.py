@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from fess import (
     EssReport,
     EvalGrid,
+    FitOptions,
     GaussFieldSpec,
     TraceCovModel,
     ValidationError,
@@ -20,7 +22,7 @@ from fess import (
 )
 from fess.rng import derived_rng
 
-from conftest import make_dataset
+from conftest import make_dataset, tied_dataset
 
 
 class TestEssScalar:
@@ -178,6 +180,56 @@ class TestEssPlugin:
         ds = make_dataset(curves, xy=xy, grid=grid)
         rep = ess_plugin(ds, "exponential")
         assert any("flat" in w for w in rep.warnings)
+
+    @pytest.mark.parametrize(
+        "family,nugget",
+        [("exponential", "zero"), ("spherical", "zero"), ("gaussian", "zero"),
+         ("exponential", "free")],
+    )
+    def test_streamed_sum_matches_dense_ess(self, family, nugget):
+        # duplicated sites put off-diagonal zero distances in the sum,
+        # where a freed nugget must enter as it does on the diagonal
+        rng = derived_rng(40)
+        n, m = 240, 8
+        xy = rng.uniform(0.0, 300.0, size=(n, 2))
+        xy[n // 2:] = xy[: n // 2]
+        signal = np.sin(xy[:, :1] / 60.0 + np.linspace(0.0, 1.0, m))
+        curves = signal + 0.8 * rng.standard_normal((n, m))
+        ds = make_dataset(curves, xy=xy, grid=EvalGrid(np.linspace(0.0, 1.0, m)))
+        rep = ess_plugin(ds, family, opts=FitOptions(nugget=nugget))
+        if nugget == "free":
+            assert rep.model.nugget > 0.0
+        dense = ess_functional(pairwise_distances(ds.xy), rep.model)
+        assert rep.ess == pytest.approx(dense.ess, rel=1e-12)
+
+    def test_permutation_invariance_bitwise(self):
+        rng = derived_rng(41)
+        for ds in (tied_dataset(rng, 45, 6, spread=300.0), tied_dataset(rng, 60, 5)):
+            perm = rng.permutation(ds.n_curves)
+            for opts in (FitOptions(), FitOptions(nugget="free")):
+                a = ess_plugin(ds, "exponential", opts=opts)
+                b = ess_plugin(ds.subset(perm), "exponential", opts=opts)
+                assert a.ess == b.ess
+                assert a.model == b.model
+                assert a.warnings == b.warnings
+
+    def test_pair_stages_never_form_an_n_by_n_array(self):
+        # one n x n float64 array is 32 MB at n = 2000; the streamed pair
+        # stages need O(n m) memory
+        rng = derived_rng(42)
+        n = 2000
+        ds = make_dataset(
+            rng.standard_normal((n, 22)),
+            xy=rng.uniform(0.0, 1000.0, size=(n, 2)),
+            grid=EvalGrid(np.linspace(0.0, 1.0, 22)),
+        )
+        tracemalloc.start()
+        try:
+            ess_plugin(ds, "exponential")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestEssReportValidation:

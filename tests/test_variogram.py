@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+
+import fess.dataset
 
 from fess import (
     EmpiricalVariogram,
@@ -22,7 +26,7 @@ from fess import (
 from fess.rng import derived_rng
 from fess.variogram import read_model_json, write_model_json
 
-from conftest import make_dataset, random_dataset
+from conftest import make_dataset, random_dataset, tied_dataset
 
 FAMILIES = ("exponential", "spherical", "gaussian")
 
@@ -170,15 +174,21 @@ class TestEmpiricalVariogram:
         rng = derived_rng(24)
         ds = random_dataset(rng, 15, 6)
         perm = rng.permutation(15)
-        ds_p = ds.subset(perm)
-        bins = default_lag_bins(pairwise_distances(ds.xy), 6)
-        for estimator in (empirical_trace_variogram, empirical_trace_covariogram):
-            a = estimator(ds, bins)
-            b = estimator(ds_p, bins)
-            assert np.array_equal(a.gamma, b.gamma, equal_nan=True)
-            assert np.array_equal(a.counts, b.counts)
-            assert np.array_equal(a.centers, b.centers)
-            assert a.sigma0 == b.sigma0
+        # duplicate sites and fully duplicated rows tie in the canonical order
+        cases = [(ds, perm)] + [
+            (tied, rng.permutation(tied.n_curves))
+            for tied in (tied_dataset(rng, 15, 6), tied_dataset(rng, 31, 4))
+        ]
+        for ds, perm in cases:
+            ds_p = ds.subset(perm)
+            bins = default_lag_bins(pairwise_distances(ds.xy), 6)
+            for estimator in (empirical_trace_variogram, empirical_trace_covariogram):
+                a = estimator(ds, bins)
+                b = estimator(ds_p, bins)
+                assert np.array_equal(a.gamma, b.gamma, equal_nan=True)
+                assert np.array_equal(a.counts, b.counts)
+                assert np.array_equal(a.centers, b.centers)
+                assert a.sigma0 == b.sigma0
 
     def test_no_pairs_in_any_bin_raises(self):
         ds = make_dataset(np.zeros((3, 2)), xy=[[0, 0], [1, 0], [2, 0]])
@@ -235,6 +245,63 @@ class TestEmpiricalVariogram:
         assert np.array_equal(back.gamma, ev.gamma, equal_nan=True)
         assert np.array_equal(back.counts, ev.counts)
         assert back.sigma0 is None
+
+
+def dense_pair_reference(ds, bins, kind):
+    """Independent oracle: every pair from the full n x n arrays.
+
+    Bins by searchsorted with the documented edge conventions and sums
+    each bin exactly with math.fsum. Returns counts, per-bin values and
+    mean pair distances (edge midpoints for empty bins).
+    """
+    D = pairwise_distances(ds.xy)
+    iu, ju = np.triu_indices(ds.n_curves, k=1)
+    h = D[iu, ju]
+    edges = bins.edges
+    idx = np.searchsorted(edges, h, side="right") - 1
+    idx[h == edges[-1]] = len(bins) - 1
+    idx[(h < edges[0]) | (h > edges[-1])] = -1
+    w = ds.grid.quad_weights
+    if kind == "variogram":
+        vals = 0.5 * ((ds.curves[iu] - ds.curves[ju]) ** 2) @ w
+    else:
+        dev = ds.curves - ds.curves.mean(axis=0)
+        vals = (dev[iu] * dev[ju]) @ w
+    counts = np.array([np.count_nonzero(idx == l) for l in range(len(bins))])
+    values = np.full(len(bins), np.nan)
+    centers = np.array(bins.centers)
+    for l in np.flatnonzero(counts):
+        values[l] = math.fsum(vals[idx == l]) / counts[l]
+        centers[l] = math.fsum(h[idx == l]) / counts[l]
+    return counts, values, centers
+
+
+class TestStreamedAgainstDense:
+    def test_blocks_match_dense_reference(self, monkeypatch):
+        # integer sites: many duplicates, and many pairs exactly on bin
+        # edges, the last edge (5 = a 3-4-5 pair) included
+        rng = derived_rng(29)
+        n, m = 300, 5
+        xy = rng.integers(0, 12, size=(n, 2)).astype(float)
+        curves = np.sin(xy[:, :1] / 3.0 + np.arange(m)) + 0.3 * rng.standard_normal((n, m))
+        ds = make_dataset(curves, xy=xy, grid=EvalGrid(np.linspace(0.0, 2.0, m)))
+        bins = LagBins(np.linspace(0.0, 5.0, 6))
+        monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 4 * n * m)
+        assert sum(1 for _ in fess.dataset._pair_blocks(ds.xy, m)) >= 5
+        D = pairwise_distances(ds.xy)
+        assert np.any(D == 0.0) and np.any(D == 5.0)
+        for estimator, kind in (
+            (empirical_trace_variogram, "variogram"),
+            (empirical_trace_covariogram, "covariogram"),
+        ):
+            ev = estimator(ds, bins)
+            counts, values, centers = dense_pair_reference(ds, bins, kind)
+            assert np.array_equal(ev.counts, counts)
+            np.testing.assert_allclose(ev.centers, centers, rtol=1e-12, atol=0.0)
+            # covariogram bin means can sit near zero: compare on the
+            # scale of the trace variance
+            atol = 0.0 if kind == "variogram" else 1e-12 * ev.sigma0
+            np.testing.assert_allclose(ev.gamma, values, rtol=1e-12, atol=atol)
 
 
 def exact_variogram_record(family, sill, rng_km, n_bins=15, h_max=300.0, nugget=0.0):
