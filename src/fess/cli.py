@@ -3,8 +3,9 @@
 Subcommands wire the library into reproducible batch runs: every
 randomized command requires an explicit ``--seed``, outputs are plain
 CSV/JSON written with fixed formatting, and reruns produce byte-identical
-files. ``--threads`` caps internal worker counts and never changes
-results (all reductions use fixed, canonical orderings).
+files. ``--threads`` is accepted but currently has no effect; results do
+not depend on worker counts (all reductions use fixed, canonical
+orderings).
 
 Exit codes: 0 success, 1 computation failure, 2 usage/validation error.
 Set ``FESS_LOG=DEBUG|INFO|WARNING`` for logging verbosity.
@@ -69,10 +70,6 @@ def _load_dataset(args):
     return dataset
 
 
-def _families(args) -> list[str]:
-    return args.family if args.family else list(FAMILIES)
-
-
 def _fit_options(args) -> FitOptions:
     return FitOptions(nugget=args.nugget)
 
@@ -90,6 +87,28 @@ def _write_model_curve(model, h_max: float, path: Path, knots=None) -> None:
             fh.write(f"{_fmt(hi)},{_fmt(gi)}\n")
 
 
+def _fit_families(ev, args, out: Path, h_max: float) -> None:
+    """Fit each requested family (default: all) to ``ev``.
+
+    Logs the fit warnings, writes ``model_<family>.json`` and
+    ``model_curve_<family>.csv`` (curve on [0, ``h_max``]) and prints a
+    one-line summary per family.
+    """
+    for fam in args.family or FAMILIES:
+        result = fit_model(ev, fam, _fit_options(args))
+        for w in result.warnings:
+            log.warning("%s: %s", fam, w)
+        write_model_json(result, out / f"model_{fam}.json")
+        _write_model_curve(
+            result.model, h_max, out / f"model_curve_{fam}.csv",
+            knots=ev.centers[ev.occupied],
+        )
+        print(
+            f"{fam}: sill={result.model.sill:.6g} range={result.model.range_km:.6g} "
+            f"nugget={result.model.nugget:.6g} sse={result.sse:.6g}"
+        )
+
+
 def cmd_variogram(args) -> int:
     dataset = _load_dataset(args)
     out = _out_dir(args)
@@ -97,36 +116,14 @@ def cmd_variogram(args) -> int:
     ev = empirical_trace_variogram(dataset, bins)
     ev.to_csv(out / "empirical_variogram.csv")
     log.info("wrote %s", out / "empirical_variogram.csv")
-    for fam in _families(args):
-        result = fit_model(ev, fam, _fit_options(args))
-        for w in result.warnings:
-            log.warning("%s: %s", fam, w)
-        write_model_json(result, out / f"model_{fam}.json")
-        _write_model_curve(
-            result.model, float(bins.edges[-1]), out / f"model_curve_{fam}.csv",
-            knots=ev.centers[ev.occupied],
-        )
-        print(
-            f"{fam}: sill={result.model.sill:.6g} range={result.model.range_km:.6g} "
-            f"nugget={result.model.nugget:.6g} sse={result.sse:.6g}"
-        )
+    _fit_families(ev, args, out, float(bins.edges[-1]))
     return 0
 
 
 def cmd_fit(args) -> int:
     ev = EmpiricalVariogram.from_csv(args.input)
     out = _out_dir(args)
-    for fam in _families(args):
-        result = fit_model(ev, fam, _fit_options(args))
-        write_model_json(result, out / f"model_{fam}.json")
-        _write_model_curve(
-            result.model, float(np.max(ev.centers)) * 2.0, out / f"model_curve_{fam}.csv",
-            knots=ev.centers[ev.occupied],
-        )
-        print(
-            f"{fam}: sill={result.model.sill:.6g} range={result.model.range_km:.6g} "
-            f"nugget={result.model.nugget:.6g} sse={result.sse:.6g}"
-        )
+    _fit_families(ev, args, out, float(np.max(ev.centers)) * 2.0)
     return 0
 
 
@@ -142,14 +139,13 @@ def cmd_ess(args) -> int:
             f"{fam}: n={report.n} ess={report.ess:.6g} ratio={report.ratio:.4f} "
             f"recommended_subsample={report.recommended_subsample}"
         )
-    if args.out_dir is not None:
-        out = _out_dir(args)
-        for fam, report in zip(fams, results):
+    out = _out_dir(args) if args.out_dir is not None else None
+    for fam, report in zip(fams, results):
+        if out is None:
+            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        else:
             report.to_json(out / f"ess_{fam}.json")
             log.info("wrote %s", out / f"ess_{fam}.json")
-    else:
-        for report in results:
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
 
 
@@ -264,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out-dir", required=True, help="output directory")
         else:
             p.add_argument("--out-dir", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker cap (never changes results)")
+        p.add_argument("--threads", type=int, default=1, help="accepted; currently has no effect")
 
     p = sub.add_parser("variogram", help="empirical trace-variogram and family fits")
     add_io(p)

@@ -129,28 +129,46 @@ def project_sinusoidal(p: GeoCoord, lon0: float) -> PlanarCoord:
     )
 
 
+def _as_xy(locs) -> np.ndarray:
+    """Read-only ``(n, 2)`` float array of planar km, ``n >= 1``, all finite.
+
+    Accepts an ``(n, 2)`` array or a sequence of :class:`PlanarCoord`.
+    """
+    if not isinstance(locs, np.ndarray):
+        locs = list(locs)
+        if not all(isinstance(p, PlanarCoord) for p in locs):
+            raise ValidationError(
+                "locations must be an (n, 2) array or PlanarCoord instances"
+            )
+        locs = [(p.x, p.y) for p in locs]
+    xy = _frozen_array(locs)
+    if xy.size == 0:
+        raise ValidationError("need at least one location")
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValidationError("expected an (n, 2) coordinate array")
+    if not np.all(np.isfinite(xy)):
+        raise ValidationError("planar coordinates must be finite")
+    return xy
+
+
 @dataclass(frozen=True, eq=False)
 class SpatialFunctionalDataset:
     """``n`` curves on a common grid, each tagged with a planar location.
 
     ``curves`` is the n-by-m matrix whose row ``i`` holds the curve
-    observed at ``locations[i]`` evaluated on ``grid``. Row order and
-    location order are index-aligned.
+    observed at ``xy[i]`` (planar km) evaluated on ``grid``. ``xy`` may be
+    given as an ``(n, 2)`` array or a sequence of :class:`PlanarCoord`; it
+    is stored as a read-only ``(n, 2)`` array.
     """
 
     grid: EvalGrid
-    locations: tuple[PlanarCoord, ...]
+    xy: np.ndarray
     curves: np.ndarray
     warnings: tuple[str, ...] = ()
     lon0: float | None = None
-    xy: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        locs = tuple(self.locations)
-        for loc in locs:
-            if not isinstance(loc, PlanarCoord):
-                raise ValidationError("locations must be PlanarCoord instances")
-        object.__setattr__(self, "locations", locs)
+        xy = _as_xy(self.xy)
         curves = np.asarray(self.curves, dtype=float)
         if curves.ndim != 2:
             raise ValidationError("curves must be a 2-d matrix")
@@ -166,14 +184,13 @@ class SpatialFunctionalDataset:
             raise ValidationError(
                 f"non-finite curve value at row {bad[0]}, grid index {bad[1]}"
             )
-        if len(locs) != n:
+        if xy.shape[0] != n:
             raise ValidationError(
-                f"{len(locs)} locations for {n} curves (must match)"
+                f"{xy.shape[0]} locations for {n} curves (must match)"
             )
+        object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "curves", _frozen_array(curves))
         object.__setattr__(self, "warnings", tuple(self.warnings))
-        xy = _frozen_array([(p.x, p.y) for p in locs])
-        object.__setattr__(self, "xy", xy)
 
     @property
     def n_curves(self) -> int:
@@ -190,8 +207,9 @@ class SpatialFunctionalDataset:
             raise ValidationError("subset needs a non-empty index vector")
         if np.any(idx < 0) or np.any(idx >= self.n_curves):
             raise ValidationError("subset index out of range")
-        locs = tuple(self.locations[i] for i in idx)
-        return SpatialFunctionalDataset(self.grid, locs, self.curves[idx], lon0=self.lon0)
+        return SpatialFunctionalDataset(
+            self.grid, self.xy[idx], self.curves[idx], lon0=self.lon0
+        )
 
 
 def pairwise_distances(locs) -> np.ndarray:
@@ -199,14 +217,7 @@ def pairwise_distances(locs) -> np.ndarray:
 
     Accepts a sequence of :class:`PlanarCoord` or an ``(n, 2)`` array.
     """
-    if isinstance(locs, np.ndarray):
-        xy = np.asarray(locs, dtype=float)
-        if xy.ndim != 2 or xy.shape[1] != 2:
-            raise ValidationError("expected an (n, 2) coordinate array")
-    else:
-        xy = np.array([(p.x, p.y) for p in locs], dtype=float)
-        if xy.size == 0:
-            raise ValidationError("need at least one location")
+    xy = _as_xy(locs)
     dx = xy[:, 0][:, None] - xy[:, 0][None, :]
     dy = xy[:, 1][:, None] - xy[:, 1][None, :]
     return np.hypot(dx, dy)
@@ -404,28 +415,25 @@ def load_wide_csv(path, schema: CsvSchema | None = None) -> SpatialFunctionalDat
             seen[c] = r
 
     lon0 = None
-    if schema.planar:
-        locations = tuple(PlanarCoord(cx, cy) for cx, cy in coords)
-    else:
+    if not schema.planar:
         lon0 = schema.lon0
         if lon0 is None:
             lam = np.radians([c[0] for c in coords])
             lon0 = math.degrees(
                 math.atan2(math.fsum(np.sin(lam)), math.fsum(np.cos(lam)))
             )
-        located = []
         for r, (cx, cy) in enumerate(coords, start=1):
             try:
-                located.append(project_sinusoidal(GeoCoord(cx, cy), lon0))
+                p = project_sinusoidal(GeoCoord(cx, cy), lon0)
             except ValidationError as exc:
                 raise ValidationError(f"row {r}: {exc}") from None
-        locations = tuple(located)
+            coords[r - 1] = (p.x, p.y)
 
     matrix = np.asarray(curves, dtype=float)
     if schema.center_levels:
         matrix = matrix - _column_means(matrix)[None, :]
     return SpatialFunctionalDataset(
-        grid, locations, matrix, warnings=tuple(warnings), lon0=lon0
+        grid, np.array(coords), matrix, warnings=tuple(warnings), lon0=lon0
     )
 
 
@@ -435,7 +443,7 @@ def write_wide_csv(dataset: SpatialFunctionalDataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         labels = [repr(float(t)) for t in dataset.grid.points]
         fh.write(",".join(["x", "y"] + labels) + "\n")
-        for loc, row in zip(dataset.locations, dataset.curves):
-            cells = [repr(float(loc.x)), repr(float(loc.y))]
+        for (x, y), row in zip(dataset.xy, dataset.curves):
+            cells = [repr(float(x)), repr(float(y))]
             cells += [repr(float(v)) for v in row]
             fh.write(",".join(cells) + "\n")

@@ -116,16 +116,18 @@ def _validate_distance_matrix(D: np.ndarray) -> np.ndarray:
     return D
 
 
-def _ess_report(n: int, model: TraceCovModel, denom: float) -> EssReport:
-    """``n^2 cov_tr(0) / denom`` for the double sum ``denom`` over n sites."""
+def _ess_report(n: int, model: TraceCovModel, denom: float, warnings=()) -> EssReport:
+    """``n^2 cov_tr(0) / denom`` for the double sum ``denom`` over n sites.
+
+    ``warnings`` (the fit's, say) come first in the report.
+    """
     if denom <= 0:
         raise EstimationError(
             f"non-positive trace-covariogram mass ({denom:g}); ess undefined"
         )
     ess = n * n * (model.sill + model.nugget) / denom
-    warnings = ()
     if ess > n * (1.0 + 1e-12):
-        warnings = (
+        warnings = tuple(warnings) + (
             "ess exceeds the nominal sample size (negative covariogram values)",
         )
     return EssReport(n=n, ess=ess, model=model, warnings=warnings)
@@ -173,10 +175,5 @@ def ess_plugin(
         bins = default_lag_bins(_max_pair_distance(dataset))
     ev = empirical_trace_variogram(dataset, bins)
     fit = fit_model(ev, family, opts)
-    report = _ess_report(dataset.n_curves, fit.model, _covariogram_mass(dataset, fit.model))
-    return EssReport(
-        n=report.n,
-        ess=report.ess,
-        model=fit.model,
-        warnings=fit.warnings + report.warnings,
-    )
+    mass = _covariogram_mass(dataset, fit.model)
+    return _ess_report(dataset.n_curves, fit.model, mass, fit.warnings)

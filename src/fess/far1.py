@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import EvalGrid, PlanarCoord, SpatialFunctionalDataset, pairwise_distances
+from .dataset import EvalGrid, SpatialFunctionalDataset, _as_xy, pairwise_distances
 from .errors import EstimationError, ValidationError
 from .rng import derived_rng
 from .variogram import TraceCovModel, model_trace_cov
@@ -185,8 +185,8 @@ def far1_simulate(spec: Far1Spec, n: int, seed: int) -> SpatialFunctionalDataset
     for i in range(1, n):
         coords[:, i] = spec.lambdas * coords[:, i - 1] + spec.etas * z[:, i]
     curves = coords.T @ basis_matrix(spec.basis, k, spec.grid.points)
-    locations = tuple(PlanarCoord(float(i), 0.0) for i in range(1, n + 1))
-    return SpatialFunctionalDataset(spec.grid, locations, curves)
+    xy = np.column_stack([np.arange(1.0, n + 1.0), np.zeros(n)])
+    return SpatialFunctionalDataset(spec.grid, xy, curves)
 
 
 class SweepPoint(NamedTuple):
@@ -280,12 +280,11 @@ def gauss_field_simulate(
 
     The spatial correlation matrix is factorized densely (Cholesky); a
     1e-10 diagonal jitter is added once if the matrix is numerically
-    singular, and failure after that raises.
+    singular, and failure after that raises. ``locs`` is an ``(n, 2)``
+    array or a sequence of :class:`PlanarCoord`.
     """
-    locations = tuple(locs)
-    if not locations:
-        raise ValidationError("need at least one location")
-    dist = pairwise_distances(locations)
+    xy = _as_xy(locs)
+    dist = pairwise_distances(xy)
     corr = model_trace_cov(spec.model, dist) / (spec.model.sill + spec.model.nugget)
     try:
         factor = np.linalg.cholesky(corr)
@@ -303,4 +302,4 @@ def gauss_field_simulate(
     curves = (fields * np.sqrt(spec.weights)) @ basis_matrix(
         spec.basis, k, spec.grid.points
     )
-    return SpatialFunctionalDataset(spec.grid, locations, curves)
+    return SpatialFunctionalDataset(spec.grid, xy, curves)

@@ -31,7 +31,14 @@ from .dataset import (
 )
 from .errors import EstimationError, FitError, ValidationError
 
-FAMILIES = ("exponential", "spherical", "gaussian")
+# Correlation of each family as a function of ``u = h / range``: the one
+# definition that the model, the fit objective and the simulator share.
+_CORR = {
+    "exponential": lambda u: np.exp(-u),
+    "spherical": lambda u: np.where(u <= 1.0, 1.0 - 1.5 * u + 0.5 * u**3, 0.0),
+    "gaussian": lambda u: np.exp(-(u**2)),
+}
+FAMILIES = tuple(_CORR)
 
 # Range is fitted on a log scale; these bounds (relative to the largest
 # lag) keep the simplex out of regions where the objective is flat.
@@ -97,6 +104,13 @@ def default_lag_bins(distances: np.ndarray, n_bins: int = 15) -> LagBins:
     return LagBins.equal_width(dmax / 2.0, n_bins)
 
 
+def _family(name) -> str:
+    fam = str(name).lower()
+    if fam not in _CORR:
+        raise ValidationError(f"unknown family {name!r}; expected one of {FAMILIES}")
+    return fam
+
+
 @dataclass(frozen=True)
 class TraceCovModel:
     """Parametric trace-covariogram: family plus (sill, range, nugget).
@@ -112,12 +126,7 @@ class TraceCovModel:
     nugget: float = 0.0
 
     def __post_init__(self):
-        fam = str(self.family).lower()
-        if fam not in FAMILIES:
-            raise ValidationError(
-                f"unknown family {self.family!r}; expected one of {FAMILIES}"
-            )
-        object.__setattr__(self, "family", fam)
+        object.__setattr__(self, "family", _family(self.family))
         if not (self.sill > 0 and math.isfinite(self.sill)):
             raise ValidationError("sill must be positive and finite")
         if not (self.range_km > 0 and math.isfinite(self.range_km)):
@@ -145,13 +154,7 @@ def model_trace_cov(model: TraceCovModel, h):
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr < 0):
         raise ValidationError("distances must be non-negative")
-    u = h_arr / model.range_km
-    if model.family == "exponential":
-        c = model.sill * np.exp(-u)
-    elif model.family == "gaussian":
-        c = model.sill * np.exp(-(u**2))
-    else:  # spherical
-        c = np.where(u <= 1.0, model.sill * (1.0 - 1.5 * u + 0.5 * u**3), 0.0)
+    c = model.sill * _CORR[model.family](h_arr / model.range_km)
     c = c + np.where(h_arr == 0.0, model.nugget, 0.0)
     return float(c) if np.isscalar(h) or h_arr.ndim == 0 else c
 
@@ -180,7 +183,6 @@ class EmpiricalVariogram:
     gamma: np.ndarray
     counts: np.ndarray
     sigma0: float | None
-    kind: str = "variogram"
 
     def __post_init__(self):
         centers = _frozen_array(self.centers)
@@ -218,7 +220,7 @@ class EmpiricalVariogram:
                 fh.write(f"{float(h)!r},{float(g)!r},{int(c)}\n")
 
     @classmethod
-    def from_csv(cls, path, kind: str = "variogram") -> "EmpiricalVariogram":
+    def from_csv(cls, path) -> "EmpiricalVariogram":
         path = Path(path)
         if not path.exists():
             raise ValidationError(f"input file not found: {path}")
@@ -233,7 +235,7 @@ class EmpiricalVariogram:
         centers = np.array([float(r[0]) for r in rows])
         gamma = np.array([float(r[1]) for r in rows])
         counts = np.array([int(r[2]) for r in rows])
-        return cls(centers, gamma, counts, sigma0=None, kind=kind)
+        return cls(centers, gamma, counts, sigma0=None)
 
 
 def _trace_variance(dataset: SpatialFunctionalDataset) -> float:
@@ -333,9 +335,7 @@ def empirical_trace_covariogram(
     sigma = np.full(len(bins), np.nan)
     occ = counts > 0
     sigma[occ] = sums[occ] / counts[occ]
-    return EmpiricalVariogram(
-        centers, sigma, counts, sigma0=_trace_variance(dataset), kind="covariogram",
-    )
+    return EmpiricalVariogram(centers, sigma, counts, sigma0=_trace_variance(dataset))
 
 
 @dataclass(frozen=True)
@@ -344,13 +344,13 @@ class FitOptions:
 
     ``nugget`` is ``"zero"`` (frozen at 0, the default) or ``"free"``.
     ``weighting`` is ``"equal"`` (ordinary least squares, the default) or
-    ``"counts"`` (bins weighted by pair count). The optimizer runs
-    ``n_starts`` deterministic Nelder-Mead starts plus a polish pass.
+    ``"counts"`` (bins weighted by pair count). The optimizer runs one
+    deterministic Nelder-Mead start per entry of ``_START_FACTORS`` plus a
+    polish pass, each with at most ``max_iter`` iterations.
     """
 
     nugget: str = "zero"
     weighting: str = "equal"
-    n_starts: int = 5
     max_iter: int = 4000
 
     def __post_init__(self):
@@ -358,8 +358,6 @@ class FitOptions:
             raise ValidationError("nugget must be 'zero' or 'free'")
         if self.weighting not in ("equal", "counts"):
             raise ValidationError("weighting must be 'equal' or 'counts'")
-        if self.n_starts < 1:
-            raise ValidationError("need at least one start")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be positive")
 
@@ -385,6 +383,8 @@ def _inv_softplus(y: float) -> float:
 
 
 def _objective_factory(family, h, g, wts, free_nugget, la_lo, la_hi):
+    corr = _CORR[family]
+
     def fun(theta):
         ls, la = theta[0], theta[1]
         penalty = 0.0
@@ -403,14 +403,7 @@ def _objective_factory(family, h, g, wts, free_nugget, la_lo, la_hi):
         sill = math.exp(ls)
         rng = math.exp(la)
         nugget = _softplus(theta[2]) if free_nugget else 0.0
-        u = h / rng
-        if family == "exponential":
-            cov = sill * np.exp(-u)
-        elif family == "gaussian":
-            cov = sill * np.exp(-(u**2))
-        else:
-            cov = np.where(u <= 1.0, sill * (1.0 - 1.5 * u + 0.5 * u**3), 0.0)
-        resid = g - ((sill + nugget) - cov)
+        resid = g - ((sill + nugget) - sill * corr(h / rng))
         return float(np.dot(wts * resid, resid)) + 1e6 * penalty
 
     return fun
@@ -433,9 +426,7 @@ def fit_model(
     """
     if opts is None:
         opts = FitOptions()
-    fam = str(family).lower()
-    if fam not in FAMILIES:
-        raise ValidationError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    fam = _family(family)
     occ = ev.occupied
     if int(np.count_nonzero(occ)) < 3:
         raise ValidationError("fitting needs at least 3 occupied bins")
@@ -502,7 +493,7 @@ def _fit_once(fam, h, g, counts, opts, h_scale, g_scale, free_nugget, warnings):
     best = None
     any_converged = False
     f_init = None
-    for snum, (fs, fr) in enumerate(_START_FACTORS[: opts.n_starts]):
+    for snum, (fs, fr) in enumerate(_START_FACTORS):
         x0 = [math.log(sill0 * fs), math.log(range0 * fr)]
         if free_nugget:
             x0.append(_inv_softplus(1e-3 * sill0))
@@ -532,7 +523,7 @@ def _fit_once(fam, h, g, counts, opts, h_scale, g_scale, free_nugget, warnings):
     if not any_converged:
         raise FitError(
             f"{fam} fit did not converge within {opts.max_iter} iterations "
-            f"across {opts.n_starts} starts",
+            f"across {len(_START_FACTORS)} starts",
             best=model,
             sse=sse,
         )

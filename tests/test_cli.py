@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -84,6 +85,16 @@ class TestVariogramCommand:
         refit = TraceCovModel("exponential", fitted["sill"], fitted["range"])
         assert np.allclose(model_trace_variogram(refit, bins.centers), gamma, rtol=1e-6)
         assert np.allclose(interp, gamma, rtol=1e-6)
+
+
+    def test_fit_logs_fit_warnings(self, tmp_path, caplog):
+        emp = tmp_path / "flat.csv"
+        emp.write_text("h,gamma,count\n10,2,8\n20,2,8\n30,2,8\n40,2,8\n")
+        with caplog.at_level(logging.WARNING, logger="fess"):
+            rc = main(["fit", "--input", str(emp), "--out-dir", str(tmp_path / "fit"),
+                       "--family", "spherical"])
+        assert rc == 0
+        assert "spherical: flat empirical variogram: range pinned at lower bound" in caplog.text
 
 
 class TestEssCommand:

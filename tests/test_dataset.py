@@ -8,7 +8,9 @@ from fess import (
     EvalGrid,
     GeoCoord,
     PlanarCoord,
+    SpatialFunctionalDataset,
     ValidationError,
+    ess_plugin,
     load_wide_csv,
     pairwise_distances,
     project_sinusoidal,
@@ -170,9 +172,48 @@ class TestDataset:
         ds = make_dataset(rng.standard_normal((5, 3)))
         sub = ds.subset([3, 0])
         assert np.array_equal(sub.curves[0], ds.curves[3])
-        assert sub.locations[0] == ds.locations[3]
+        assert np.array_equal(sub.xy[0], ds.xy[3])
         with pytest.raises(ValidationError):
             ds.subset([7])
+
+    @pytest.mark.parametrize("family", ["exponential", "spherical", "gaussian"])
+    def test_array_and_planar_coords_agree(self, family):
+        rng = derived_rng(12)
+        xy = rng.uniform(0.0, 200.0, size=(40, 2))
+        curves = rng.standard_normal((40, 6))
+        grid = EvalGrid(np.arange(6.0))
+        from_array = SpatialFunctionalDataset(grid, xy, curves)
+        from_coords = SpatialFunctionalDataset(
+            grid, [PlanarCoord(float(x), float(y)) for x, y in xy], curves
+        )
+        assert np.array_equal(from_array.xy, from_coords.xy)
+        assert from_array.xy.shape == (40, 2) and not from_array.xy.flags.writeable
+        a = ess_plugin(from_array, family)
+        b = ess_plugin(from_coords, family)
+        assert (a.ess, a.model, a.warnings) == (b.ess, b.model, b.warnings)
+
+    @pytest.mark.parametrize(
+        "xy",
+        [
+            np.array([[0.0, 1.0], [np.nan, 2.0]]),
+            np.array([[0.0, 1.0], [np.inf, 2.0]]),
+            np.zeros((2, 3)),
+            np.zeros(4),
+            np.zeros((0, 2)),
+        ],
+        ids=["nan", "inf", "three-columns", "one-dimensional", "zero-rows"],
+    )
+    def test_bad_coordinate_arrays_rejected(self, xy):
+        with pytest.raises(ValidationError):
+            SpatialFunctionalDataset(EvalGrid([0.0, 1.0]), xy, np.zeros((len(xy), 2)))
+        with pytest.raises(ValidationError):
+            pairwise_distances(xy)
+
+    def test_xy_is_a_copy(self):
+        xy = np.array([[0.0, 0.0], [3.0, 4.0]])
+        ds = SpatialFunctionalDataset(EvalGrid([0.0, 1.0]), xy, np.zeros((2, 2)))
+        xy[1] = 9.0
+        assert ds.xy.tolist() == [[0.0, 0.0], [3.0, 4.0]]
 
 
 class TestLoadWideCsv:
@@ -198,7 +239,7 @@ class TestLoadWideCsv:
         )
         ds = load_wide_csv(path)
         # sites sit symmetrically about the central meridian
-        assert ds.locations[0].x == pytest.approx(-ds.locations[1].x)
+        assert ds.xy[0, 0] == pytest.approx(-ds.xy[1, 0])
 
     def test_missing_cell_names_row_and_column(self, tmp_path):
         path = self.write(tmp_path, "lon,lat,10,20\n-145.0,40.0,1.0,\n")
@@ -231,7 +272,7 @@ class TestLoadWideCsv:
     def test_schema_lon0_override(self, tmp_path):
         path = self.write(tmp_path, "lon,lat,1,2\n-140.0,0.0,0,0\n")
         ds = load_wide_csv(path, CsvSchema(lon0=-141.0))
-        assert ds.locations[0].x == pytest.approx(EARTH_RADIUS_KM * math.pi / 180.0)
+        assert ds.xy[0, 0] == pytest.approx(EARTH_RADIUS_KM * math.pi / 180.0)
 
     def test_lon_in_0_360_convention_wrapped(self, tmp_path):
         # 215 E == -145; wrapped with a warning, as ocean reanalysis

@@ -162,7 +162,7 @@ class TestFar1Simulate:
     def test_locations_are_integer_line(self):
         spec = Far1Spec([0.5], [1.0], tiny_grid())
         ds = far1_simulate(spec, 4, seed=0)
-        assert ds.locations == tuple(PlanarCoord(float(i), 0.0) for i in (1, 2, 3, 4))
+        assert ds.xy.tolist() == [[float(i), 0.0] for i in (1, 2, 3, 4)]
 
     def test_stationary_coordinate_variance(self, unit_grid_fine):
         # project simulated curves back onto a basis function; the final
@@ -251,6 +251,21 @@ class TestGaussField:
         a = gauss_field_simulate(spec, locs, seed=9)
         b = gauss_field_simulate(spec, locs, seed=9)
         assert np.array_equal(a.curves, b.curves)
+
+    def test_array_and_planar_coords_give_identical_curves(self):
+        spec = self.make_spec(21)
+        xy = derived_rng(8).uniform(0.0, 300.0, size=(30, 2))
+        a = gauss_field_simulate(spec, xy, seed=4)
+        b = gauss_field_simulate(spec, [PlanarCoord(float(x), float(y)) for x, y in xy], seed=4)
+        assert np.array_equal(a.curves, b.curves)
+        assert np.array_equal(a.xy, b.xy)
+
+    @pytest.mark.parametrize(
+        "xy", [np.array([[0.0, np.nan]]), np.zeros((3, 1)), np.zeros((0, 2))]
+    )
+    def test_bad_coordinate_arrays_rejected(self, xy):
+        with pytest.raises(ValidationError):
+            gauss_field_simulate(self.make_spec(21), xy, seed=1)
 
     def test_single_location_trace_variance(self):
         spec = self.make_spec()

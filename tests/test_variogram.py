@@ -24,7 +24,13 @@ from fess import (
     trapz_inner,
 )
 from fess.rng import derived_rng
-from fess.variogram import read_model_json, write_model_json
+from fess.variogram import (
+    _inv_softplus,
+    _objective_factory,
+    _softplus,
+    read_model_json,
+    write_model_json,
+)
 
 from conftest import make_dataset, random_dataset, tied_dataset
 
@@ -411,6 +417,29 @@ class TestFitModel:
         ev = EmpiricalVariogram(bins.centers, gamma, counts, sigma0=1.0)
         res = fit_model(ev, "exponential")
         assert np.isfinite(res.sse)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("free_nugget", [False, True])
+    def test_objective_is_weighted_sse_of_decoded_model(self, family, free_nugget):
+        # the fit minimises the misfit of the very model it returns:
+        # inside the bounds, the objective at (log sill, log range[,
+        # softplus^-1 nugget]) is the weighted SSE of model_trace_variogram
+        h = np.linspace(0.05, 1.0, 12)
+        g = 1.0 - np.exp(-h / 0.3) + 0.02 * np.sin(7.0 * h)
+        wts = np.linspace(0.5, 1.5, h.size)
+        fun = _objective_factory(
+            family, h, g, wts, free_nugget, math.log(1e-6), math.log(1e3)
+        )
+        for ls, la, nugget in ((0.0, math.log(0.3), 0.1), (-0.7, 0.4, 0.02),
+                               (0.9, math.log(0.08), 0.5)):
+            theta = [ls, la] + ([_inv_softplus(nugget)] if free_nugget else [])
+            model = TraceCovModel(
+                family, math.exp(ls), math.exp(la),
+                _softplus(theta[2]) if free_nugget else 0.0,
+            )
+            resid = g - model_trace_variogram(model, h)
+            sse = float(np.dot(wts * resid, resid))
+            assert fun(np.asarray(theta)) == pytest.approx(sse, rel=1e-12, abs=0.0)
 
     def test_model_json_round_trip(self, tmp_path):
         ev = exact_variogram_record("spherical", 2.0, 80.0)
