@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .dataset import CsvSchema, EvalGrid, _max_pair_distance, load_wide_csv, write_wide_csv
 from .errors import EstimationError, FitError, ValidationError
-from .ess import ess_plugin
+from .ess import _plugin_ess
 from .far1 import Far1Spec, far1_simulate, far1_sweep
 from .fboxplot import functional_boxplot, subsample_experiment
 from .variogram import (
@@ -63,15 +63,11 @@ def _out_dir(args) -> Path:
 
 
 def _load_dataset(args):
-    schema = CsvSchema.from_json(args.schema) if getattr(args, "schema", None) else None
+    schema = CsvSchema.from_json(args.schema) if args.schema else None
     dataset = load_wide_csv(args.input, schema)
     for w in dataset.warnings:
         log.warning("%s", w)
     return dataset
-
-
-def _fit_options(args) -> FitOptions:
-    return FitOptions(nugget=args.nugget)
 
 
 def _write_model_curve(model, h_max: float, path: Path, knots=None) -> None:
@@ -95,7 +91,7 @@ def _fit_families(ev, args, out: Path, h_max: float) -> None:
     one-line summary per family.
     """
     for fam in args.family or FAMILIES:
-        result = fit_model(ev, fam, _fit_options(args))
+        result = fit_model(ev, fam, FitOptions(nugget=args.nugget))
         for w in result.warnings:
             log.warning("%s: %s", fam, w)
         write_model_json(result, out / f"model_{fam}.json")
@@ -128,12 +124,14 @@ def cmd_fit(args) -> int:
 
 
 def cmd_ess(args) -> int:
+    # one empirical variogram for all families; each report equals ess_plugin's
     dataset = _load_dataset(args)
     fams = args.family if args.family else ["exponential"]
     bins = default_lag_bins(_max_pair_distance(dataset), n_bins=args.bins)
+    ev = empirical_trace_variogram(dataset, bins)
     results = []
     for fam in fams:
-        report = ess_plugin(dataset, fam, bins=bins, opts=_fit_options(args))
+        report = _plugin_ess(dataset, fit_model(ev, fam, FitOptions(nugget=args.nugget)))
         results.append(report)
         print(
             f"{fam}: n={report.n} ess={report.ess:.6g} ratio={report.ratio:.4f} "
@@ -253,9 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, out_required=True):
+    def add_io(p, out_required=True, schema=True):
         p.add_argument("--input", required=True, help="input file path")
-        p.add_argument("--schema", default=None, help="sidecar JSON schema for CSV ingestion")
+        if schema:
+            p.add_argument("--schema", default=None, help="sidecar JSON schema for CSV ingestion")
         if out_required:
             p.add_argument("--out-dir", required=True, help="output directory")
         else:
@@ -270,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_variogram)
 
     p = sub.add_parser("fit", help="fit families to an exported empirical variogram CSV")
-    add_io(p)
+    add_io(p, schema=False)
     p.add_argument("--family", action="append", choices=FAMILIES, help="repeatable; default: all")
     p.add_argument("--nugget", choices=("free", "zero"), default="zero")
     p.set_defaults(func=cmd_fit)

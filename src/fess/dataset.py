@@ -247,33 +247,33 @@ def _canonical_order(dataset: "SpatialFunctionalDataset") -> np.ndarray:
     return np.lexsort(keys)
 
 
-def _pair_blocks(xy: np.ndarray, n_levels: int):
-    """Yield ``(i0, i1, d)`` row blocks covering every pair ``i < j`` once.
+def _pair_blocks(dataset: "SpatialFunctionalDataset", rows=None):
+    """Yield ``(d, X[i0:i1], X[i0:])`` blocks covering every pair ``i < j`` once.
 
-    ``d[k, c]`` is the distance between rows ``i0 + k`` and ``i0 + c``
-    (the columns ``j >= i0``); entries with ``c <= k`` are not pairs and
-    hold ``_NOT_A_PAIR``. Blocks are sized by ``_PAIR_BLOCK_ELEMENTS`` for
-    curves of ``n_levels`` values, so no n-by-n array is ever formed.
+    ``X`` is ``rows`` (default: the curves) in :func:`_canonical_order`, the
+    one row order of every pair stage. ``d[k, c]`` is the distance between
+    rows ``i0 + k`` and ``i0 + c``; entries with ``c <= k`` are not pairs and
+    hold ``_NOT_A_PAIR``. Blocks are sized by ``_PAIR_BLOCK_ELEMENTS``.
     """
-    n = xy.shape[0]
+    order = _canonical_order(dataset)
+    xy = dataset.xy[order]
+    X = (dataset.curves if rows is None else rows)[order]
+    n, m = X.shape
     i0 = 0
     while i0 < n - 1:
         width = n - i0
-        i1 = min(n - 1, i0 + max(1, _PAIR_BLOCK_ELEMENTS // (width * n_levels)))
+        i1 = min(n - 1, i0 + max(1, _PAIR_BLOCK_ELEMENTS // (width * m)))
         dx = xy[i0:i1, 0][:, None] - xy[i0:, 0][None, :]
         dy = xy[i0:i1, 1][:, None] - xy[i0:, 1][None, :]
         d = np.hypot(dx, dy)
         d[np.arange(width)[None, :] <= np.arange(i1 - i0)[:, None]] = _NOT_A_PAIR
-        yield i0, i1, d
+        yield d, X[i0:i1], X[i0:]
         i0 = i1
 
 
 def _max_pair_distance(dataset: "SpatialFunctionalDataset") -> float:
     """Largest distance between two sites (0 for a single site)."""
-    dmax = 0.0
-    for _, _, d in _pair_blocks(dataset.xy, dataset.n_levels):
-        dmax = max(dmax, float(np.max(d)))
-    return dmax
+    return max((float(np.max(d)) for d, _, _ in _pair_blocks(dataset)), default=0.0)
 
 
 def trapz_inner(a, b, grid: EvalGrid) -> float:

@@ -24,7 +24,6 @@ import numpy as np
 from .dataset import (
     _NOT_A_PAIR,
     SpatialFunctionalDataset,
-    _canonical_order,
     _max_pair_distance,
     _pair_blocks,
     _sorted_sum,
@@ -32,6 +31,7 @@ from .dataset import (
 from .errors import EstimationError, ValidationError
 from .variogram import (
     FitOptions,
+    FitResult,
     LagBins,
     TraceCovModel,
     default_lag_bins,
@@ -144,18 +144,19 @@ def ess_functional(D: np.ndarray, model: TraceCovModel) -> EssReport:
     return _ess_report(D.shape[0], model, _sorted_sum(model_trace_cov(model, D)))
 
 
-def _covariogram_mass(dataset: SpatialFunctionalDataset, model: TraceCovModel) -> float:
-    """``sum_ij cov_tr(d_ij)`` as ``n cov_tr(0)`` plus twice the pairs ``i < j``.
+def _plugin_ess(dataset: SpatialFunctionalDataset, fit: FitResult) -> EssReport:
+    """Functional ESS of ``dataset`` under a fit: the plug-in's last step.
 
-    Summed over canonical row blocks in block order, so the value is
-    bitwise invariant under row relabelling. Coincident sites enter at
-    distance zero and so carry the nugget, as the diagonal does.
+    ``sum_ij cov_tr(d_ij)`` is ``n cov_tr(0)`` plus twice the pairs ``i < j``
+    summed in canonical block order (bitwise invariant under row relabelling);
+    coincident sites carry the nugget, as the diagonal does.
     """
-    xy = dataset.xy[_canonical_order(dataset)]
+    model = fit.model
     upper = 0.0
-    for _, _, d in _pair_blocks(xy, dataset.n_levels):
+    for d, _, _ in _pair_blocks(dataset):
         upper += float(np.sum(model_trace_cov(model, d[d != _NOT_A_PAIR])))
-    return dataset.n_curves * (model.sill + model.nugget) + 2.0 * upper
+    mass = dataset.n_curves * (model.sill + model.nugget) + 2.0 * upper
+    return _ess_report(dataset.n_curves, model, mass, fit.warnings)
 
 
 def ess_plugin(
@@ -174,6 +175,4 @@ def ess_plugin(
     if bins is None:
         bins = default_lag_bins(_max_pair_distance(dataset))
     ev = empirical_trace_variogram(dataset, bins)
-    fit = fit_model(ev, family, opts)
-    mass = _covariogram_mass(dataset, fit.model)
-    return _ess_report(dataset.n_curves, fit.model, mass, fit.warnings)
+    return _plugin_ess(dataset, fit_model(ev, family, opts))

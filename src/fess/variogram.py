@@ -23,7 +23,6 @@ from scipy.optimize import minimize
 
 from .dataset import (
     SpatialFunctionalDataset,
-    _canonical_order,
     _column_means,
     _frozen_array,
     _pair_blocks,
@@ -208,10 +207,6 @@ class EmpiricalVariogram:
     def occupied(self) -> np.ndarray:
         return self.counts > 0
 
-    @property
-    def n_occupied(self) -> int:
-        return int(np.count_nonzero(self.occupied))
-
     def to_csv(self, path) -> None:
         """Write ``h,gamma,count`` rows (NaN marks empty bins)."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -248,27 +243,25 @@ def _trace_variance(dataset: SpatialFunctionalDataset) -> float:
 def _binned_pair_stats(dataset: SpatialFunctionalDataset, rows, bins: LagBins, pair_values):
     """Per-bin pair counts, value sums and mean pair distances.
 
-    ``rows`` is an n-by-m matrix aligned with the dataset's rows. Rows go
-    into canonical order and the pairs stream in row blocks;
-    ``pair_values(rows, i0, i1)`` returns the block's ``b x (n - i0)``
-    pair values from the canonically ordered ``rows``. Plain
+    ``rows`` is an n-by-m matrix aligned with the dataset's rows. The pairs
+    stream in the canonical row blocks of ``_pair_blocks``;
+    ``pair_values(head, tail)`` returns a block's ``b x w`` pair values
+    from its ``b`` head rows against its ``w`` tail rows. Plain
     ``np.bincount`` sums in block order, which depends only on the data,
     so results are bitwise invariant under row relabelling.
     """
     if dataset.n_curves < 2:
         raise ValidationError("empirical estimation needs at least 2 curves")
-    order = _canonical_order(dataset)
-    rows = rows[order]
     n_bins = len(bins)
     counts = np.zeros(n_bins, dtype=np.int64)
     sums = np.zeros(n_bins)
     hsums = np.zeros(n_bins)
-    for i0, i1, d in _pair_blocks(dataset.xy[order], dataset.n_levels):
+    for d, head, tail in _pair_blocks(dataset, rows):
         idx = bins.index_of(d)
         keep = idx >= 0
         idx = idx[keep]
         counts += np.bincount(idx, minlength=n_bins)
-        sums += np.bincount(idx, weights=pair_values(rows, i0, i1)[keep], minlength=n_bins)
+        sums += np.bincount(idx, weights=pair_values(head, tail)[keep], minlength=n_bins)
         hsums += np.bincount(idx, weights=d[keep], minlength=n_bins)
     occ = counts > 0
     if not np.any(occ):
@@ -300,10 +293,10 @@ def empirical_trace_variogram(
     """
     w = dataset.grid.quad_weights
 
-    def squared_distances(X, i0, i1):
+    def squared_distances(head, tail):
         # Squared norms from explicit differences (not a Gram expansion),
         # so every pair term is non-negative by construction.
-        diff = X[i0:i1, None, :] - X[None, i0:, :]
+        diff = head[:, None, :] - tail[None, :, :]
         return np.square(diff, out=diff) @ w
 
     counts, sums, centers = _binned_pair_stats(
@@ -328,8 +321,8 @@ def empirical_trace_covariogram(
     w = dataset.grid.quad_weights
     dev = dataset.curves - _column_means(dataset.curves)[None, :]
 
-    def inner_products(Z, i0, i1):
-        return (Z[i0:i1] * w) @ Z[i0:].T
+    def inner_products(head, tail):
+        return (head * w) @ tail.T
 
     counts, sums, centers = _binned_pair_stats(dataset, dev, bins, inner_products)
     sigma = np.full(len(bins), np.nan)
@@ -421,8 +414,9 @@ def fit_model(
     multi-start seeds derive from the empirical sill and range. Returns
     the fitted model with the achieved objective value.
 
-    Raises :class:`FitError` (carrying the best point found) if no start
-    converges within the iteration budget.
+    Raises :class:`EstimationError` if the variogram is zero in every
+    occupied bin (no covariance to fit), and :class:`FitError` (carrying
+    the best point found) if no start converges within the budget.
     """
     if opts is None:
         opts = FitOptions()
@@ -441,7 +435,9 @@ def fit_model(
     g_scale = float(np.max(np.abs(g)))
     spread = float(np.max(g) - np.min(g))
 
-    if g_scale == 0.0 or spread <= 1e-12 * g_scale:
+    if g_scale == 0.0:
+        raise EstimationError("empirical variogram is zero: the curves do not vary")
+    if spread <= 1e-12 * g_scale:
         # Flat variogram: the range is unidentifiable, pin it and report
         # the mean level as the sill.
         warnings.append("flat empirical variogram: range pinned at lower bound")

@@ -4,7 +4,12 @@ import logging
 import numpy as np
 import pytest
 
+import fess.cli
+import fess.ess
+import fess.variogram
+from fess import FitOptions, default_lag_bins, ess_plugin, load_wide_csv
 from fess.cli import main
+from fess.dataset import _max_pair_distance
 from fess.rng import derived_rng
 
 
@@ -23,6 +28,18 @@ def dataset_csv(tmp_path):
     path = tmp_path / "field.csv"
     lines = [",".join(["lon", "lat"] + levels)]
     lines += [",".join(r) for r in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def constant_csv(tmp_path):
+    """Geographic wide CSV whose curves are all the same."""
+    rng = derived_rng(72)
+    lines = ["lon,lat,10,20,30"]
+    for lon, lat in zip(rng.uniform(-150.0, -140.0, 20), rng.uniform(36.0, 44.0, 20)):
+        lines.append(f"{lon:.6f},{lat:.6f},1.5,-0.5,2.0")
+    path = tmp_path / "constant.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -96,6 +113,21 @@ class TestVariogramCommand:
         assert rc == 0
         assert "spherical: flat empirical variogram: range pinned at lower bound" in caplog.text
 
+    def test_fit_zero_variogram_exits_1(self, tmp_path, capsys):
+        emp = tmp_path / "zero.csv"
+        emp.write_text("h,gamma,count\n10,0,8\n20,0,8\n30,0,8\n")
+        rc = main(["fit", "--input", str(emp), "--out-dir", str(tmp_path / "fit")])
+        assert rc == 1
+        assert "computation failed" in capsys.readouterr().err
+
+    def test_fit_takes_no_schema(self, tmp_path, capsys):
+        emp = tmp_path / "flat.csv"
+        emp.write_text("h,gamma,count\n10,2,8\n20,2,8\n30,2,8\n")
+        rc = main(["fit", "--input", str(emp), "--out-dir", str(tmp_path / "fit"),
+                   "--schema", str(tmp_path / "schema.json")])
+        assert rc == 2
+        assert "--schema" in capsys.readouterr().err
+
 
 class TestEssCommand:
     def test_report_written_and_printed(self, dataset_csv, tmp_path, capsys):
@@ -124,6 +156,43 @@ class TestEssCommand:
         rc = main(["ess", "--input", str(path)])
         assert rc == 1
         assert "computation failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ess", "variogram"])
+    def test_identical_curves_exit_1(self, command, constant_csv, tmp_path, capsys):
+        rc = main([command, "--input", str(constant_csv), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert "computation failed" in capsys.readouterr().err
+
+    def test_families_match_ess_plugin_bytes(self, dataset_csv, tmp_path):
+        out = tmp_path / "out"
+        fams = ("exponential", "spherical", "gaussian")
+        argv = ["ess", "--input", str(dataset_csv), "--out-dir", str(out),
+                "--bins", "7", "--nugget", "free"]
+        for fam in fams:
+            argv += ["--family", fam]
+        assert main(argv) == 0
+        ds = load_wide_csv(dataset_csv)
+        bins = default_lag_bins(_max_pair_distance(ds), 7)
+        for fam in fams:
+            ref = tmp_path / f"ref_{fam}.json"
+            ess_plugin(ds, fam, bins=bins, opts=FitOptions(nugget="free")).to_json(ref)
+            assert read_bytes(out / f"ess_{fam}.json") == read_bytes(ref)
+
+    def test_one_variogram_per_run(self, dataset_csv, monkeypatch):
+        calls = []
+        estimate = fess.variogram.empirical_trace_variogram
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return estimate(*args, **kwargs)
+
+        # patch every module that binds the estimator, so no call path escapes
+        for module in (fess, fess.variogram, fess.ess, fess.cli):
+            monkeypatch.setattr(module, "empirical_trace_variogram", counted)
+        rc = main(["ess", "--input", str(dataset_csv), "--family", "exponential",
+                   "--family", "spherical", "--family", "gaussian"])
+        assert rc == 0
+        assert len(calls) == 1
 
     def test_bins_flag_changes_binning(self, dataset_csv, tmp_path):
         out = tmp_path / "bins"

@@ -7,6 +7,7 @@ import pytest
 
 from fess import (
     EssReport,
+    EstimationError,
     EvalGrid,
     FitOptions,
     GaussFieldSpec,
@@ -173,13 +174,24 @@ class TestEssPlugin:
         assert abs(est - truth) / truth < 0.5  # single replicate, loose
 
     def test_embeds_fit_warnings(self):
-        grid = EvalGrid(np.linspace(0, 1, 5))
-        rng = derived_rng(38)
-        xy = rng.uniform(0, 100, size=(6, 2))
-        curves = np.tile(rng.standard_normal(5), (6, 1))  # identical curves
+        # curve i is 1/sqrt(w_i) at grid point i and 0 elsewhere, so every
+        # pair is at squared L2 distance 2: a flat variogram of level 1
+        grid = EvalGrid(np.linspace(0, 1, 6))
+        curves = np.diag(1.0 / np.sqrt(grid.quad_weights))
+        xy = [[x, 0.0] for x in (0, 1, 3, 6, 10, 15)]
         ds = make_dataset(curves, xy=xy, grid=grid)
         rep = ess_plugin(ds, "exponential")
         assert any("flat" in w for w in rep.warnings)
+        assert rep.ess == pytest.approx(6.0)
+
+    def test_identical_curves_raise(self):
+        # no variation, no covariance: the ESS is undefined, not n
+        rng = derived_rng(38)
+        xy = rng.uniform(0, 100, size=(6, 2))
+        curves = np.tile(rng.standard_normal(5), (6, 1))
+        ds = make_dataset(curves, xy=xy, grid=EvalGrid(np.linspace(0, 1, 5)))
+        with pytest.raises(EstimationError, match="do not vary"):
+            ess_plugin(ds, "exponential")
 
     @pytest.mark.parametrize(
         "family,nugget",

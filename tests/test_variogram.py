@@ -293,7 +293,7 @@ class TestStreamedAgainstDense:
         ds = make_dataset(curves, xy=xy, grid=EvalGrid(np.linspace(0.0, 2.0, m)))
         bins = LagBins(np.linspace(0.0, 5.0, 6))
         monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 4 * n * m)
-        assert sum(1 for _ in fess.dataset._pair_blocks(ds.xy, m)) >= 5
+        assert sum(1 for _ in fess.dataset._pair_blocks(ds)) >= 5
         D = pairwise_distances(ds.xy)
         assert np.any(D == 0.0) and np.any(D == 5.0)
         for estimator, kind in (
@@ -384,6 +384,15 @@ class TestFitModel:
         assert any("flat" in w for w in res.warnings)
         assert res.model.range_km <= 1e-4  # pinned near the lower bound
         assert res.model.sill == pytest.approx(2.0)
+
+    def test_zero_input_raises(self):
+        bins = LagBins.equal_width(100.0, 5)
+        ev = EmpiricalVariogram(
+            bins.centers, np.zeros(5), np.full(5, 8, dtype=int), sigma0=0.0
+        )
+        for opts in (FitOptions(), FitOptions(nugget="free")):
+            with pytest.raises(EstimationError, match="do not vary"):
+                fit_model(ev, "exponential", opts)
 
     def test_needs_three_occupied_bins(self):
         bins = LagBins.equal_width(10.0, 2)
