@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import CsvSchema, EvalGrid, _max_pair_distance, load_wide_csv, write_wide_csv
+from .dataset import CsvSchema, EvalGrid, load_wide_csv, write_wide_csv
 from .errors import EstimationError, FitError, ValidationError
 from .ess import _plugin_ess
 from .far1 import Far1Spec, far1_simulate, far1_sweep
@@ -108,7 +108,7 @@ def _fit_families(ev, args, out: Path, h_max: float) -> None:
 def cmd_variogram(args) -> int:
     dataset = _load_dataset(args)
     out = _out_dir(args)
-    bins = default_lag_bins(_max_pair_distance(dataset), n_bins=args.bins)
+    bins = default_lag_bins(dataset, n_bins=args.bins)
     ev = empirical_trace_variogram(dataset, bins)
     ev.to_csv(out / "empirical_variogram.csv")
     log.info("wrote %s", out / "empirical_variogram.csv")
@@ -124,15 +124,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_ess(args) -> int:
-    # one empirical variogram for all families; each report equals ess_plugin's
     dataset = _load_dataset(args)
     fams = args.family if args.family else ["exponential"]
-    bins = default_lag_bins(_max_pair_distance(dataset), n_bins=args.bins)
-    ev = empirical_trace_variogram(dataset, bins)
-    results = []
-    for fam in fams:
-        report = _plugin_ess(dataset, fit_model(ev, fam, FitOptions(nugget=args.nugget)))
-        results.append(report)
+    bins = default_lag_bins(dataset, n_bins=args.bins)
+    results = _plugin_ess(dataset, fams, bins, FitOptions(nugget=args.nugget))
+    for fam, report in zip(fams, results):
         print(
             f"{fam}: n={report.n} ess={report.ess:.6g} ratio={report.ratio:.4f} "
             f"recommended_subsample={report.recommended_subsample}"
@@ -293,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=int, default=22)
     p.add_argument("--basis", choices=("fourier", "cosine"), default="fourier")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted; currently has no effect")
     p.set_defaults(func=cmd_far1_simulate)
 
     p = far1_sub.add_parser("sweep", help="exact ESS over a decay-base grid")
@@ -306,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", default="30,60,120")
     p.add_argument("--fixed", type=float, default=0.5, help="decay base of the fixed sequence")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted; currently has no effect")
     p.set_defaults(func=cmd_far1_sweep)
 
     p = sub.add_parser("boxplot", help="functional boxplot export (optionally with experiment)")

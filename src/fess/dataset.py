@@ -271,11 +271,6 @@ def _pair_blocks(dataset: "SpatialFunctionalDataset", rows=None):
         i0 = i1
 
 
-def _max_pair_distance(dataset: "SpatialFunctionalDataset") -> float:
-    """Largest distance between two sites (0 for a single site)."""
-    return max((float(np.max(d)) for d, _, _ in _pair_blocks(dataset)), default=0.0)
-
-
 def trapz_inner(a, b, grid: EvalGrid) -> float:
     """Trapezoidal approximation of the L2 inner product of two curves."""
     a = np.asarray(a, dtype=float)
@@ -304,17 +299,47 @@ class CsvSchema:
     planar: bool = False
     center_levels: bool = False
 
+    def __post_init__(self):
+        for name in ("lon_column", "lat_column"):
+            if not isinstance(getattr(self, name), str):
+                raise ValidationError(f"schema field '{name}' must be a string")
+        cols = self.value_columns
+        if cols is not None:
+            if not isinstance(cols, (list, tuple)) or not all(
+                isinstance(c, str) for c in cols
+            ):
+                raise ValidationError(
+                    "schema field 'value_columns' must be a list of strings"
+                )
+            object.__setattr__(self, "value_columns", tuple(cols))
+        lon0 = self.lon0
+        if lon0 is not None and (
+            isinstance(lon0, bool)
+            or not isinstance(lon0, (int, float))
+            or not math.isfinite(lon0)
+        ):
+            raise ValidationError("schema field 'lon0' must be a finite number")
+        for name in ("planar", "center_levels"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValidationError(f"schema field '{name}' must be true or false")
+
     @classmethod
     def from_json(cls, path) -> "CsvSchema":
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # malformed JSON or text encoding
+                raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{path}: schema must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
-            raise ValidationError(f"unknown schema keys: {sorted(unknown)}")
-        if "value_columns" in raw and raw["value_columns"] is not None:
-            raw["value_columns"] = tuple(raw["value_columns"])
-        return cls(**raw)
+            raise ValidationError(f"{path}: unknown schema keys: {sorted(unknown)}")
+        try:
+            return cls(**raw)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 def _parse_cell(text: str, row: int, column: str) -> float:

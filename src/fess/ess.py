@@ -24,14 +24,12 @@ import numpy as np
 from .dataset import (
     _NOT_A_PAIR,
     SpatialFunctionalDataset,
-    _max_pair_distance,
     _pair_blocks,
     _sorted_sum,
 )
 from .errors import EstimationError, ValidationError
 from .variogram import (
     FitOptions,
-    FitResult,
     LagBins,
     TraceCovModel,
     default_lag_bins,
@@ -144,19 +142,36 @@ def ess_functional(D: np.ndarray, model: TraceCovModel) -> EssReport:
     return _ess_report(D.shape[0], model, _sorted_sum(model_trace_cov(model, D)))
 
 
-def _plugin_ess(dataset: SpatialFunctionalDataset, fit: FitResult) -> EssReport:
-    """Functional ESS of ``dataset`` under a fit: the plug-in's last step.
+def _plugin_ess(
+    dataset: SpatialFunctionalDataset,
+    families: list[str],
+    bins: LagBins | None = None,
+    opts: FitOptions | None = None,
+) -> list[EssReport]:
+    """Plug-in functional ESS of ``dataset`` under each family, in order.
 
-    ``sum_ij cov_tr(d_ij)`` is ``n cov_tr(0)`` plus twice the pairs ``i < j``
-    summed in canonical block order (bitwise invariant under row relabelling);
-    coincident sites carry the nugget, as the diagonal does.
+    One empirical trace-variogram on ``bins`` (default: ``default_lag_bins``)
+    is fitted by every family. ``sum_ij cov_tr(d_ij)`` is ``n cov_tr(0)``
+    plus twice the pairs ``i < j``, summed for all fitted models in one pass
+    over the canonical pair blocks, in block order (bitwise invariant under
+    row relabelling); coincident sites carry the nugget, as the diagonal
+    does.
     """
-    model = fit.model
-    upper = 0.0
+    if bins is None:
+        bins = default_lag_bins(dataset)
+    ev = empirical_trace_variogram(dataset, bins)
+    fits = [fit_model(ev, family, opts) for family in families]
+    upper = [0.0] * len(fits)
     for d, _, _ in _pair_blocks(dataset):
-        upper += float(np.sum(model_trace_cov(model, d[d != _NOT_A_PAIR])))
-    mass = dataset.n_curves * (model.sill + model.nugget) + 2.0 * upper
-    return _ess_report(dataset.n_curves, model, mass, fit.warnings)
+        d = d[d != _NOT_A_PAIR]
+        for k, fit in enumerate(fits):
+            upper[k] += float(np.sum(model_trace_cov(fit.model, d)))
+    n = dataset.n_curves
+    reports = []
+    for fit, pairs in zip(fits, upper):
+        mass = n * (fit.model.sill + fit.model.nugget) + 2.0 * pairs
+        reports.append(_ess_report(n, fit.model, mass, fit.warnings))
+    return reports
 
 
 def ess_plugin(
@@ -172,7 +187,4 @@ def ess_plugin(
     model. The report embeds the fitted model; fit warnings propagate.
     Every pair stage streams over row blocks, so memory stays O(n m).
     """
-    if bins is None:
-        bins = default_lag_bins(_max_pair_distance(dataset))
-    ev = empirical_trace_variogram(dataset, bins)
-    return _plugin_ess(dataset, fit_model(ev, family, opts))
+    return _plugin_ess(dataset, [family], bins, opts)[0]

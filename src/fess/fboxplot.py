@@ -15,7 +15,7 @@ discrepancies (mean and sup), and the central inclusion proportion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -103,8 +103,7 @@ def functional_boxplot(dataset: SpatialFunctionalDataset) -> FBoxplotSummary:
     median_index = int(np.argmax(depths))  # ties: smallest index
 
     k = math.ceil(n / 2)
-    order = np.lexsort((np.arange(n), -depths))
-    cutoff = depths[order[k - 1]]
+    cutoff = np.sort(depths)[n - k]  # k-th largest depth
     central = depths >= cutoff
     central_lower = X[central].min(axis=0)
     central_upper = X[central].max(axis=0)
@@ -214,13 +213,7 @@ class SubsampleExperiment:
             "size": self.size,
             "reps": self.reps,
             "seed": self.seed,
-            "means": {
-                "md_l2": self.means.md_l2,
-                "md_sup": self.means.md_sup,
-                "crd_mean": self.means.crd_mean,
-                "crd_sup": self.means.crd_sup,
-                "cip": self.means.cip,
-            },
+            "means": asdict(self.means),
             "median_band_halfwidth": self.median_band_halfwidth,
         }
 

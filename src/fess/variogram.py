@@ -26,6 +26,7 @@ from .dataset import (
     _column_means,
     _frozen_array,
     _pair_blocks,
+    _parse_cell,
     _sorted_sum,
 )
 from .errors import EstimationError, FitError, ValidationError
@@ -92,12 +93,9 @@ class LagBins:
         return idx
 
 
-def default_lag_bins(distances: np.ndarray, n_bins: int = 15) -> LagBins:
-    """Equal-width bins spanning (0, max-distance/2].
-
-    ``distances`` is any array of pair distances, or just their maximum.
-    """
-    dmax = float(np.max(distances))
+def default_lag_bins(dataset: SpatialFunctionalDataset, n_bins: int = 15) -> LagBins:
+    """Equal-width bins spanning (0, half the largest distance between sites]."""
+    dmax = max((float(np.max(d)) for d, _, _ in _pair_blocks(dataset)), default=0.0)
     if dmax <= 0:
         raise ValidationError("all locations coincide; no positive lags to bin")
     return LagBins.equal_width(dmax / 2.0, n_bins)
@@ -189,6 +187,10 @@ class EmpiricalVariogram:
         counts = _frozen_array(self.counts, dtype=np.int64)
         if not (centers.shape == gamma.shape == counts.shape) or centers.ndim != 1:
             raise ValidationError("centers, gamma, counts must be equal-length 1-d")
+        if not np.all(np.isfinite(centers)):
+            raise ValidationError("bin centers must be finite")
+        if np.any(np.isinf(gamma)):
+            raise ValidationError("variogram values must not be infinite")
         if np.any(counts < 0):
             raise ValidationError("pair counts must be non-negative")
         if np.any(np.isnan(gamma) & (counts > 0)):
@@ -227,9 +229,21 @@ class EmpiricalVariogram:
             rows = [r for r in reader if r]
         if not rows:
             raise ValidationError(f"{path}: no variogram rows")
-        centers = np.array([float(r[0]) for r in rows])
-        gamma = np.array([float(r[1]) for r in rows])
-        counts = np.array([int(r[2]) for r in rows])
+        centers, gamma, counts = [], [], []
+        for r, row in enumerate(rows, start=1):
+            if len(row) < 3:
+                raise ValidationError(f"row {r}: expected 3 cells, found {len(row)}")
+            centers.append(_parse_cell(row[0], r, "h"))
+            # NaN is how to_csv marks an empty bin; other values must be finite
+            nan = row[1].strip().lower() == "nan"
+            gamma.append(math.nan if nan else _parse_cell(row[1], r, "gamma"))
+            count = _parse_cell(row[2], r, "count")
+            if not (count >= 0 and count.is_integer() and count < 2.0**63):
+                raise ValidationError(
+                    f"row {r}, column 'count': expected a non-negative integer, "
+                    f"found {row[2]!r}"
+                )
+            counts.append(int(count))
         return cls(centers, gamma, counts, sigma0=None)
 
 

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import fess.cli
+import fess.dataset
 import fess.ess
 import fess.variogram
 from fess import FitOptions, default_lag_bins, ess_plugin, load_wide_csv
 from fess.cli import main
-from fess.dataset import _max_pair_distance
 from fess.rng import derived_rng
 
 
@@ -172,7 +172,7 @@ class TestEssCommand:
             argv += ["--family", fam]
         assert main(argv) == 0
         ds = load_wide_csv(dataset_csv)
-        bins = default_lag_bins(_max_pair_distance(ds), 7)
+        bins = default_lag_bins(ds, 7)
         for fam in fams:
             ref = tmp_path / f"ref_{fam}.json"
             ess_plugin(ds, fam, bins=bins, opts=FitOptions(nugget="free")).to_json(ref)
@@ -194,6 +194,29 @@ class TestEssCommand:
         assert rc == 0
         assert len(calls) == 1
 
+    def test_pair_passes_per_run(self, dataset_csv, tmp_path, monkeypatch):
+        passes = []
+        blocks = fess.dataset._pair_blocks
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return blocks(*args, **kwargs)
+
+        # every module that binds the block generator, so no pass escapes
+        for module in (fess.dataset, fess.variogram, fess.ess):
+            monkeypatch.setattr(module, "_pair_blocks", counted)
+        # default bins, the empirical variogram, one ESS sum for all families
+        rc = main(["ess", "--input", str(dataset_csv), "--family", "exponential",
+                   "--family", "spherical", "--family", "gaussian"])
+        assert rc == 0 and len(passes) == 3
+        passes.clear()
+        ess_plugin(load_wide_csv(dataset_csv), "spherical")
+        assert len(passes) == 3
+        passes.clear()
+        rc = main(["variogram", "--input", str(dataset_csv),
+                   "--out-dir", str(tmp_path / "v")])
+        assert rc == 0 and len(passes) == 2
+
     def test_bins_flag_changes_binning(self, dataset_csv, tmp_path):
         out = tmp_path / "bins"
         rc = main(
@@ -203,6 +226,40 @@ class TestEssCommand:
         assert rc == 0
         rows = (out / "empirical_variogram.csv").read_text().strip().splitlines()
         assert len(rows) == 8  # header + 7 bins
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "bad_row",
+        ["20,2", "20,x,8", ",2,8", "nan,2,8", "inf,2,8", "20,inf,8", "20,2,-1",
+         "20,2,8.5", "20,2,1e30"],
+    )
+    def test_variogram_csv_names_row(self, bad_row, tmp_path, capsys):
+        emp = tmp_path / "emp.csv"
+        emp.write_text(f"h,gamma,count\n10,1,8\n{bad_row}\n30,3,8\n40,4,8\n")
+        rc = main(["fit", "--input", str(emp), "--out-dir", str(tmp_path / "fit")])
+        assert rc == 2
+        assert "row 2" in capsys.readouterr().err
+
+    def test_variogram_csv_keeps_empty_bins(self, tmp_path):
+        # to_csv writes an empty bin as gamma = nan with count 0
+        emp = tmp_path / "emp.csv"
+        emp.write_text("h,gamma,count\n10,1,8\n20,nan,0\n30,3,8\n40,4,8\n")
+        rc = main(["fit", "--input", str(emp), "--out-dir", str(tmp_path / "fit")])
+        assert rc == 0
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"lon0": ', "[1, 2]", '"lon"', '{"value_columns": 5}',
+         '{"value_columns": [10, 20]}', '{"lon0": "abc"}', '{"lon0": true}',
+         '{"lon_column": 3}', '{"planar": "no"}', '{"center_levels": 1}'],
+    )
+    def test_schema_names_file(self, text, dataset_csv, tmp_path, capsys):
+        schema = tmp_path / "bad_schema.json"
+        schema.write_text(text)
+        rc = main(["ess", "--input", str(dataset_csv), "--schema", str(schema)])
+        assert rc == 2
+        assert "bad_schema.json" in capsys.readouterr().err
 
 
 class TestFar1Commands:

@@ -51,11 +51,21 @@ class TestLagBins:
         h = np.array([0.0, 0.5, 1.0, 2.0, 2.5])
         assert list(bins.index_of(h)) == [0, 0, 1, 1, -1]
 
-    def test_default_bins_span_half_max(self):
-        D = pairwise_distances(np.array([[0.0, 0.0], [100.0, 0.0]]))
-        bins = default_lag_bins(D, n_bins=10)
+    def test_default_bins_span_half_max(self, monkeypatch):
+        ds = make_dataset(np.eye(2), xy=[[0.0, 0.0], [100.0, 0.0]])
+        bins = default_lag_bins(ds, n_bins=10)
         assert len(bins) == 10
         assert bins.edges[0] == 0.0 and bins.edges[-1] == 50.0
+        # duplicate sites and rows, spread over several row blocks
+        ds = tied_dataset(derived_rng(21), 31, 4)
+        monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 4 * 31 * 4)
+        assert sum(1 for _ in fess.dataset._pair_blocks(ds)) >= 5
+        for k in (1, 7, 15):
+            ref = LagBins.equal_width(np.max(pairwise_distances(ds.xy)) / 2.0, k)
+            assert np.array_equal(default_lag_bins(ds, k).edges, ref.edges)
+        for xy in ([[3.0, 4.0]] * 3, [[3.0, 4.0]]):
+            with pytest.raises(ValidationError, match="all locations coincide"):
+                default_lag_bins(make_dataset(np.eye(len(xy), 2), xy=xy))
 
 
 class TestModelFamilies:
@@ -162,7 +172,7 @@ class TestEmpiricalVariogram:
     def test_sigma0_matches_between_estimators(self):
         rng = derived_rng(22)
         ds = random_dataset(rng, 12, 7)
-        bins = default_lag_bins(pairwise_distances(ds.xy))
+        bins = default_lag_bins(ds)
         ev = empirical_trace_variogram(ds, bins)
         ec = empirical_trace_covariogram(ds, bins)
         assert ev.sigma0 == ec.sigma0
@@ -172,7 +182,7 @@ class TestEmpiricalVariogram:
         for _ in range(20):
             ds = random_dataset(rng, 10, 5)
             ev = empirical_trace_variogram(
-                ds, default_lag_bins(pairwise_distances(ds.xy), 5)
+                ds, default_lag_bins(ds, 5)
             )
             assert np.all(ev.gamma[ev.occupied] >= 0.0)
 
@@ -187,7 +197,7 @@ class TestEmpiricalVariogram:
         ]
         for ds, perm in cases:
             ds_p = ds.subset(perm)
-            bins = default_lag_bins(pairwise_distances(ds.xy), 6)
+            bins = default_lag_bins(ds, 6)
             for estimator in (empirical_trace_variogram, empirical_trace_covariogram):
                 a = estimator(ds, bins)
                 b = estimator(ds_p, bins)
@@ -243,7 +253,7 @@ class TestEmpiricalVariogram:
     def test_csv_round_trip(self, tmp_path):
         rng = derived_rng(26)
         ds = random_dataset(rng, 10, 4)
-        ev = empirical_trace_variogram(ds, default_lag_bins(pairwise_distances(ds.xy), 5))
+        ev = empirical_trace_variogram(ds, default_lag_bins(ds, 5))
         path = tmp_path / "emp.csv"
         ev.to_csv(path)
         back = EmpiricalVariogram.from_csv(path)
@@ -360,7 +370,7 @@ class TestFitModel:
         for _ in range(10):
             ds = random_dataset(rng, 20, 6)
             ev = empirical_trace_variogram(
-                ds, default_lag_bins(pairwise_distances(ds.xy), 8)
+                ds, default_lag_bins(ds, 8)
             )
             res = fit_model(ev, "exponential")
             occ = ev.occupied
@@ -413,7 +423,7 @@ class TestFitModel:
         rng = derived_rng(28)
         ds = random_dataset(rng, 25, 5)
         ev = empirical_trace_variogram(
-            ds, default_lag_bins(pairwise_distances(ds.xy), 8)
+            ds, default_lag_bins(ds, 8)
         )
         res_eq = fit_model(ev, "exponential")
         res_ct = fit_model(ev, "exponential", FitOptions(weighting="counts"))

@@ -1,0 +1,136 @@
+"""Print a JSON manifest of a fixed ``fess`` CLI session.
+
+Usage: python tools/cli_manifest.py SRC_DIR > manifest.json
+
+Every command runs in a fresh interpreter with ``PYTHONPATH=SRC_DIR``, on
+seeded inputs built here with numpy only. For each command the manifest
+records the exit code, stdout and stderr (the session's temporary
+directory replaced by ``<TMP>``) and the sha256 of every file it wrote.
+Two source trees whose manifests are identical give byte-identical CLI
+results on this session, so a refactor can be checked against its base
+commit with ``diff``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+PLACEHOLDER = "<TMP>"
+FAMILIES = ("exponential", "spherical", "gaussian")
+
+
+def write_field_csv(path: Path, seed: int, n: int, duplicated: bool = False) -> None:
+    """Lon/lat wide CSV with spatially correlated curves on 6 levels.
+
+    With ``duplicated``, the second third of the sites repeats the first.
+    """
+    rng = np.random.default_rng(seed)
+    lons = rng.uniform(-150.0, -140.0, size=n)
+    lats = rng.uniform(36.0, 44.0, size=n)
+    if duplicated:
+        k = n // 3
+        lons[k:2 * k] = lons[:k]
+        lats[k:2 * k] = lats[:k]
+    base = rng.standard_normal(6)
+    curves = base * np.sin(lons / 3.0 + lats)[:, None] + 0.3 * np.cumsum(
+        rng.standard_normal((n, 6)), axis=1
+    )
+    lines = [",".join(["lon", "lat"] + [str(10 * (i + 1)) for i in range(6)])]
+    for lon, lat, row in zip(lons, lats, curves):
+        lines.append(",".join([f"{lon:.8f}", f"{lat:.8f}"] + [f"{v:.10f}" for v in row]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
+    """``(name, argv, writes_to_out_dir)`` for each command, in run order."""
+    field, dup = str(tmp / "field.csv"), str(tmp / "duplicated.csv")
+    fams = [a for f in FAMILIES for a in ("--family", f)]
+    runs = []
+    for tag, data in (("field", field), ("duplicated", dup)):
+        runs += [
+            # the criterion-10 commands (far1 sweep and simulate run once, below)
+            (f"{tag}/variogram", ["variogram", "--input", data, "--threads", "1"], True),
+            (f"{tag}/ess", ["ess", "--input", data, "--threads", "1"], True),
+            (f"{tag}/boxplot", ["boxplot", "--input", data, "--size", "20", "--reps", "5",
+                                "--seed", "17", "--threads", "1"], True),
+            (f"{tag}/subsample", ["subsample", "--input", data, "--size", "20", "--reps", "5",
+                                  "--seed", "17", "--threads", "1"], True),
+            (f"{tag}/variogram_free", ["variogram", "--input", data, "--bins", "9",
+                                       "--nugget", "free"], True),
+            (f"{tag}/ess3_zero", ["ess", "--input", data] + fams, True),
+            (f"{tag}/ess3_free", ["ess", "--input", data, "--nugget", "free"] + fams, True),
+            (f"{tag}/ess3_zero_stdout", ["ess", "--input", data, "--bins", "7"] + fams, False),
+            (f"{tag}/ess3_free_stdout", ["ess", "--input", data, "--nugget", "free",
+                                         "--bins", "7"] + fams, False),
+            (f"{tag}/fit", ["fit", "--input",
+                            str(tmp / "out" / tag / "variogram" / "empirical_variogram.csv"),
+                            "--nugget", "free"], True),
+        ]
+    runs += [
+        ("sweep", ["far1", "sweep", "--axis", "lambda0", "--threads", "1"], True),
+        ("simulate", ["far1", "simulate", "--n", "25", "--seed", "5", "--threads", "1"], True),
+        ("simulate/ess3", ["ess", "--input", str(tmp / "out" / "simulate" / "far1_dataset.csv")]
+         + fams, False),
+    ]
+    return runs
+
+
+def run_session(src: Path, tmp: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src), FESS_LOG="WARNING")
+    probe = subprocess.run(
+        [sys.executable, "-c", "import fess; print(fess.__file__)"],
+        cwd=tmp, env=env, capture_output=True, text=True, check=True,
+    )
+    if not Path(probe.stdout.strip()).resolve().is_relative_to(src):
+        sys.exit(f"fess imports from {probe.stdout.strip()}, not from {src}")
+    write_field_csv(tmp / "field.csv", seed=1010, n=50)
+    write_field_csv(tmp / "duplicated.csv", seed=2020, n=45, duplicated=True)
+    manifest = {}
+    for name, argv, to_dir in session(tmp):
+        out = tmp / "out" / name
+        if to_dir:
+            argv = argv + ["--out-dir", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fess.cli"] + argv,
+            cwd=tmp, env=env, capture_output=True, text=True,
+        )
+        files = {}
+        if out.is_dir():
+            for f in sorted(p for p in out.iterdir() if p.is_file()):
+                files[f.name] = hashlib.sha256(f.read_bytes()).hexdigest()
+        manifest[name] = {
+            "argv": " ".join(argv).replace(str(tmp), PLACEHOLDER),
+            "exit": proc.returncode,
+            "stdout": proc.stdout.replace(str(tmp), PLACEHOLDER),
+            "stderr": proc.stderr.replace(str(tmp), PLACEHOLDER),
+            "files": files,
+        }
+    return manifest
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: python tools/cli_manifest.py SRC_DIR", file=sys.stderr)
+        return 2
+    src = Path(argv[0]).resolve()
+    if not (src / "fess" / "__init__.py").is_file():
+        print(f"{src} holds no fess package", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = run_session(src, Path(tmp).resolve())
+    json.dump(manifest, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
