@@ -43,7 +43,6 @@ from .fboxplot import (
 )
 from .variogram import (
     EmpiricalVariogram,
-    FitOptions,
     FitResult,
     LagBins,
     TraceCovModel,
@@ -72,7 +71,6 @@ __all__ = [
     "LagBins",
     "EmpiricalVariogram",
     "TraceCovModel",
-    "FitOptions",
     "FitResult",
     "default_lag_bins",
     "empirical_trace_variogram",

@@ -31,7 +31,6 @@ from .fboxplot import functional_boxplot, subsample_experiment
 from .variogram import (
     EmpiricalVariogram,
     FAMILIES,
-    FitOptions,
     default_lag_bins,
     empirical_trace_variogram,
     fit_model,
@@ -91,7 +90,7 @@ def _fit_families(ev, args, out: Path, h_max: float) -> None:
     one-line summary per family.
     """
     for fam in args.family or FAMILIES:
-        result = fit_model(ev, fam, FitOptions(nugget=args.nugget))
+        result = fit_model(ev, fam, args.nugget)
         for w in result.warnings:
             log.warning("%s: %s", fam, w)
         write_model_json(result, out / f"model_{fam}.json")
@@ -127,7 +126,7 @@ def cmd_ess(args) -> int:
     dataset = _load_dataset(args)
     fams = args.family if args.family else ["exponential"]
     bins = default_lag_bins(dataset, n_bins=args.bins)
-    results = _plugin_ess(dataset, fams, bins, FitOptions(nugget=args.nugget))
+    results = _plugin_ess(dataset, fams, bins, args.nugget)
     for fam, report in zip(fams, results):
         print(
             f"{fam}: n={report.n} ess={report.ess:.6g} ratio={report.ratio:.4f} "
@@ -160,10 +159,23 @@ def cmd_far1_simulate(args) -> int:
     return 0
 
 
+def _comma_list(convert):
+    """argparse type: comma-separated ``convert`` values, blanks skipped."""
+
+    def parse(text: str) -> list:
+        out = []
+        for v in filter(str.strip, text.split(",")):
+            try:
+                out.append(convert(v))
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"invalid entry {v!r}") from None
+        return out
+
+    return parse
+
+
 def cmd_far1_sweep(args) -> int:
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    n_list = [int(v) for v in args.n_list.split(",") if v.strip()]
-    rows = far1_sweep(args.axis, values, n_list, fixed=args.fixed)
+    rows = far1_sweep(args.axis, args.values, args.n_list, fixed=args.fixed)
     out = _out_dir(args)
     path = out / f"far1_sweep_{args.axis}.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -296,10 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=("lambda0", "eta0"), required=True)
     p.add_argument(
         "--values",
+        type=_comma_list(float),
         default=",".join(format(v / 100.0, "g") for v in range(5, 100, 5)),
         help="comma-separated values in (0, 1)",
     )
-    p.add_argument("--n-list", default="30,60,120")
+    p.add_argument("--n-list", type=_comma_list(int), default="30,60,120")
     p.add_argument("--fixed", type=float, default=0.5, help="decay base of the fixed sequence")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--threads", type=int, default=1, help="accepted; currently has no effect")

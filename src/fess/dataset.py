@@ -356,6 +356,17 @@ def _parse_cell(text: str, row: int, column: str) -> float:
     return value
 
 
+def _read_csv_rows(path: Path) -> list[list[str]]:
+    """The non-empty rows of the UTF-8 CSV file at ``path``."""
+    if not path.exists():
+        raise ValidationError(f"input file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return [r for r in csv.reader(fh) if r]
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def load_wide_csv(path, schema: CsvSchema | None = None) -> SpatialFunctionalDataset:
     """Load a wide-format CSV into a dataset.
 
@@ -367,11 +378,7 @@ def load_wide_csv(path, schema: CsvSchema | None = None) -> SpatialFunctionalDat
     already-planar coordinates.
     """
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"input file not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
+    rows = _read_csv_rows(path)
     if not rows:
         raise ValidationError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]

@@ -29,9 +29,10 @@ from .dataset import (
 )
 from .errors import EstimationError, ValidationError
 from .variogram import (
-    FitOptions,
     LagBins,
     TraceCovModel,
+    _check_nugget,
+    _family,
     default_lag_bins,
     empirical_trace_variogram,
     fit_model,
@@ -146,21 +147,25 @@ def _plugin_ess(
     dataset: SpatialFunctionalDataset,
     families: list[str],
     bins: LagBins | None = None,
-    opts: FitOptions | None = None,
+    nugget: str = "zero",
 ) -> list[EssReport]:
     """Plug-in functional ESS of ``dataset`` under each family, in order.
 
     One empirical trace-variogram on ``bins`` (default: ``default_lag_bins``)
-    is fitted by every family. ``sum_ij cov_tr(d_ij)`` is ``n cov_tr(0)``
-    plus twice the pairs ``i < j``, summed for all fitted models in one pass
-    over the canonical pair blocks, in block order (bitwise invariant under
-    row relabelling); coincident sites carry the nugget, as the diagonal
-    does.
+    is fitted by every family under the ``nugget`` choice of
+    :func:`fit_model`. ``sum_ij cov_tr(d_ij)`` is ``n cov_tr(0)`` plus twice
+    the pairs ``i < j``, summed for all fitted models in one pass over the
+    canonical pair blocks, in block order (bitwise invariant under row
+    relabelling); coincident sites carry the nugget, as the diagonal does.
     """
+    # reject a bad family or nugget choice before the O(n^2) pair passes
+    for family in families:
+        _family(family)
+    _check_nugget(nugget)
     if bins is None:
         bins = default_lag_bins(dataset)
     ev = empirical_trace_variogram(dataset, bins)
-    fits = [fit_model(ev, family, opts) for family in families]
+    fits = [fit_model(ev, family, nugget) for family in families]
     upper = [0.0] * len(fits)
     for d, _, _ in _pair_blocks(dataset):
         d = d[d != _NOT_A_PAIR]
@@ -178,13 +183,14 @@ def ess_plugin(
     dataset: SpatialFunctionalDataset,
     family: str,
     bins: LagBins | None = None,
-    opts: FitOptions | None = None,
+    nugget: str = "zero",
 ) -> EssReport:
     """Plug-in functional ESS estimate from a dataset.
 
     Pipeline: empirical trace-variogram on binned lags, least-squares fit
-    of the requested family, then the functional ESS under the fitted
-    model. The report embeds the fitted model; fit warnings propagate.
+    of the requested family with the nugget ``"zero"`` or ``"free"``, then
+    the functional ESS under the fitted model. The report embeds the
+    fitted model; fit warnings propagate.
     Every pair stage streams over row blocks, so memory stays O(n m).
     """
-    return _plugin_ess(dataset, [family], bins, opts)[0]
+    return _plugin_ess(dataset, [family], bins, nugget)[0]

@@ -12,10 +12,9 @@ variogram by least squares.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from .dataset import (
     _frozen_array,
     _pair_blocks,
     _parse_cell,
+    _read_csv_rows,
     _sorted_sum,
 )
 from .errors import EstimationError, FitError, ValidationError
@@ -44,6 +44,10 @@ FAMILIES = tuple(_CORR)
 # lag) keep the simplex out of regions where the objective is flat.
 _RANGE_LOWER_REL = 1e-6
 _RANGE_UPPER_REL = 1e3
+_LOG_RANGE_LO = math.log(_RANGE_LOWER_REL)
+_LOG_RANGE_HI = math.log(_RANGE_UPPER_REL)
+# Box on the log sill, relative to the largest empirical value.
+_LOG_SILL_BOUND = 60.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,6 +112,11 @@ def _family(name) -> str:
     return fam
 
 
+def _check_nugget(nugget) -> None:
+    if nugget not in ("zero", "free"):
+        raise ValidationError("nugget must be 'zero' or 'free'")
+
+
 @dataclass(frozen=True)
 class TraceCovModel:
     """Parametric trace-covariogram: family plus (sill, range, nugget).
@@ -156,11 +165,19 @@ def model_trace_cov(model: TraceCovModel, h):
     return float(c) if np.isscalar(h) or h_arr.ndim == 0 else c
 
 
+def _gamma(family: str, sill, range_km, nugget, h):
+    """Model trace-variogram at lags ``h > 0``: the one formula that
+    :func:`model_trace_variogram` and the fit objective share."""
+    return (sill + nugget) - sill * _CORR[family](h / range_km)
+
+
 def model_trace_variogram(model: TraceCovModel, h):
     """Trace-variogram ``cov_tr(0) - cov_tr(h)``; zero at ``h = 0``."""
     h_arr = np.asarray(h, dtype=float)
-    top = model.sill + model.nugget
-    g = np.where(h_arr > 0.0, top - model_trace_cov(model, h_arr), 0.0)
+    if np.any(h_arr < 0):
+        raise ValidationError("distances must be non-negative")
+    g = _gamma(model.family, model.sill, model.range_km, model.nugget, h_arr)
+    g = np.where(h_arr > 0.0, g, 0.0)
     return float(g) if np.isscalar(h) or h_arr.ndim == 0 else g
 
 
@@ -219,14 +236,9 @@ class EmpiricalVariogram:
     @classmethod
     def from_csv(cls, path) -> "EmpiricalVariogram":
         path = Path(path)
-        if not path.exists():
-            raise ValidationError(f"input file not found: {path}")
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:3]] != ["h", "gamma", "count"]:
-                raise ValidationError(f"{path}: expected header 'h,gamma,count'")
-            rows = [r for r in reader if r]
+        header, *rows = _read_csv_rows(path) or [None]
+        if header is None or [h.strip() for h in header[:3]] != ["h", "gamma", "count"]:
+            raise ValidationError(f"{path}: expected header 'h,gamma,count'")
         if not rows:
             raise ValidationError(f"{path}: no variogram rows")
         centers, gamma, counts = [], [], []
@@ -346,30 +358,6 @@ def empirical_trace_covariogram(
 
 
 @dataclass(frozen=True)
-class FitOptions:
-    """Options for :func:`fit_model`.
-
-    ``nugget`` is ``"zero"`` (frozen at 0, the default) or ``"free"``.
-    ``weighting`` is ``"equal"`` (ordinary least squares, the default) or
-    ``"counts"`` (bins weighted by pair count). The optimizer runs one
-    deterministic Nelder-Mead start per entry of ``_START_FACTORS`` plus a
-    polish pass, each with at most ``max_iter`` iterations.
-    """
-
-    nugget: str = "zero"
-    weighting: str = "equal"
-    max_iter: int = 4000
-
-    def __post_init__(self):
-        if self.nugget not in ("zero", "free"):
-            raise ValidationError("nugget must be 'zero' or 'free'")
-        if self.weighting not in ("equal", "counts"):
-            raise ValidationError("weighting must be 'equal' or 'counts'")
-        if self.max_iter < 1:
-            raise ValidationError("max_iter must be positive")
-
-
-@dataclass(frozen=True)
 class FitResult:
     model: TraceCovModel
     sse: float
@@ -379,6 +367,8 @@ class FitResult:
 # Multiplicative offsets applied to the empirical (sill, range) seed; one
 # pair per Nelder-Mead start.
 _START_FACTORS = ((1.0, 1.0), (0.5, 0.5), (2.0, 2.0), (1.0, 0.25), (1.0, 4.0))
+# Iteration budget of each Nelder-Mead run (function evaluations: twice that).
+_MAX_ITER = 4000
 
 
 def _softplus(v: float) -> float:
@@ -389,62 +379,66 @@ def _inv_softplus(y: float) -> float:
     return float(np.log(np.expm1(y))) if y < 30 else y
 
 
-def _objective_factory(family, h, g, wts, free_nugget, la_lo, la_hi):
-    corr = _CORR[family]
+def _decode(theta, free_nugget: bool):
+    """Optimizer parameters to ``(sill, range, nugget, penalty)``.
+
+    ``theta`` is ``(log sill, log range[, inverse-softplus nugget])`` in
+    normalized units. Log sill and log range are clamped to their boxes;
+    ``penalty`` is the sum of the squared distances clamped away.
+    """
+    ls, la = theta[0], theta[1]
+    penalty = 0.0
+    if la < _LOG_RANGE_LO:
+        penalty += (_LOG_RANGE_LO - la) ** 2
+        la = _LOG_RANGE_LO
+    elif la > _LOG_RANGE_HI:
+        penalty += (la - _LOG_RANGE_HI) ** 2
+        la = _LOG_RANGE_HI
+    if ls < -_LOG_SILL_BOUND:
+        penalty += (-_LOG_SILL_BOUND - ls) ** 2
+        ls = -_LOG_SILL_BOUND
+    elif ls > _LOG_SILL_BOUND:
+        penalty += (ls - _LOG_SILL_BOUND) ** 2
+        ls = _LOG_SILL_BOUND
+    nugget = _softplus(theta[2]) if free_nugget else 0.0
+    return math.exp(ls), math.exp(la), nugget, penalty
+
+
+def _objective_factory(family, h, g, free_nugget):
+    """Sum of squared residuals of the decoded model, plus the box penalty."""
 
     def fun(theta):
-        ls, la = theta[0], theta[1]
-        penalty = 0.0
-        if la < la_lo:
-            penalty += (la_lo - la) ** 2
-            la = la_lo
-        elif la > la_hi:
-            penalty += (la - la_hi) ** 2
-            la = la_hi
-        if ls < -60.0:
-            penalty += (-60.0 - ls) ** 2
-            ls = -60.0
-        elif ls > 60.0:
-            penalty += (ls - 60.0) ** 2
-            ls = 60.0
-        sill = math.exp(ls)
-        rng = math.exp(la)
-        nugget = _softplus(theta[2]) if free_nugget else 0.0
-        resid = g - ((sill + nugget) - sill * corr(h / rng))
-        return float(np.dot(wts * resid, resid)) + 1e6 * penalty
+        sill, rng, nugget, penalty = _decode(theta, free_nugget)
+        resid = g - _gamma(family, sill, rng, nugget, h)
+        return float(np.dot(resid, resid)) + 1e6 * penalty
 
     return fun
 
 
-def fit_model(
-    ev: EmpiricalVariogram, family: str, opts: FitOptions | None = None
-) -> FitResult:
+def fit_model(ev: EmpiricalVariogram, family: str, nugget: str = "zero") -> FitResult:
     """Least-squares fit of a parametric family to an empirical variogram.
 
-    Minimizes the (optionally pair-count weighted) sum of squared
-    discrepancies between the empirical values and the model
-    trace-variogram at the occupied bin centers, over sill > 0,
-    range > 0 and nugget >= 0. Deterministic for given options: the
-    multi-start seeds derive from the empirical sill and range. Returns
-    the fitted model with the achieved objective value.
+    Minimizes the sum of squared discrepancies between the empirical
+    values and the model trace-variogram at the occupied bin centers,
+    over sill > 0 and range > 0, with the nugget frozen at 0
+    (``nugget="zero"``) or fitted, >= 0 (``nugget="free"``). Deterministic:
+    the multi-start seeds derive from the empirical sill and range.
+    Returns the fitted model with the achieved objective value.
 
     Raises :class:`EstimationError` if the variogram is zero in every
     occupied bin (no covariance to fit), and :class:`FitError` (carrying
     the best point found) if no start converges within the budget.
     """
-    if opts is None:
-        opts = FitOptions()
     fam = _family(family)
+    _check_nugget(nugget)
     occ = ev.occupied
     if int(np.count_nonzero(occ)) < 3:
         raise ValidationError("fitting needs at least 3 occupied bins")
     h = ev.centers[occ]
     g = ev.gamma[occ]
-    counts = ev.counts[occ].astype(float)
     if np.any(h <= 0):
         raise ValidationError("bin centers must be positive for fitting")
 
-    warnings: list[str] = []
     h_scale = float(np.max(h))
     g_scale = float(np.max(np.abs(g)))
     spread = float(np.max(g) - np.min(g))
@@ -454,36 +448,32 @@ def fit_model(
     if spread <= 1e-12 * g_scale:
         # Flat variogram: the range is unidentifiable, pin it and report
         # the mean level as the sill.
-        warnings.append("flat empirical variogram: range pinned at lower bound")
         sill = max(float(np.mean(g)), np.finfo(float).tiny)
-        rng = _RANGE_LOWER_REL * h_scale
-        model = TraceCovModel(fam, sill, rng, 0.0)
+        model = TraceCovModel(fam, sill, _RANGE_LOWER_REL * h_scale, 0.0)
         resid = g - model_trace_variogram(model, h)
-        return FitResult(model, float(np.dot(resid, resid)), tuple(warnings))
+        return FitResult(
+            model,
+            float(np.dot(resid, resid)),
+            ("flat empirical variogram: range pinned at lower bound",),
+        )
 
-    if opts.nugget == "free":
-        # Fit both ways; keep the nugget only when freeing it improves the
-        # fit by more than numerical noise relative to the data's total sum
-        # of squares (softplus can approach but never reach zero).
-        zero = fit_model(ev, fam, replace(opts, nugget="zero"))
-        free = _fit_once(fam, h, g, counts, opts, h_scale, g_scale, True, warnings)
-        tie_tol = 1e-9 * float(np.dot(g, g)) + 1e-300
-        if zero.sse <= free.sse + tie_tol:
-            return zero
-        return free
-    return _fit_once(fam, h, g, counts, opts, h_scale, g_scale, False, warnings)
+    zero = _fit_once(fam, h, g, h_scale, g_scale, free_nugget=False)
+    if nugget == "zero":
+        return zero
+    # Keep the nugget only when freeing it improves the fit by more than
+    # numerical noise relative to the data's total sum of squares
+    # (softplus can approach but never reach zero).
+    free = _fit_once(fam, h, g, h_scale, g_scale, free_nugget=True)
+    tie_tol = 1e-9 * float(np.dot(g, g)) + 1e-300
+    return zero if zero.sse <= free.sse + tie_tol else free
 
 
-def _fit_once(fam, h, g, counts, opts, h_scale, g_scale, free_nugget, warnings):
+def _fit_once(fam, h, g, h_scale, g_scale, free_nugget):
     # Optimize in normalized units (lags / h_scale, values / g_scale) so
     # the tiny sills of real trace-variograms stay well-conditioned.
     hn = h / h_scale
     gn = g / g_scale
-    wts = counts / np.mean(counts) if opts.weighting == "counts" else np.ones_like(gn)
-
-    la_lo = math.log(_RANGE_LOWER_REL)
-    la_hi = math.log(_RANGE_UPPER_REL)
-    fun = _objective_factory(fam, hn, gn, wts, free_nugget, la_lo, la_hi)
+    fun = _objective_factory(fam, hn, gn, free_nugget)
 
     tail = gn[-max(1, gn.size // 3):]
     sill0 = float(np.mean(tail))
@@ -496,52 +486,41 @@ def _fit_once(fam, h, g, counts, opts, h_scale, g_scale, free_nugget, warnings):
     nm_opts = {
         "xatol": 1e-10,
         "fatol": 1e-16,
-        "maxiter": opts.max_iter,
-        "maxfev": 2 * opts.max_iter,
+        "maxiter": _MAX_ITER,
+        "maxfev": 2 * _MAX_ITER,
     }
 
-    best = None
-    any_converged = False
-    f_init = None
-    for snum, (fs, fr) in enumerate(_START_FACTORS):
-        x0 = [math.log(sill0 * fs), math.log(range0 * fr)]
-        if free_nugget:
-            x0.append(_inv_softplus(1e-3 * sill0))
-        if snum == 0:
-            f_init = fun(np.asarray(x0))
-        res = minimize(fun, np.asarray(x0), method="Nelder-Mead", options=nm_opts)
-        any_converged = any_converged or bool(res.success)
-        if best is None or res.fun < best.fun:
-            best = res
+    nugget0 = [_inv_softplus(1e-3 * sill0)] if free_nugget else []
+    starts = [
+        np.asarray([math.log(sill0 * fs), math.log(range0 * fr)] + nugget0)
+        for fs, fr in _START_FACTORS
+    ]
+    runs = [minimize(fun, x0, method="Nelder-Mead", options=nm_opts) for x0 in starts]
+    best = min(runs, key=lambda r: r.fun)  # the first of equal minima
     # Polish: restart the simplex from the best vertex.
-    res = minimize(fun, best.x, method="Nelder-Mead", options=nm_opts)
-    any_converged = any_converged or bool(res.success)
-    if res.fun <= best.fun:
-        best = res
+    runs.append(minimize(fun, best.x, method="Nelder-Mead", options=nm_opts))
+    if runs[-1].fun <= best.fun:
+        best = runs[-1]
 
-    ls, la = float(best.x[0]), float(best.x[1])
-    la = min(max(la, la_lo), la_hi)
-    ls = min(max(ls, -60.0), 60.0)
-    if la <= la_lo + 1e-9:
-        warnings = warnings + ["range pinned at lower bound"]
-    sill = g_scale * math.exp(ls)
-    rng = h_scale * math.exp(la)
-    nugget = g_scale * _softplus(float(best.x[2])) if free_nugget else 0.0
-    model = TraceCovModel(fam, sill, rng, nugget)
+    sill, rng, nugget, _ = _decode(best.x, free_nugget)
+    model = TraceCovModel(fam, g_scale * sill, h_scale * rng, g_scale * nugget)
     sse = float(best.fun) * g_scale**2
+    pinned = best.x[1] <= _LOG_RANGE_LO + 1e-9  # at or past the box's lower edge
+    warnings = ("range pinned at lower bound",) if pinned else ()
 
-    if not any_converged:
+    if not any(r.success for r in runs):
         raise FitError(
-            f"{fam} fit did not converge within {opts.max_iter} iterations "
+            f"{fam} fit did not converge within {_MAX_ITER} iterations "
             f"across {len(_START_FACTORS)} starts",
             best=model,
             sse=sse,
         )
     # Guard for the monotone-acceptance contract; Nelder-Mead never
     # accepts a point worse than its start, so this should not trigger.
-    if f_init is not None and best.fun > f_init + 1e-12 * (1.0 + abs(f_init)):
+    f_init = fun(starts[0])
+    if best.fun > f_init + 1e-12 * (1.0 + abs(f_init)):
         raise FitError("optimizer regressed past its initial guess", model, sse)
-    return FitResult(model, sse, tuple(warnings))
+    return FitResult(model, sse, warnings)
 
 
 def write_model_json(result: FitResult, path) -> None:
@@ -550,13 +529,3 @@ def write_model_json(result: FitResult, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_model_json(path) -> tuple[TraceCovModel, float]:
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"input file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    model = TraceCovModel(raw["family"], raw["sill"], raw["range"], raw.get("nugget", 0.0))
-    return model, float(raw.get("sse", float("nan")))

@@ -8,7 +8,7 @@ import fess.cli
 import fess.dataset
 import fess.ess
 import fess.variogram
-from fess import FitOptions, default_lag_bins, ess_plugin, load_wide_csv
+from fess import default_lag_bins, ess_plugin, load_wide_csv
 from fess.cli import main
 from fess.rng import derived_rng
 
@@ -175,7 +175,7 @@ class TestEssCommand:
         bins = default_lag_bins(ds, 7)
         for fam in fams:
             ref = tmp_path / f"ref_{fam}.json"
-            ess_plugin(ds, fam, bins=bins, opts=FitOptions(nugget="free")).to_json(ref)
+            ess_plugin(ds, fam, bins=bins, nugget="free").to_json(ref)
             assert read_bytes(out / f"ess_{fam}.json") == read_bytes(ref)
 
     def test_one_variogram_per_run(self, dataset_csv, monkeypatch):
@@ -261,6 +261,22 @@ class TestMalformedInput:
         assert rc == 2
         assert "bad_schema.json" in capsys.readouterr().err
 
+    def test_non_utf8_data_csv_names_file(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"lon,lat,10,20\n-150,40,1.0,\xff\n-149,41,2.0,3.0\n")
+        rc = main(["ess", "--input", str(data)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "latin1.csv" in err and "UTF-8" in err
+
+    def test_non_utf8_variogram_csv_names_file(self, tmp_path, capsys):
+        emp = tmp_path / "latin1_emp.csv"
+        emp.write_bytes(b"h,gamma,count\n10,1,8\n20,\xff,8\n30,3,8\n")
+        rc = main(["fit", "--input", str(emp), "--out-dir", str(tmp_path / "fit")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "latin1_emp.csv" in err and "UTF-8" in err
+
 
 class TestFar1Commands:
     def test_sweep_monotone_columns(self, tmp_path):
@@ -276,6 +292,19 @@ class TestFar1Commands:
         for n in (30, 60, 120):
             ess = rows[rows[:, 1] == n][:, 2]
             assert np.all(np.diff(ess) > 0)
+
+    @pytest.mark.parametrize(
+        "option,value,entry",
+        [("--values", "0.2,abc,0.4", "'abc'"), ("--n-list", "3,x", "'x'"),
+         ("--n-list", "30,1.5", "'1.5'")],
+    )
+    def test_sweep_bad_entry_exits_2(self, option, value, entry, tmp_path, capsys):
+        rc = main(["far1", "sweep", "--axis", "eta0", option, value,
+                   "--out-dir", str(tmp_path / "sweep")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: invalid entry {entry}" in err
+        assert not (tmp_path / "sweep").exists()
 
     def test_simulate_deterministic_file(self, tmp_path):
         out_a = tmp_path / "a"

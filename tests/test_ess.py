@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fess.dataset
+import fess.ess
+import fess.variogram
 from fess import (
     EssReport,
     EstimationError,
     EvalGrid,
-    FitOptions,
     GaussFieldSpec,
     TraceCovModel,
     ValidationError,
@@ -193,6 +195,17 @@ class TestEssPlugin:
         with pytest.raises(EstimationError, match="do not vary"):
             ess_plugin(ds, "exponential")
 
+    @pytest.mark.parametrize("family,nugget", [("bogus", "zero"), ("exponential", "bogus")])
+    def test_bad_choice_rejected_before_pair_passes(self, family, nugget, monkeypatch):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("pair pass before argument validation")
+
+        for module in (fess.dataset, fess.variogram, fess.ess):
+            monkeypatch.setattr(module, "_pair_blocks", no_pass)
+        ds = make_dataset(derived_rng(39).standard_normal((8, 4)))
+        with pytest.raises(ValidationError, match="family|nugget"):
+            ess_plugin(ds, family, nugget=nugget)
+
     @pytest.mark.parametrize(
         "family,nugget",
         [("exponential", "zero"), ("spherical", "zero"), ("gaussian", "zero"),
@@ -208,7 +221,7 @@ class TestEssPlugin:
         signal = np.sin(xy[:, :1] / 60.0 + np.linspace(0.0, 1.0, m))
         curves = signal + 0.8 * rng.standard_normal((n, m))
         ds = make_dataset(curves, xy=xy, grid=EvalGrid(np.linspace(0.0, 1.0, m)))
-        rep = ess_plugin(ds, family, opts=FitOptions(nugget=nugget))
+        rep = ess_plugin(ds, family, nugget=nugget)
         if nugget == "free":
             assert rep.model.nugget > 0.0
         dense = ess_functional(pairwise_distances(ds.xy), rep.model)
@@ -218,9 +231,9 @@ class TestEssPlugin:
         rng = derived_rng(41)
         for ds in (tied_dataset(rng, 45, 6, spread=300.0), tied_dataset(rng, 60, 5)):
             perm = rng.permutation(ds.n_curves)
-            for opts in (FitOptions(), FitOptions(nugget="free")):
-                a = ess_plugin(ds, "exponential", opts=opts)
-                b = ess_plugin(ds.subset(perm), "exponential", opts=opts)
+            for nugget in ("zero", "free"):
+                a = ess_plugin(ds, "exponential", nugget=nugget)
+                b = ess_plugin(ds.subset(perm), "exponential", nugget=nugget)
                 assert a.ess == b.ess
                 assert a.model == b.model
                 assert a.warnings == b.warnings

@@ -1,16 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import fess.dataset
+import fess.variogram
 
 from fess import (
     EmpiricalVariogram,
     EstimationError,
     EvalGrid,
     FitError,
-    FitOptions,
     LagBins,
     TraceCovModel,
     ValidationError,
@@ -25,10 +26,10 @@ from fess import (
 )
 from fess.rng import derived_rng
 from fess.variogram import (
+    _decode,
     _inv_softplus,
     _objective_factory,
     _softplus,
-    read_model_json,
     write_model_json,
 )
 
@@ -93,6 +94,12 @@ class TestModelFamilies:
         for family in FAMILIES:
             m = TraceCovModel(family, 2.0, 5.0, nugget=0.3)
             assert model_trace_variogram(m, 0.0) == 0.0
+
+    def test_negative_distance_rejected(self):
+        m = TraceCovModel("gaussian", 2.0, 5.0, nugget=0.3)
+        for f in (model_trace_cov, model_trace_variogram):
+            with pytest.raises(ValidationError, match="non-negative"):
+                f(m, np.array([1.0, -1e-9]))
 
     def test_exponential_variogram_reaches_sill(self):
         m = TraceCovModel("exponential", 1.0, 2.0)
@@ -354,12 +361,14 @@ class TestFitModel:
 
     def test_freed_nugget_estimated_zero_on_nugget_free_data(self):
         ev = exact_variogram_record("exponential", 1.0, 100.0)
-        res = fit_model(ev, "exponential", FitOptions(nugget="free"))
+        res = fit_model(ev, "exponential", nugget="free")
         assert res.model.nugget == 0.0
+        # the tie rule returns the zero-nugget fit itself
+        assert res == fit_model(ev, "exponential", nugget="zero")
 
     def test_freed_nugget_recovered_when_present(self):
         ev = exact_variogram_record("exponential", 1.0, 100.0, nugget=0.25)
-        res = fit_model(ev, "exponential", FitOptions(nugget="free"))
+        res = fit_model(ev, "exponential", nugget="free")
         assert res.model.nugget == pytest.approx(0.25, rel=1e-3)
         assert res.model.sill == pytest.approx(1.0, rel=1e-3)
 
@@ -400,9 +409,9 @@ class TestFitModel:
         ev = EmpiricalVariogram(
             bins.centers, np.zeros(5), np.full(5, 8, dtype=int), sigma0=0.0
         )
-        for opts in (FitOptions(), FitOptions(nugget="free")):
+        for nugget in ("zero", "free"):
             with pytest.raises(EstimationError, match="do not vary"):
-                fit_model(ev, "exponential", opts)
+                fit_model(ev, "exponential", nugget)
 
     def test_needs_three_occupied_bins(self):
         bins = LagBins.equal_width(10.0, 2)
@@ -412,22 +421,18 @@ class TestFitModel:
         with pytest.raises(ValidationError, match="3 occupied"):
             fit_model(ev, "exponential")
 
-    def test_nonconvergence_carries_best_so_far(self):
+    def test_unknown_nugget_choice_rejected(self):
+        ev = exact_variogram_record("exponential", 1.0, 100.0)
+        with pytest.raises(ValidationError, match="nugget"):
+            fit_model(ev, "exponential", "bogus")
+
+    def test_nonconvergence_carries_best_so_far(self, monkeypatch):
+        monkeypatch.setattr(fess.variogram, "_MAX_ITER", 1)
         ev = exact_variogram_record("gaussian", 1.0, 50.0)
-        with pytest.raises(FitError) as err:
-            fit_model(ev, "gaussian", FitOptions(max_iter=1))
+        with pytest.raises(FitError, match="within 1 iterations") as err:
+            fit_model(ev, "gaussian")
         assert err.value.best is not None
         assert np.isfinite(err.value.sse)
-
-    def test_count_weighting_changes_objective(self):
-        rng = derived_rng(28)
-        ds = random_dataset(rng, 25, 5)
-        ev = empirical_trace_variogram(
-            ds, default_lag_bins(ds, 8)
-        )
-        res_eq = fit_model(ev, "exponential")
-        res_ct = fit_model(ev, "exponential", FitOptions(weighting="counts"))
-        assert res_eq.model.range_km != res_ct.model.range_km
 
     def test_empty_bins_are_skipped(self):
         bins = LagBins.equal_width(100.0, 6)
@@ -442,13 +447,11 @@ class TestFitModel:
     def test_objective_is_weighted_sse_of_decoded_model(self, family, free_nugget):
         # the fit minimises the misfit of the very model it returns:
         # inside the bounds, the objective at (log sill, log range[,
-        # softplus^-1 nugget]) is the weighted SSE of model_trace_variogram
+        # softplus^-1 nugget]) is the SSE of model_trace_variogram, and
+        # _decode, which also builds the fitted model, gives that model
         h = np.linspace(0.05, 1.0, 12)
         g = 1.0 - np.exp(-h / 0.3) + 0.02 * np.sin(7.0 * h)
-        wts = np.linspace(0.5, 1.5, h.size)
-        fun = _objective_factory(
-            family, h, g, wts, free_nugget, math.log(1e-6), math.log(1e3)
-        )
+        fun = _objective_factory(family, h, g, free_nugget)
         for ls, la, nugget in ((0.0, math.log(0.3), 0.1), (-0.7, 0.4, 0.02),
                                (0.9, math.log(0.08), 0.5)):
             theta = [ls, la] + ([_inv_softplus(nugget)] if free_nugget else [])
@@ -456,8 +459,11 @@ class TestFitModel:
                 family, math.exp(ls), math.exp(la),
                 _softplus(theta[2]) if free_nugget else 0.0,
             )
+            assert _decode(np.asarray(theta), free_nugget) == (
+                model.sill, model.range_km, model.nugget, 0.0
+            )
             resid = g - model_trace_variogram(model, h)
-            sse = float(np.dot(wts * resid, resid))
+            sse = float(np.dot(resid, resid))
             assert fun(np.asarray(theta)) == pytest.approx(sse, rel=1e-12, abs=0.0)
 
     def test_model_json_round_trip(self, tmp_path):
@@ -465,6 +471,12 @@ class TestFitModel:
         res = fit_model(ev, "spherical")
         path = tmp_path / "model.json"
         write_model_json(res, path)
-        model, sse = read_model_json(path)
-        assert model == res.model
-        assert sse == res.sse
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        assert raw == {
+            "family": "spherical",
+            "sill": res.model.sill,
+            "range": res.model.range_km,
+            "nugget": res.model.nugget,
+            "sse": res.sse,
+        }

@@ -27,22 +27,33 @@ PLACEHOLDER = "<TMP>"
 FAMILIES = ("exponential", "spherical", "gaussian")
 
 
-def write_field_csv(path: Path, seed: int, n: int, duplicated: bool = False) -> None:
-    """Lon/lat wide CSV with spatially correlated curves on 6 levels.
+def write_field_csv(
+    path: Path, seed: int, n: int, repeat_shift: float | None = None,
+    kind: str = "correlated",
+) -> None:
+    """Lon/lat wide CSV with curves on 6 levels.
 
-    With ``duplicated``, the second third of the sites repeats the first.
+    ``kind`` is ``"correlated"`` (spatially correlated), ``"iid"``
+    (independent N(0, 1) values) or ``"constant"`` (one curve at every
+    site). With ``repeat_shift``, the second third of the sites repeats the
+    first, moved east by that many degrees.
     """
     rng = np.random.default_rng(seed)
     lons = rng.uniform(-150.0, -140.0, size=n)
     lats = rng.uniform(36.0, 44.0, size=n)
-    if duplicated:
+    if repeat_shift is not None:
         k = n // 3
-        lons[k:2 * k] = lons[:k]
+        lons[k:2 * k] = lons[:k] + repeat_shift
         lats[k:2 * k] = lats[:k]
     base = rng.standard_normal(6)
-    curves = base * np.sin(lons / 3.0 + lats)[:, None] + 0.3 * np.cumsum(
-        rng.standard_normal((n, 6)), axis=1
-    )
+    if kind == "iid":
+        curves = rng.standard_normal((n, 6))
+    elif kind == "constant":
+        curves = np.tile(base, (n, 1))
+    else:
+        curves = base * np.sin(lons / 3.0 + lats)[:, None] + 0.3 * np.cumsum(
+            rng.standard_normal((n, 6)), axis=1
+        )
     lines = [",".join(["lon", "lat"] + [str(10 * (i + 1)) for i in range(6)])]
     for lon, lat, row in zip(lons, lats, curves):
         lines.append(",".join([f"{lon:.8f}", f"{lat:.8f}"] + [f"{v:.10f}" for v in row]))
@@ -51,7 +62,7 @@ def write_field_csv(path: Path, seed: int, n: int, duplicated: bool = False) -> 
 
 def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
     """``(name, argv, writes_to_out_dir)`` for each command, in run order."""
-    field, dup = str(tmp / "field.csv"), str(tmp / "duplicated.csv")
+    field, dup, iid = (str(tmp / f) for f in ("field.csv", "duplicated.csv", "iid.csv"))
     fams = [a for f in FAMILIES for a in ("--family", f)]
     runs = []
     for tag, data in (("field", field), ("duplicated", dup)):
@@ -79,6 +90,22 @@ def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
         ("simulate", ["far1", "simulate", "--n", "25", "--seed", "5", "--threads", "1"], True),
         ("simulate/ess3", ["ess", "--input", str(tmp / "out" / "simulate" / "far1_dataset.csv")]
          + fams, False),
+        # fit-layer paths: one family, a frozen nugget, few bins
+        ("field/fit_gaussian_zero", ["fit", "--input",
+                                     str(tmp / "out" / "field" / "variogram"
+                                         / "empirical_variogram.csv"),
+                                     "--nugget", "zero", "--family", "gaussian"], True),
+        ("field/variogram_spherical_free", ["variogram", "--input", field, "--family",
+                                            "spherical", "--nugget", "free", "--bins", "5"],
+         True),
+        # curves that do not vary: the fit raises, ess exits 1
+        ("constant/ess", ["ess", "--input", str(tmp / "constant.csv")], False),
+        # independent curves at near-repeated sites: the exponential fit
+        # pins its range at the lower bound and logs it
+        ("iid/variogram", ["variogram", "--input", iid, "--bins", "40"], True),
+        ("iid/ess3_stdout", ["ess", "--input", iid, "--bins", "40"] + fams, False),
+        ("iid/ess3_free_stdout", ["ess", "--input", iid, "--bins", "40", "--nugget", "free"]
+         + fams, False),
     ]
     return runs
 
@@ -92,7 +119,9 @@ def run_session(src: Path, tmp: Path) -> dict:
     if not Path(probe.stdout.strip()).resolve().is_relative_to(src):
         sys.exit(f"fess imports from {probe.stdout.strip()}, not from {src}")
     write_field_csv(tmp / "field.csv", seed=1010, n=50)
-    write_field_csv(tmp / "duplicated.csv", seed=2020, n=45, duplicated=True)
+    write_field_csv(tmp / "duplicated.csv", seed=2020, n=45, repeat_shift=0.0)
+    write_field_csv(tmp / "constant.csv", seed=3030, n=30, kind="constant")
+    write_field_csv(tmp / "iid.csv", seed=4002, n=45, repeat_shift=1e-4, kind="iid")
     manifest = {}
     for name, argv, to_dir in session(tmp):
         out = tmp / "out" / name
