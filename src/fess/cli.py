@@ -3,9 +3,11 @@
 Subcommands wire the library into reproducible batch runs: every
 randomized command requires an explicit ``--seed``, outputs are plain
 CSV/JSON written with fixed formatting, and reruns produce byte-identical
-files. ``--threads`` is accepted but currently has no effect; results do
-not depend on worker counts (all reductions use fixed, canonical
-orderings).
+files. ``--threads N`` sets the worker threads of the empirical-variogram
+pair stage of ``variogram`` and ``ess`` (default: the usable cores);
+outputs are identical for any value, because the per-block results are
+added in one canonical order. The other subcommands accept the flag and
+ignore it.
 
 Exit codes: 0 success, 1 computation failure, 2 usage/validation error.
 Set ``FESS_LOG=DEBUG|INFO|WARNING`` for logging verbosity.
@@ -108,7 +110,7 @@ def cmd_variogram(args) -> int:
     dataset = _load_dataset(args)
     out = _out_dir(args)
     bins = default_lag_bins(dataset, n_bins=args.bins)
-    ev = empirical_trace_variogram(dataset, bins)
+    ev = empirical_trace_variogram(dataset, bins, threads=args.threads)
     ev.to_csv(out / "empirical_variogram.csv")
     log.info("wrote %s", out / "empirical_variogram.csv")
     _fit_families(ev, args, out, float(bins.edges[-1]))
@@ -126,7 +128,7 @@ def cmd_ess(args) -> int:
     dataset = _load_dataset(args)
     fams = args.family if args.family else ["exponential"]
     bins = default_lag_bins(dataset, n_bins=args.bins)
-    results = _plugin_ess(dataset, fams, bins, args.nugget)
+    results = _plugin_ess(dataset, fams, bins, args.nugget, args.threads)
     for fam, report in zip(fams, results):
         print(
             f"{fam}: n={report.n} ess={report.ess:.6g} ratio={report.ratio:.4f} "
@@ -250,6 +252,24 @@ def cmd_subsample(args) -> int:
     return 0
 
 
+def _thread_count(text: str) -> int:
+    """argparse type: a worker-thread count, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+_THREADS_HELP = (
+    "worker threads for the variogram pair stage of variogram and ess "
+    "(default: the usable cores); outputs are identical for any value; "
+    "ignored by the other subcommands"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fess",
@@ -267,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out-dir", required=True, help="output directory")
         else:
             p.add_argument("--out-dir", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="accepted; currently has no effect")
+        p.add_argument("--threads", type=_thread_count, default=None, help=_THREADS_HELP)
 
     p = sub.add_parser("variogram", help="empirical trace-variogram and family fits")
     add_io(p)
@@ -301,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=int, default=22)
     p.add_argument("--basis", choices=("fourier", "cosine"), default="fourier")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=1, help="accepted; currently has no effect")
+    p.add_argument("--threads", type=_thread_count, default=None, help=_THREADS_HELP)
     p.set_defaults(func=cmd_far1_simulate)
 
     p = far1_sub.add_parser("sweep", help="exact ESS over a decay-base grid")
@@ -315,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", type=_comma_list(int), default="30,60,120")
     p.add_argument("--fixed", type=float, default=0.5, help="decay base of the fixed sequence")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=1, help="accepted; currently has no effect")
+    p.add_argument("--threads", type=_thread_count, default=None, help=_THREADS_HELP)
     p.set_defaults(func=cmd_far1_sweep)
 
     p = sub.add_parser("boxplot", help="functional boxplot export (optionally with experiment)")

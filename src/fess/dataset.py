@@ -14,6 +14,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -218,9 +221,7 @@ def pairwise_distances(locs) -> np.ndarray:
     Accepts a sequence of :class:`PlanarCoord` or an ``(n, 2)`` array.
     """
     xy = _as_xy(locs)
-    dx = xy[:, 0][:, None] - xy[:, 0][None, :]
-    dy = xy[:, 1][:, None] - xy[:, 1][None, :]
-    return np.hypot(dx, dy)
+    return _site_distances(xy, xy)
 
 
 # Row-block budget of the streamed pair stages: a block of b rows against
@@ -228,6 +229,13 @@ def pairwise_distances(locs) -> np.ndarray:
 # curve-difference array holds about this many float64 values (2 MB).
 # Larger blocks buy little speed and raise peak memory at small n.
 _PAIR_BLOCK_ELEMENTS = 2**18
+
+# Fewest pair blocks per worker thread. Starting and feeding threads costs
+# more than it saves on small passes: with m = 22 on 2 cores, 2 threads
+# made the variogram of n = 400 sites (8 blocks) slower than 1 thread, left
+# n = 600 (17 blocks) level and ran n = 1000 (45 blocks) 1.1-1.5x and
+# n >= 2000 (180 blocks) 1.5x faster.
+_MIN_BLOCKS_PER_WORKER = 16
 
 # Marks block entries that are not pairs (the diagonal and below it).
 # LagBins.index_of maps it to -1 and it never exceeds a real distance.
@@ -247,28 +255,88 @@ def _canonical_order(dataset: "SpatialFunctionalDataset") -> np.ndarray:
     return np.lexsort(keys)
 
 
-def _pair_blocks(dataset: "SpatialFunctionalDataset", rows=None):
-    """Yield ``(d, X[i0:i1], X[i0:])`` blocks covering every pair ``i < j`` once.
+def _pair_spans(n: int, m: int) -> list[tuple[int, int]]:
+    """Row spans ``(i0, i1)`` of the canonical pair blocks of n rows of m values.
+
+    Block ``(i0, i1)`` pairs rows ``i0 <= k < i1`` with the rows right of
+    them; together the blocks cover every pair ``i < j`` once. Blocks are
+    sized by ``_PAIR_BLOCK_ELEMENTS``.
+    """
+    spans = []
+    i0 = 0
+    while i0 < n - 1:
+        i1 = min(n - 1, i0 + max(1, _PAIR_BLOCK_ELEMENTS // ((n - i0) * m)))
+        spans.append((i0, i1))
+        i0 = i1
+    return spans
+
+
+def _site_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between the sites ``a`` (rows) and ``b`` (columns)."""
+    dx = a[:, 0][:, None] - b[:, 0][None, :]
+    dy = a[:, 1][:, None] - b[:, 1][None, :]
+    return np.hypot(dx, dy)
+
+
+def _check_threads(threads) -> None:
+    """Reject a thread count other than ``None`` or an integer >= 1."""
+    if threads is not None and not (isinstance(threads, numbers.Integral) and threads >= 1):
+        raise ValidationError(f"threads must be an integer of at least 1, got {threads!r}")
+
+
+def _worker_count(threads: int | None, n_blocks: int) -> int:
+    """Threads for ``n_blocks`` blocks: ``threads`` (default: the usable
+    cores), capped so that each thread gets ``_MIN_BLOCKS_PER_WORKER``."""
+    _check_threads(threads)
+    if threads is None:
+        try:
+            threads = len(os.sched_getaffinity(0))
+        except AttributeError:  # platforms without CPU affinity
+            threads = os.cpu_count() or 1
+    return max(1, min(int(threads), n_blocks // _MIN_BLOCKS_PER_WORKER))
+
+
+def _pair_map(fn, dataset: "SpatialFunctionalDataset", rows=None, threads=None) -> list:
+    """``fn(d, X[i0:i1], X[i0:])`` for every canonical pair block, in block order.
 
     ``X`` is ``rows`` (default: the curves) in :func:`_canonical_order`, the
     one row order of every pair stage. ``d[k, c]`` is the distance between
     rows ``i0 + k`` and ``i0 + c``; entries with ``c <= k`` are not pairs and
-    hold ``_NOT_A_PAIR``. Blocks are sized by ``_PAIR_BLOCK_ELEMENTS``.
+    hold ``_NOT_A_PAIR``. The blocks are :func:`_pair_spans`.
+
+    With ``threads`` workers (default: the usable cores; see
+    :func:`_worker_count`) each worker runs one contiguous run of blocks,
+    building each block from its span, so only one block per worker is
+    alive at a time. Results come back in block order whatever the thread
+    count; callers reduce them in that order, so their outputs do not
+    depend on ``threads``. ``fn`` must be safe to call from several
+    threads at once.
     """
     order = _canonical_order(dataset)
     xy = dataset.xy[order]
     X = (dataset.curves if rows is None else rows)[order]
     n, m = X.shape
-    i0 = 0
-    while i0 < n - 1:
-        width = n - i0
-        i1 = min(n - 1, i0 + max(1, _PAIR_BLOCK_ELEMENTS // (width * m)))
-        dx = xy[i0:i1, 0][:, None] - xy[i0:, 0][None, :]
-        dy = xy[i0:i1, 1][:, None] - xy[i0:, 1][None, :]
-        d = np.hypot(dx, dy)
-        d[np.arange(width)[None, :] <= np.arange(i1 - i0)[:, None]] = _NOT_A_PAIR
-        yield d, X[i0:i1], X[i0:]
-        i0 = i1
+    spans = _pair_spans(n, m)
+    workers = _worker_count(threads, len(spans))
+
+    def run(chunk):
+        out = []
+        for i0, i1 in chunk:
+            d = _site_distances(xy[i0:i1], xy[i0:])
+            d[np.arange(n - i0)[None, :] <= np.arange(i1 - i0)[:, None]] = _NOT_A_PAIR
+            out.append(fn(d, X[i0:i1], X[i0:]))
+        return out
+
+    chunks = [
+        spans[k * len(spans) // workers:(k + 1) * len(spans) // workers]
+        for k in range(workers)
+    ]
+    if workers == 1:
+        results = map(run, chunks)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, chunks))
+    return [r for chunk in results for r in chunk]
 
 
 def trapz_inner(a, b, grid: EvalGrid) -> float:

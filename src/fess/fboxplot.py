@@ -41,17 +41,25 @@ def mbd(dataset: SpatialFunctionalDataset) -> np.ndarray:
     if n < 2:
         raise ValidationError("band depth needs at least 2 curves")
     total_pairs = n * (n - 1) // 2
-    counts = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        col = X[:, j]
-        ordered = np.sort(col)
-        below = np.searchsorted(ordered, col, side="left")
-        above = n - np.searchsorted(ordered, col, side="right")
-        # A pair band misses the value only if both members sit strictly
-        # on the same side of it.
-        counts += (
-            total_pairs - below * (below - 1) // 2 - above * (above - 1) // 2
-        )
+    order = np.argsort(X, axis=0, kind="stable")
+    ranked = np.take_along_axis(X, order, axis=0)
+    pos = np.arange(n)[:, None]
+    # In each sorted column, the values equal to the one at position p
+    # occupy positions first[p]..last[p]: ``below = first`` values lie
+    # strictly under it and ``above = n - 1 - last`` strictly over it.
+    starts = np.ones((n, m), dtype=bool)
+    starts[1:] = ranked[1:] != ranked[:-1]
+    ends = np.ones((n, m), dtype=bool)
+    ends[:-1] = starts[1:]
+    below = np.maximum.accumulate(np.where(starts, pos, 0), axis=0)
+    last = np.minimum.accumulate(np.where(ends, pos, n - 1)[::-1], axis=0)[::-1]
+    above = n - 1 - last
+    # A pair band misses the value only if both members sit strictly on
+    # the same side of it.
+    ranked_counts = total_pairs - below * (below - 1) // 2 - above * (above - 1) // 2
+    pair_counts = np.empty_like(ranked_counts)
+    np.put_along_axis(pair_counts, order, ranked_counts, axis=0)
+    counts = pair_counts.sum(axis=1)
     return counts / (total_pairs * m)
 
 

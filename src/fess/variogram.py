@@ -19,14 +19,16 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.spatial import ConvexHull, QhullError
 
 from .dataset import (
     SpatialFunctionalDataset,
     _column_means,
     _frozen_array,
-    _pair_blocks,
+    _pair_map,
     _parse_cell,
     _read_csv_rows,
+    _site_distances,
     _sorted_sum,
 )
 from .errors import EstimationError, FitError, ValidationError
@@ -97,9 +99,26 @@ class LagBins:
         return idx
 
 
+def _max_site_distance(dataset: SpatialFunctionalDataset) -> float:
+    """Largest distance between two sites (0 for a single site).
+
+    The farthest pair of a planar set are vertices of its convex hull, so
+    only hull vertices are compared, with the expression of the pair
+    blocks. Sets without a 2-d hull (fewer than 3 distinct sites, or all
+    collinear) take the maximum over the pair blocks.
+    """
+    sites = np.unique(dataset.xy, axis=0)
+    try:
+        hull = sites[ConvexHull(sites).vertices]
+    except QhullError:
+        block_max = _pair_map(lambda d, head, tail: float(np.max(d)), dataset, threads=1)
+        return max(block_max, default=0.0)
+    return float(np.max(_site_distances(hull, hull)))
+
+
 def default_lag_bins(dataset: SpatialFunctionalDataset, n_bins: int = 15) -> LagBins:
     """Equal-width bins spanning (0, half the largest distance between sites]."""
-    dmax = max((float(np.max(d)) for d, _, _ in _pair_blocks(dataset)), default=0.0)
+    dmax = _max_site_distance(dataset)
     if dmax <= 0:
         raise ValidationError("all locations coincide; no positive lags to bin")
     return LagBins.equal_width(dmax / 2.0, n_bins)
@@ -266,29 +285,40 @@ def _trace_variance(dataset: SpatialFunctionalDataset) -> float:
     return _sorted_sum(per_curve) / dataset.n_curves
 
 
-def _binned_pair_stats(dataset: SpatialFunctionalDataset, rows, bins: LagBins, pair_values):
+def _binned_pair_stats(
+    dataset: SpatialFunctionalDataset, rows, bins: LagBins, pair_values, threads
+):
     """Per-bin pair counts, value sums and mean pair distances.
 
     ``rows`` is an n-by-m matrix aligned with the dataset's rows. The pairs
-    stream in the canonical row blocks of ``_pair_blocks``;
-    ``pair_values(head, tail)`` returns a block's ``b x w`` pair values
-    from its ``b`` head rows against its ``w`` tail rows. Plain
-    ``np.bincount`` sums in block order, which depends only on the data,
-    so results are bitwise invariant under row relabelling.
+    stream in the canonical row blocks of ``_pair_map`` on ``threads``
+    workers; ``pair_values(head, tail)`` returns a block's ``b x w`` pair
+    values from its ``b`` head rows against its ``w`` tail rows. The
+    per-block ``np.bincount`` results are added in block order, which
+    depends only on the data, so results are bitwise invariant under row
+    relabelling and do not depend on ``threads``.
     """
     if dataset.n_curves < 2:
         raise ValidationError("empirical estimation needs at least 2 curves")
     n_bins = len(bins)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    sums = np.zeros(n_bins)
-    hsums = np.zeros(n_bins)
-    for d, head, tail in _pair_blocks(dataset, rows):
+
+    def block_stats(d, head, tail):
         idx = bins.index_of(d)
         keep = idx >= 0
         idx = idx[keep]
-        counts += np.bincount(idx, minlength=n_bins)
-        sums += np.bincount(idx, weights=pair_values(head, tail)[keep], minlength=n_bins)
-        hsums += np.bincount(idx, weights=d[keep], minlength=n_bins)
+        return (
+            np.bincount(idx, minlength=n_bins),
+            np.bincount(idx, weights=pair_values(head, tail)[keep], minlength=n_bins),
+            np.bincount(idx, weights=d[keep], minlength=n_bins),
+        )
+
+    counts = np.zeros(n_bins, dtype=np.int64)
+    sums = np.zeros(n_bins)
+    hsums = np.zeros(n_bins)
+    for c, v, h in _pair_map(block_stats, dataset, rows, threads):
+        counts += c
+        sums += v
+        hsums += h
     occ = counts > 0
     if not np.any(occ):
         occupancy = ", ".join(
@@ -307,7 +337,7 @@ def _binned_pair_stats(dataset: SpatialFunctionalDataset, rows, bins: LagBins, p
 
 
 def empirical_trace_variogram(
-    dataset: SpatialFunctionalDataset, bins: LagBins
+    dataset: SpatialFunctionalDataset, bins: LagBins, threads: int | None = None
 ) -> EmpiricalVariogram:
     """Empirical trace-variogram on binned lags.
 
@@ -315,7 +345,8 @@ def empirical_trace_variogram(
     the unordered curve pairs whose separation falls in the bin, reported
     at the bin's mean pair distance. ``sigma0`` is the average squared
     distance of the curves to their pointwise mean (the i = j trace
-    variance).
+    variance). The pair stage runs on ``threads`` worker threads (default:
+    the usable cores); the result is the same for any thread count.
     """
     w = dataset.grid.quad_weights
 
@@ -326,7 +357,7 @@ def empirical_trace_variogram(
         return np.square(diff, out=diff) @ w
 
     counts, sums, centers = _binned_pair_stats(
-        dataset, dataset.curves, bins, squared_distances
+        dataset, dataset.curves, bins, squared_distances, threads
     )
     gamma = np.full(len(bins), np.nan)
     occ = counts > 0
@@ -342,7 +373,8 @@ def empirical_trace_covariogram(
     For each bin, the average inner product of mean-centered curve pairs,
     reported at the bin's mean pair distance; the at-zero value
     ``sigma0`` uses the i = j terms only and therefore matches the
-    ``sigma0`` of :func:`empirical_trace_variogram`.
+    ``sigma0`` of :func:`empirical_trace_variogram`. The pair stage runs
+    on the usable cores; the result does not depend on their number.
     """
     w = dataset.grid.quad_weights
     dev = dataset.curves - _column_means(dataset.curves)[None, :]
@@ -350,7 +382,7 @@ def empirical_trace_covariogram(
     def inner_products(head, tail):
         return (head * w) @ tail.T
 
-    counts, sums, centers = _binned_pair_stats(dataset, dev, bins, inner_products)
+    counts, sums, centers = _binned_pair_stats(dataset, dev, bins, inner_products, None)
     sigma = np.full(len(bins), np.nan)
     occ = counts > 0
     sigma[occ] = sums[occ] / counts[occ]

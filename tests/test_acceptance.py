@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fess.dataset
 from fess import (
     EvalGrid,
     Far1Spec,
@@ -355,8 +356,12 @@ def _run_cli_suite(base_dir: Path, data_csv: Path, threads: str) -> dict:
     return out
 
 
-def test_c10_seeded_commands_are_byte_identical(tmp_path, capsys):
+def test_c10_seeded_commands_are_byte_identical(tmp_path, capsys, monkeypatch):
     """Every command writes byte-identical output across reruns and thread caps."""
+    # one-row pair blocks, so the 50 sites span 49 blocks and --threads 8
+    # runs the variograms of variogram and ess on 3 threads
+    monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 6)
+    assert fess.dataset._worker_count(8, len(fess.dataset._pair_spans(50, 6))) == 3
     rng = derived_rng(1010)
     lons = rng.uniform(-150.0, -140.0, size=50)
     lats = rng.uniform(36.0, 44.0, size=50)

@@ -196,26 +196,27 @@ class TestEssCommand:
 
     def test_pair_passes_per_run(self, dataset_csv, tmp_path, monkeypatch):
         passes = []
-        blocks = fess.dataset._pair_blocks
+        pair_map = fess.dataset._pair_map
 
         def counted(*args, **kwargs):
             passes.append(1)
-            return blocks(*args, **kwargs)
+            return pair_map(*args, **kwargs)
 
-        # every module that binds the block generator, so no pass escapes
+        # every module that binds the block map, so no pass escapes
         for module in (fess.dataset, fess.variogram, fess.ess):
-            monkeypatch.setattr(module, "_pair_blocks", counted)
-        # default bins, the empirical variogram, one ESS sum for all families
+            monkeypatch.setattr(module, "_pair_map", counted)
+        # the empirical variogram and one ESS sum for all families; the
+        # default bins take the largest distance from the convex hull
         rc = main(["ess", "--input", str(dataset_csv), "--family", "exponential",
                    "--family", "spherical", "--family", "gaussian"])
-        assert rc == 0 and len(passes) == 3
+        assert rc == 0 and len(passes) == 2
         passes.clear()
         ess_plugin(load_wide_csv(dataset_csv), "spherical")
-        assert len(passes) == 3
+        assert len(passes) == 2
         passes.clear()
         rc = main(["variogram", "--input", str(dataset_csv),
                    "--out-dir", str(tmp_path / "v")])
-        assert rc == 0 and len(passes) == 2
+        assert rc == 0 and len(passes) == 1
 
     def test_bins_flag_changes_binning(self, dataset_csv, tmp_path):
         out = tmp_path / "bins"
@@ -317,6 +318,18 @@ class TestFar1Commands:
     def test_simulate_requires_seed(self, tmp_path):
         rc = main(["far1", "simulate", "--n", "5", "--out-dir", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command", [["variogram"], ["ess"], ["subsample", "--size", "5", "--reps", "1",
+                                              "--seed", "1"]],
+    )
+    def test_threads_below_one_exits_2(self, command, value, dataset_csv, tmp_path, capsys):
+        rc = main(command + ["--input", str(dataset_csv), "--threads", value,
+                             "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"argument --threads: must be at least 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestBoxplotCommands:

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -107,6 +108,24 @@ class TestPairwiseDistances:
         D = pairwise_distances(rng.uniform(-50, 50, size=(20, 2)))
         assert np.array_equal(D, D.T)
         assert np.all(np.diag(D) == 0.0)
+
+    def test_worker_count(self):
+        from fess.dataset import _MIN_BLOCKS_PER_WORKER as per_worker
+        from fess.dataset import _worker_count
+
+        # capped at the number of blocks over the blocks each worker needs
+        assert _worker_count(8, 3 * per_worker) == 3
+        assert _worker_count(8, 3 * per_worker - 1) == 2
+        assert _worker_count(2, 1000 * per_worker) == 2
+        assert _worker_count(4, per_worker - 1) == 1
+        assert _worker_count(4, 0) == 1
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count())
+        assert _worker_count(None, 10**9) == cores
+        assert _worker_count(None, 1) == 1
+        for bad in (0, -1):
+            with pytest.raises(ValidationError, match="threads"):
+                _worker_count(bad, 10)
 
     def test_triangle_inequality(self):
         rng = derived_rng(8)

@@ -195,16 +195,24 @@ class TestEssPlugin:
         with pytest.raises(EstimationError, match="do not vary"):
             ess_plugin(ds, "exponential")
 
-    @pytest.mark.parametrize("family,nugget", [("bogus", "zero"), ("exponential", "bogus")])
-    def test_bad_choice_rejected_before_pair_passes(self, family, nugget, monkeypatch):
+    @pytest.mark.parametrize(
+        "family,nugget,threads",
+        [pytest.param("bogus", "zero", None, id="bogus-zero"),
+         pytest.param("exponential", "bogus", None, id="exponential-bogus"),
+         pytest.param("exponential", "zero", 0, id="threads-0"),
+         pytest.param("exponential", "zero", -1, id="threads--1")],
+    )
+    def test_bad_choice_rejected_before_pair_passes(
+        self, family, nugget, threads, monkeypatch
+    ):
         def no_pass(*args, **kwargs):
             raise AssertionError("pair pass before argument validation")
 
         for module in (fess.dataset, fess.variogram, fess.ess):
-            monkeypatch.setattr(module, "_pair_blocks", no_pass)
+            monkeypatch.setattr(module, "_pair_map", no_pass)
         ds = make_dataset(derived_rng(39).standard_normal((8, 4)))
-        with pytest.raises(ValidationError, match="family|nugget"):
-            ess_plugin(ds, family, nugget=nugget)
+        with pytest.raises(ValidationError, match="family|nugget|threads"):
+            fess.ess._plugin_ess(ds, [family], nugget=nugget, threads=threads)
 
     @pytest.mark.parametrize(
         "family,nugget",
@@ -238,6 +246,46 @@ class TestEssPlugin:
                 assert a.model == b.model
                 assert a.warnings == b.warnings
 
+    def test_threads_bitwise_identical(self, monkeypatch):
+        # one-row blocks: 1, 2 and 3 workers, each with a run of blocks
+        rng = derived_rng(43)
+        n, m = 60, 5
+        ds = tied_dataset(rng, n, m)
+        monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", m)
+        worker_count = fess.dataset._worker_count
+        blocks = len(fess.dataset._pair_spans(n, m))
+        workers = [worker_count(t, blocks) for t in (1, 2, 8)]
+        assert blocks == n - 1 and workers == [1, 2, 3]
+        # wide bins, so the first holds pairs at positive distances too
+        bins = fess.default_lag_bins(ds, n_bins=5)
+        results = []
+        for threads in (1, 2, 8):
+            # the covariogram's pair stage runs on the default thread count
+            monkeypatch.setattr(
+                fess.dataset, "_worker_count",
+                lambda t, n_blocks, k=threads: worker_count(k if t is None else t, n_blocks),
+            )
+            evs = [
+                fess.empirical_trace_variogram(ds, bins, threads=threads),
+                fess.empirical_trace_covariogram(ds, bins),
+            ]
+            reports = [
+                report
+                for nugget in ("zero", "free")
+                for report in fess.ess._plugin_ess(
+                    ds, ["exponential", "spherical", "gaussian"], bins, nugget, threads
+                )
+            ]
+            results.append((evs, reports))
+        (evs1, reports1), *others = results
+        for evs, reports in others:
+            for a, b in zip(evs1, evs):
+                for field in ("centers", "gamma", "counts"):
+                    assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+                assert a.sigma0 == b.sigma0
+            for a, b in zip(reports1, reports):
+                assert a.ess == b.ess and a.model == b.model and a.warnings == b.warnings
+
     def test_pair_stages_never_form_an_n_by_n_array(self):
         # one n x n float64 array is 32 MB at n = 2000; the streamed pair
         # stages need O(n m) memory
@@ -250,7 +298,7 @@ class TestEssPlugin:
         )
         tracemalloc.start()
         try:
-            ess_plugin(ds, "exponential")
+            fess.ess._plugin_ess(ds, ["exponential"], threads=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -60,13 +60,42 @@ class TestLagBins:
         # duplicate sites and rows, spread over several row blocks
         ds = tied_dataset(derived_rng(21), 31, 4)
         monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 4 * 31 * 4)
-        assert sum(1 for _ in fess.dataset._pair_blocks(ds)) >= 5
+        assert len(fess.dataset._pair_spans(31, 4)) >= 5
         for k in (1, 7, 15):
             ref = LagBins.equal_width(np.max(pairwise_distances(ds.xy)) / 2.0, k)
             assert np.array_equal(default_lag_bins(ds, k).edges, ref.edges)
         for xy in ([[3.0, 4.0]] * 3, [[3.0, 4.0]]):
             with pytest.raises(ValidationError, match="all locations coincide"):
                 default_lag_bins(make_dataset(np.eye(len(xy), 2), xy=xy))
+
+    def test_hull_max_distance_is_the_pair_maximum(self, monkeypatch):
+        passes = []
+        pair_map = fess.dataset._pair_map
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return pair_map(*args, **kwargs)
+
+        monkeypatch.setattr(fess.variogram, "_pair_map", counted)
+        rng = derived_rng(22)
+        lattice = np.array([(i, j) for i in range(9) for j in range(7)], dtype=float)
+        dup = rng.uniform(-500.0, 500.0, size=(40, 2))
+        line = np.linspace(-3.0, 7.0, 25)
+        cases = [
+            ("random", rng.uniform(-1e3, 1e3, size=(300, 2)), 0),
+            ("random", rng.normal(5e3, 1.0, size=(50, 2)), 0),
+            ("lattice", lattice * math.pi, 0),
+            ("duplicated", np.vstack([dup, dup[::2], dup[:3]]), 0),
+            ("collinear", np.column_stack([line, 0.3 * line + 1.0]), 1),
+            ("two sites", [[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]], 1),
+        ]
+        for name, xy, n_passes in cases:
+            xy = np.asarray(xy, dtype=float)
+            ds = make_dataset(rng.standard_normal((len(xy), 3)), xy=xy)
+            passes.clear()
+            dmax = fess.variogram._max_site_distance(ds)
+            assert dmax == np.max(pairwise_distances(ds.xy)), name
+            assert len(passes) == n_passes, name
 
 
 class TestModelFamilies:
@@ -310,7 +339,7 @@ class TestStreamedAgainstDense:
         ds = make_dataset(curves, xy=xy, grid=EvalGrid(np.linspace(0.0, 2.0, m)))
         bins = LagBins(np.linspace(0.0, 5.0, 6))
         monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 4 * n * m)
-        assert sum(1 for _ in fess.dataset._pair_blocks(ds)) >= 5
+        assert len(fess.dataset._pair_spans(n, m)) >= 5
         D = pairwise_distances(ds.xy)
         assert np.any(D == 0.0) and np.any(D == 5.0)
         for estimator, kind in (

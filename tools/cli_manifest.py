@@ -62,7 +62,9 @@ def write_field_csv(
 
 def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
     """``(name, argv, writes_to_out_dir)`` for each command, in run order."""
-    field, dup, iid = (str(tmp / f) for f in ("field.csv", "duplicated.csv", "iid.csv"))
+    field, dup, iid, large = (
+        str(tmp / f) for f in ("field.csv", "duplicated.csv", "iid.csv", "large.csv")
+    )
     fams = [a for f in FAMILIES for a in ("--family", f)]
     runs = []
     for tag, data in (("field", field), ("duplicated", dup)):
@@ -107,6 +109,16 @@ def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
         ("iid/ess3_free_stdout", ["ess", "--input", iid, "--bins", "40", "--nugget", "free"]
          + fams, False),
     ]
+    # the variogram pair stage on worker threads: a base tree that runs it
+    # serially checks it byte for byte. The large CSV spans 69 pair blocks,
+    # enough for 4 workers; the small ones fit in one block.
+    for threads in ("2", "8"):
+        runs += [
+            (f"large/variogram_t{threads}", ["variogram", "--input", large,
+                                             "--threads", threads], True),
+            (f"large/ess3_t{threads}", ["ess", "--input", large, "--nugget", "free",
+                                        "--threads", threads] + fams, True),
+        ]
     return runs
 
 
@@ -122,6 +134,7 @@ def run_session(src: Path, tmp: Path) -> dict:
     write_field_csv(tmp / "duplicated.csv", seed=2020, n=45, repeat_shift=0.0)
     write_field_csv(tmp / "constant.csv", seed=3030, n=30, kind="constant")
     write_field_csv(tmp / "iid.csv", seed=4002, n=45, repeat_shift=1e-4, kind="iid")
+    write_field_csv(tmp / "large.csv", seed=5050, n=2400)
     manifest = {}
     for name, argv, to_dir in session(tmp):
         out = tmp / "out" / name
