@@ -130,6 +130,8 @@ def cmd_ess(args) -> int:
     bins = default_lag_bins(dataset, n_bins=args.bins)
     results = _plugin_ess(dataset, fams, bins, args.nugget, args.threads)
     for fam, report in zip(fams, results):
+        for w in report.warnings:
+            log.warning("%s: %s", fam, w)
         print(
             f"{fam}: n={report.n} ess={report.ess:.6g} ratio={report.ratio:.4f} "
             f"recommended_subsample={report.recommended_subsample}"

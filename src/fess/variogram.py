@@ -42,14 +42,14 @@ _CORR = {
 }
 FAMILIES = tuple(_CORR)
 
-# Range is fitted on a log scale; these bounds (relative to the largest
-# lag) keep the simplex out of regions where the objective is flat.
+# Range is fitted on a log scale within these bounds, relative to the
+# largest lag.
 _RANGE_LOWER_REL = 1e-6
 _RANGE_UPPER_REL = 1e3
 _LOG_RANGE_LO = math.log(_RANGE_LOWER_REL)
 _LOG_RANGE_HI = math.log(_RANGE_UPPER_REL)
-# Box on the log sill, relative to the largest empirical value.
-_LOG_SILL_BOUND = 60.0
+# Least fitted sill, relative to the largest empirical value.
+_SILL_FLOOR = math.exp(-60.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,18 +184,14 @@ def model_trace_cov(model: TraceCovModel, h):
     return float(c) if np.isscalar(h) or h_arr.ndim == 0 else c
 
 
-def _gamma(family: str, sill, range_km, nugget, h):
-    """Model trace-variogram at lags ``h > 0``: the one formula that
-    :func:`model_trace_variogram` and the fit objective share."""
-    return (sill + nugget) - sill * _CORR[family](h / range_km)
-
-
 def model_trace_variogram(model: TraceCovModel, h):
     """Trace-variogram ``cov_tr(0) - cov_tr(h)``; zero at ``h = 0``."""
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr < 0):
         raise ValidationError("distances must be non-negative")
-    g = _gamma(model.family, model.sill, model.range_km, model.nugget, h_arr)
+    g = (model.sill + model.nugget) - model.sill * _CORR[model.family](
+        h_arr / model.range_km
+    )
     g = np.where(h_arr > 0.0, g, 0.0)
     return float(g) if np.isscalar(h) or h_arr.ndim == 0 else g
 
@@ -396,55 +392,42 @@ class FitResult:
     warnings: tuple[str, ...] = ()
 
 
-# Multiplicative offsets applied to the empirical (sill, range) seed; one
-# pair per Nelder-Mead start.
-_START_FACTORS = ((1.0, 1.0), (0.5, 0.5), (2.0, 2.0), (1.0, 0.25), (1.0, 4.0))
-# Iteration budget of each Nelder-Mead run (function evaluations: twice that).
+# Log ranges (normalized units) searched for the first profile minimum:
+# 128 points per decade over the 9 decades of the range box. A spherical
+# misfit can dip just past an occupied lag, over a few hundredths of a
+# log unit; 8 and 32 points per decade stepped over such dips.
+_LOG_RANGE_GRID = np.linspace(_LOG_RANGE_LO, _LOG_RANGE_HI, 9 * 128 + 1)
+# Iteration budget of the Nelder-Mead refinement (function evaluations:
+# twice that).
 _MAX_ITER = 4000
 
 
-def _softplus(v: float) -> float:
-    return float(np.logaddexp(0.0, v))
+def _profile(fam, hn, gn, log_range, free_nugget):
+    """Least-squares ``(sill, nugget, sse)`` at each of the ``log_range``.
 
-
-def _inv_softplus(y: float) -> float:
-    return float(np.log(np.expm1(y))) if y < 30 else y
-
-
-def _decode(theta, free_nugget: bool):
-    """Optimizer parameters to ``(sill, range, nugget, penalty)``.
-
-    ``theta`` is ``(log sill, log range[, inverse-softplus nugget])`` in
-    normalized units. Log sill and log range are clamped to their boxes;
-    ``penalty`` is the sum of the squared distances clamped away.
+    For a fixed range the model ``nugget + sill * (1 - corr(h / range))``
+    is linear in sill and nugget, so both are solved in closed form, in
+    normalized units. The sill is at least ``_SILL_FLOOR``; with a free
+    nugget the two-column solution is used only when both its values are
+    positive, the zero-nugget one otherwise.
     """
-    ls, la = theta[0], theta[1]
-    penalty = 0.0
-    if la < _LOG_RANGE_LO:
-        penalty += (_LOG_RANGE_LO - la) ** 2
-        la = _LOG_RANGE_LO
-    elif la > _LOG_RANGE_HI:
-        penalty += (la - _LOG_RANGE_HI) ** 2
-        la = _LOG_RANGE_HI
-    if ls < -_LOG_SILL_BOUND:
-        penalty += (-_LOG_SILL_BOUND - ls) ** 2
-        ls = -_LOG_SILL_BOUND
-    elif ls > _LOG_SILL_BOUND:
-        penalty += (ls - _LOG_SILL_BOUND) ** 2
-        ls = _LOG_SILL_BOUND
-    nugget = _softplus(theta[2]) if free_nugget else 0.0
-    return math.exp(ls), math.exp(la), nugget, penalty
-
-
-def _objective_factory(family, h, g, free_nugget):
-    """Sum of squared residuals of the decoded model, plus the box penalty."""
-
-    def fun(theta):
-        sill, rng, nugget, penalty = _decode(theta, free_nugget)
-        resid = g - _gamma(family, sill, rng, nugget, h)
-        return float(np.dot(resid, resid)) + 1e6 * penalty
-
-    return fun
+    f = 1.0 - _CORR[fam](hn[None, :] / np.exp(log_range)[:, None])
+    # f > 0 at the largest lag (hn = 1) for every range in the box
+    sill = np.maximum(f @ gn / np.einsum("rb,rb->r", f, f), _SILL_FLOOR)
+    nugget = np.zeros_like(sill)
+    if free_nugget:
+        fc = f - np.mean(f, axis=1, keepdims=True)
+        sxx = np.einsum("rb,rb->r", fc, fc)
+        # a constant column (every lag past the range) fixes no slope
+        slope = np.divide(
+            fc @ (gn - np.mean(gn)), sxx, out=np.zeros_like(sxx), where=sxx > 0
+        )
+        level = np.mean(gn) - slope * np.mean(f, axis=1)
+        both = (slope >= _SILL_FLOOR) & (level > 0)
+        sill = np.where(both, slope, sill)
+        nugget = np.where(both, level, 0.0)
+    resid = gn - nugget[:, None] - sill[:, None] * f
+    return sill, nugget, np.einsum("rb,rb->r", resid, resid)
 
 
 def fit_model(ev: EmpiricalVariogram, family: str, nugget: str = "zero") -> FitResult:
@@ -453,13 +436,19 @@ def fit_model(ev: EmpiricalVariogram, family: str, nugget: str = "zero") -> FitR
     Minimizes the sum of squared discrepancies between the empirical
     values and the model trace-variogram at the occupied bin centers,
     over sill > 0 and range > 0, with the nugget frozen at 0
-    (``nugget="zero"``) or fitted, >= 0 (``nugget="free"``). Deterministic:
-    the multi-start seeds derive from the empirical sill and range.
-    Returns the fitted model with the achieved objective value.
+    (``nugget="zero"``) or fitted, >= 0 (``nugget="free"``). By variable
+    projection: for a fixed range, sill and nugget solve a linear least-
+    squares problem in closed form, so only the range is searched. The
+    first minimum of the misfit over a fixed log-range grid (the smallest
+    range among equal misfits) is refined by one bounded Nelder-Mead run
+    within the neighbouring grid cells. Deterministic. Returns the fitted
+    model with the achieved objective value; a range at the lower end of
+    its box carries the warning "range pinned at lower bound".
 
     Raises :class:`EstimationError` if the variogram is zero in every
     occupied bin (no covariance to fit), and :class:`FitError` (carrying
-    the best point found) if no start converges within the budget.
+    the best point found) if the refinement does not converge within the
+    budget.
     """
     fam = _family(family)
     _check_nugget(nugget)
@@ -493,66 +482,51 @@ def fit_model(ev: EmpiricalVariogram, family: str, nugget: str = "zero") -> FitR
     if nugget == "zero":
         return zero
     # Keep the nugget only when freeing it improves the fit by more than
-    # numerical noise relative to the data's total sum of squares
-    # (softplus can approach but never reach zero).
+    # numerical noise relative to the data's total sum of squares.
     free = _fit_once(fam, h, g, h_scale, g_scale, free_nugget=True)
     tie_tol = 1e-9 * float(np.dot(g, g)) + 1e-300
     return zero if zero.sse <= free.sse + tie_tol else free
 
 
 def _fit_once(fam, h, g, h_scale, g_scale, free_nugget):
-    # Optimize in normalized units (lags / h_scale, values / g_scale) so
-    # the tiny sills of real trace-variograms stay well-conditioned.
+    # Fit in normalized units (lags / h_scale, values / g_scale) so the
+    # tiny sills of real trace-variograms stay well-conditioned.
     hn = h / h_scale
     gn = g / g_scale
-    fun = _objective_factory(fam, hn, gn, free_nugget)
-
-    tail = gn[-max(1, gn.size // 3):]
-    sill0 = float(np.mean(tail))
-    if sill0 <= 0:
-        sill0 = max(float(np.max(gn)), 1e-6)
-    reached = np.flatnonzero(gn >= 0.95 * sill0)
-    range0 = float(hn[reached[0]]) if reached.size else float(hn[-1])
-    range0 = min(max(range0, 2.0 * _RANGE_LOWER_REL), _RANGE_UPPER_REL / 2.0)
-
-    nm_opts = {
-        "xatol": 1e-10,
-        "fatol": 1e-16,
-        "maxiter": _MAX_ITER,
-        "maxfev": 2 * _MAX_ITER,
-    }
-
-    nugget0 = [_inv_softplus(1e-3 * sill0)] if free_nugget else []
-    starts = [
-        np.asarray([math.log(sill0 * fs), math.log(range0 * fr)] + nugget0)
-        for fs, fr in _START_FACTORS
-    ]
-    runs = [minimize(fun, x0, method="Nelder-Mead", options=nm_opts) for x0 in starts]
-    best = min(runs, key=lambda r: r.fun)  # the first of equal minima
-    # Polish: restart the simplex from the best vertex.
-    runs.append(minimize(fun, best.x, method="Nelder-Mead", options=nm_opts))
-    if runs[-1].fun <= best.fun:
-        best = runs[-1]
-
-    sill, rng, nugget, _ = _decode(best.x, free_nugget)
-    model = TraceCovModel(fam, g_scale * sill, h_scale * rng, g_scale * nugget)
-    sse = float(best.fun) * g_scale**2
-    pinned = best.x[1] <= _LOG_RANGE_LO + 1e-9  # at or past the box's lower edge
-    warnings = ("range pinned at lower bound",) if pinned else ()
-
-    if not any(r.success for r in runs):
+    sse_grid = _profile(fam, hn, gn, _LOG_RANGE_GRID, free_nugget)[2]
+    # the first minimum: the smallest range among equal misfits
+    i = int(np.argmin(sse_grid))
+    lo = _LOG_RANGE_GRID[max(i - 1, 0)]
+    hi = _LOG_RANGE_GRID[min(i + 1, _LOG_RANGE_GRID.size - 1)]
+    run = minimize(
+        lambda x: float(_profile(fam, hn, gn, x, free_nugget)[2][0]),
+        [_LOG_RANGE_GRID[i]],
+        method="Nelder-Mead",
+        bounds=[(lo, hi)],
+        options={
+            "initial_simplex": [[_LOG_RANGE_GRID[i]], [hi if i == 0 else lo]],
+            "xatol": 1e-10,
+            "fatol": 1e-16,
+            "maxiter": _MAX_ITER,
+            "maxfev": 2 * _MAX_ITER,
+        },
+    )
+    log_range = float(run.x[0]) if run.fun < sse_grid[i] else float(_LOG_RANGE_GRID[i])
+    sill, nugget, sse = (
+        float(v[0]) for v in _profile(fam, hn, gn, np.array([log_range]), free_nugget)
+    )
+    model = TraceCovModel(
+        fam, g_scale * sill, h_scale * math.exp(log_range), g_scale * nugget
+    )
+    sse *= g_scale**2
+    if not run.success:
         raise FitError(
-            f"{fam} fit did not converge within {_MAX_ITER} iterations "
-            f"across {len(_START_FACTORS)} starts",
+            f"{fam} fit did not converge within {_MAX_ITER} iterations",
             best=model,
             sse=sse,
         )
-    # Guard for the monotone-acceptance contract; Nelder-Mead never
-    # accepts a point worse than its start, so this should not trigger.
-    f_init = fun(starts[0])
-    if best.fun > f_init + 1e-12 * (1.0 + abs(f_init)):
-        raise FitError("optimizer regressed past its initial guess", model, sse)
-    return FitResult(model, sse, warnings)
+    pinned = log_range <= _LOG_RANGE_LO + 1e-9
+    return FitResult(model, sse, ("range pinned at lower bound",) if pinned else ())
 
 
 def write_model_json(result: FitResult, path) -> None:

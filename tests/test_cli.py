@@ -1,5 +1,9 @@
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,20 @@ def constant_csv(tmp_path):
     for lon, lat in zip(rng.uniform(-150.0, -140.0, 20), rng.uniform(36.0, 44.0, 20)):
         lines.append(f"{lon:.6f},{lat:.6f},1.5,-0.5,2.0")
     path = tmp_path / "constant.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def iid_csv(tmp_path):
+    """Geographic wide CSV of independent curves whose fits pin the range
+    at --bins 40."""
+    rng = derived_rng(75)
+    lines = ["lon,lat,10,20,30,40,50,60"]
+    for lon, lat in zip(rng.uniform(-150.0, -140.0, 45), rng.uniform(36.0, 44.0, 45)):
+        values = [f"{v:.8f}" for v in rng.standard_normal(6)]
+        lines.append(",".join([f"{lon:.6f}", f"{lat:.6f}"] + values))
+    path = tmp_path / "iid.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -162,6 +180,22 @@ class TestEssCommand:
         rc = main([command, "--input", str(constant_csv), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
         assert "computation failed" in capsys.readouterr().err
+
+    def test_fit_warnings_logged_on_stderr(self, iid_csv, tmp_path):
+        # a fresh interpreter, so the CLI's own log handler writes stderr
+        src = Path(fess.cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), FESS_LOG="WARNING")
+        argv = ["ess", "--input", str(iid_csv), "--bins", "40"]
+        for fam in ("exponential", "spherical", "gaussian"):
+            argv += ["--family", fam]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fess.cli"] + argv,
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert "ess=45 " in proc.stdout
+        for fam in ("exponential", "spherical", "gaussian"):
+            assert f"WARNING fess: {fam}: range pinned at lower bound" in proc.stderr.splitlines()
 
     def test_families_match_ess_plugin_bytes(self, dataset_csv, tmp_path):
         out = tmp_path / "out"
