@@ -442,8 +442,9 @@ def fit_model(ev: EmpiricalVariogram, family: str, nugget: str = "zero") -> FitR
     first minimum of the misfit over a fixed log-range grid (the smallest
     range among equal misfits) is refined by one bounded Nelder-Mead run
     within the neighbouring grid cells. Deterministic. Returns the fitted
-    model with the achieved objective value; a range at the lower end of
-    its box carries the warning "range pinned at lower bound".
+    model with the achieved objective value; a range at the lower or
+    upper end of its box carries the warning "range pinned at lower
+    bound" or "range pinned at upper bound".
 
     Raises :class:`EstimationError` if the variogram is zero in every
     occupied bin (no covariance to fit), and :class:`FitError` (carrying
@@ -525,8 +526,13 @@ def _fit_once(fam, h, g, h_scale, g_scale, free_nugget):
             best=model,
             sse=sse,
         )
-    pinned = log_range <= _LOG_RANGE_LO + 1e-9
-    return FitResult(model, sse, ("range pinned at lower bound",) if pinned else ())
+    warnings = ()
+    if log_range <= _LOG_RANGE_LO + 1e-9:
+        warnings = ("range pinned at lower bound",)
+    elif log_range >= _LOG_RANGE_HI - 1e-9:
+        # a near-linear variogram: only sill / range is identified
+        warnings = ("range pinned at upper bound",)
+    return FitResult(model, sse, warnings)
 
 
 def write_model_json(result: FitResult, path) -> None:

@@ -1,9 +1,5 @@
 import json
 import logging
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,21 +177,17 @@ class TestEssCommand:
         assert rc == 1
         assert "computation failed" in capsys.readouterr().err
 
-    def test_fit_warnings_logged_on_stderr(self, iid_csv, tmp_path):
-        # a fresh interpreter, so the CLI's own log handler writes stderr
-        src = Path(fess.cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src), FESS_LOG="WARNING")
+    def test_fit_warnings_logged(self, iid_csv, caplog, capsys):
+        fams = ("exponential", "spherical", "gaussian")
         argv = ["ess", "--input", str(iid_csv), "--bins", "40"]
-        for fam in ("exponential", "spherical", "gaussian"):
+        for fam in fams:
             argv += ["--family", fam]
-        proc = subprocess.run(
-            [sys.executable, "-m", "fess.cli"] + argv,
-            cwd=tmp_path, env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0
-        assert "ess=45 " in proc.stdout
-        for fam in ("exponential", "spherical", "gaussian"):
-            assert f"WARNING fess: {fam}: range pinned at lower bound" in proc.stderr.splitlines()
+        with caplog.at_level(logging.WARNING, logger="fess"):
+            rc = main(argv)
+        assert rc == 0
+        assert "ess=45 " in capsys.readouterr().out
+        for fam in fams:
+            assert f"{fam}: range pinned at lower bound" in caplog.text
 
     def test_families_match_ess_plugin_bytes(self, dataset_csv, tmp_path):
         out = tmp_path / "out"

@@ -526,6 +526,32 @@ class TestFitModel:
             assert report.ess >= 0.99 * n
             assert "range pinned at lower bound" in report.warnings
 
+    @pytest.mark.parametrize("family", ["exponential", "spherical"])
+    def test_straight_line_pins_the_largest_range(self, family):
+        # a variogram rising linearly through the origin is approached by
+        # these families only as the range grows without bound
+        bins = LagBins.equal_width(100.0, 8)
+        ev = EmpiricalVariogram(
+            bins.centers, bins.centers / 100.0, np.full(8, 8, dtype=int), sigma0=1.0
+        )
+        res = fit_model(ev, family)
+        assert res.warnings == ("range pinned at upper bound",)
+        assert res.model.range_km == pytest.approx(1e3 * float(np.max(bins.centers)))
+
+    def test_iid_design_free_nugget_warns_at_upper_bound(self):
+        # on this draw of the i.i.d. design the least-squares free-nugget
+        # fit is a near-linear variogram: a large nugget under a slope,
+        # whose sill is not identified, and an ESS far below n
+        n = 500
+        rng = derived_rng(2)
+        xy = rng.uniform(0.0, 3500.0 * math.sqrt(n / 5000), size=(n, 2))
+        grid = EvalGrid(np.linspace(0.0, 1.0, 22))
+        ds = make_dataset(rng.standard_normal((n, 22)), xy=xy, grid=grid)
+        for family in FAMILIES:
+            report = ess_plugin(ds, family, nugget="free")
+            assert "range pinned at upper bound" in report.warnings
+            assert report.model.nugget > 0.0
+
     def test_one_minimize_call_per_search(self, monkeypatch):
         # the range search is one Nelder-Mead run of the module-global
         # minimize; the free nugget adds the zero-nugget fit it ties against
