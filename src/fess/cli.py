@@ -6,8 +6,8 @@ CSV/JSON written with fixed formatting, and reruns produce byte-identical
 files. ``--threads N`` sets the worker threads of the empirical-variogram
 pair stage of ``variogram`` and ``ess`` (default: the usable cores);
 outputs are identical for any value, because the per-block results are
-added in one canonical order. The other subcommands accept the flag and
-ignore it.
+added in one canonical order. ``boxplot`` and ``subsample`` still accept
+the flag and ignore it; the other subcommands do not take it.
 
 Exit codes: 0 success, 1 computation failure, 2 usage/validation error.
 Set ``FESS_LOG=DEBUG|INFO|WARNING`` for logging verbosity.
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import CsvSchema, EvalGrid, load_wide_csv, write_wide_csv
+from .dataset import CsvSchema, EvalGrid, _write_csv, _write_json, load_wide_csv, write_wide_csv
 from .errors import EstimationError, FitError, ValidationError
 from .ess import _plugin_ess
 from .far1 import Far1Spec, far1_simulate, far1_sweep
@@ -43,11 +43,6 @@ from .variogram import (
 log = logging.getLogger("fess")
 
 _CURVE_POINTS = 200
-
-
-def _fmt(x: float) -> str:
-    # shortest string that round-trips: lossless and deterministic
-    return repr(float(x))
 
 
 def _setup_logging() -> None:
@@ -77,11 +72,7 @@ def _write_model_curve(model, h_max: float, path: Path, knots=None) -> None:
         # include the empirical lags so the curve passes through the
         # fitted values there exactly
         h = np.unique(np.concatenate([h, np.asarray(knots, dtype=float)]))
-    g = model_trace_variogram(model, h)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("h,gamma\n")
-        for hi, gi in zip(h, g):
-            fh.write(f"{_fmt(hi)},{_fmt(gi)}\n")
+    _write_csv(path, ["h", "gamma"], zip(h, model_trace_variogram(model, h)))
 
 
 def _fit_families(ev, args, out: Path, h_max: float) -> None:
@@ -182,67 +173,29 @@ def cmd_far1_sweep(args) -> int:
     rows = far1_sweep(args.axis, args.values, args.n_list, fixed=args.fixed)
     out = _out_dir(args)
     path = out / f"far1_sweep_{args.axis}.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("axis_value,n,ess\n")
-        for row in rows:
-            fh.write(f"{_fmt(row.axis_value)},{row.n},{_fmt(row.ess)}\n")
+    _write_csv(path, ["axis_value", "n", "ess"], ((r.axis_value, r.n, r.ess) for r in rows))
     print(f"wrote {len(rows)} sweep rows to {path}")
     return 0
-
-
-def _write_boxplot_csv(dataset, summary, path: Path) -> None:
-    med = dataset.curves[summary.median_index]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,median,central_lo,central_hi,nonout_lo,nonout_hi\n")
-        for j, t in enumerate(dataset.grid.points):
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        t,
-                        med[j],
-                        summary.central_lower[j],
-                        summary.central_upper[j],
-                        summary.nonout_lower[j],
-                        summary.nonout_upper[j],
-                    )
-                )
-                + "\n"
-            )
-
-
-def _write_experiment(exp, out: Path) -> None:
-    path = out / "subsample_metrics.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("rep,md_l2,md_sup,crd_mean,crd_sup,cip\n")
-        for r, m in enumerate(exp.replicates):
-            fh.write(f"{r}," + ",".join(_fmt(v) for v in m.as_tuple()) + "\n")
-    with open(out / "subsample_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(exp.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(
-        "subsample means: md_l2=%.4g md_sup=%.4g crd_mean=%.4g crd_sup=%.4g "
-        "cip=%.4f band_halfwidth=%.4g"
-        % (*exp.means.as_tuple(), exp.median_band_halfwidth)
-    )
 
 
 def cmd_boxplot(args) -> int:
     dataset = _load_dataset(args)
     out = _out_dir(args)
     summary = functional_boxplot(dataset)
-    _write_boxplot_csv(dataset, summary, out / "fboxplot.csv")
+    columns = {
+        "t": dataset.grid.points,
+        "median": dataset.curves[summary.median_index],
+        "central_lo": summary.central_lower,
+        "central_hi": summary.central_upper,
+        "nonout_lo": summary.nonout_lower,
+        "nonout_hi": summary.nonout_upper,
+    }
+    _write_csv(out / "fboxplot.csv", list(columns), zip(*columns.values()))
+    # compact on one line, unlike the indented reports
     with open(out / "fboxplot_outliers.json", "w", encoding="utf-8") as fh:
         json.dump({"outliers": [int(i) for i in summary.outliers]}, fh, sort_keys=True)
         fh.write("\n")
     print(f"median index {summary.median_index}, {summary.outliers.size} outliers")
-    if args.size is not None or args.reps is not None:
-        if args.size is None or args.reps is None or args.seed is None:
-            raise ValidationError(
-                "the subsample experiment needs --size, --reps and --seed"
-            )
-        exp = subsample_experiment(dataset, args.size, args.reps, args.seed)
-        _write_experiment(exp, out)
     return 0
 
 
@@ -250,7 +203,17 @@ def cmd_subsample(args) -> int:
     dataset = _load_dataset(args)
     out = _out_dir(args)
     exp = subsample_experiment(dataset, args.size, args.reps, args.seed)
-    _write_experiment(exp, out)
+    _write_csv(
+        out / "subsample_metrics.csv",
+        ["rep", "md_l2", "md_sup", "crd_mean", "crd_sup", "cip"],
+        ((r, *m.as_tuple()) for r, m in enumerate(exp.replicates)),
+    )
+    _write_json(exp.to_dict(), out / "subsample_summary.json")
+    print(
+        "subsample means: md_l2=%.4g md_sup=%.4g crd_mean=%.4g crd_sup=%.4g "
+        "cip=%.4f band_halfwidth=%.4g"
+        % (*exp.means.as_tuple(), exp.median_band_halfwidth)
+    )
     return 0
 
 
@@ -268,7 +231,8 @@ def _thread_count(text: str) -> int:
 _THREADS_HELP = (
     "worker threads for the variogram pair stage of variogram and ess "
     "(default: the usable cores); outputs are identical for any value; "
-    "ignored by the other subcommands"
+    "boxplot and subsample accept and ignore it, because the benchmark's "
+    "session passes it to them"
 )
 
 
@@ -281,10 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, out_required=True, schema=True):
+    def add_io(p, out_required=True):
         p.add_argument("--input", required=True, help="input file path")
-        if schema:
-            p.add_argument("--schema", default=None, help="sidecar JSON schema for CSV ingestion")
+        p.add_argument("--schema", default=None, help="sidecar JSON schema for CSV ingestion")
         if out_required:
             p.add_argument("--out-dir", required=True, help="output directory")
         else:
@@ -299,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_variogram)
 
     p = sub.add_parser("fit", help="fit families to an exported empirical variogram CSV")
-    add_io(p, schema=False)
+    p.add_argument("--input", required=True, help="input file path")
+    p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument("--family", action="append", choices=FAMILIES, help="repeatable; default: all")
     p.add_argument("--nugget", choices=("free", "zero"), default="zero")
     p.set_defaults(func=cmd_fit)
@@ -323,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=int, default=22)
     p.add_argument("--basis", choices=("fourier", "cosine"), default="fourier")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=_thread_count, default=None, help=_THREADS_HELP)
     p.set_defaults(func=cmd_far1_simulate)
 
     p = far1_sub.add_parser("sweep", help="exact ESS over a decay-base grid")
@@ -337,14 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", type=_comma_list(int), default="30,60,120")
     p.add_argument("--fixed", type=float, default=0.5, help="decay base of the fixed sequence")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=_thread_count, default=None, help=_THREADS_HELP)
     p.set_defaults(func=cmd_far1_sweep)
 
-    p = sub.add_parser("boxplot", help="functional boxplot export (optionally with experiment)")
+    p = sub.add_parser("boxplot", help="functional boxplot export")
     add_io(p)
-    p.add_argument("--size", type=int, default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_boxplot)
 
     p = sub.add_parser("subsample", help="replicated subsample-fidelity experiment")

@@ -393,7 +393,7 @@ class CsvSchema:
 
     @classmethod
     def from_json(cls, path) -> "CsvSchema":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             try:
                 raw = json.load(fh)
             except ValueError as exc:  # malformed JSON or text encoding
@@ -425,14 +425,39 @@ def _parse_cell(text: str, row: int, column: str) -> float:
 
 
 def _read_csv_rows(path: Path) -> list[list[str]]:
-    """The non-empty rows of the UTF-8 CSV file at ``path``."""
+    """The non-empty rows of the UTF-8 CSV file at ``path``.
+
+    A leading byte-order mark (as spreadsheet "CSV UTF-8" exports write)
+    is skipped.
+    """
     if not path.exists():
         raise ValidationError(f"input file not found: {path}")
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             return [r for r in csv.reader(fh) if r]
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _csv_cell(v) -> str:
+    # an integer as such, anything else as the shortest string that
+    # round-trips as a float: lossless and deterministic
+    return str(int(v)) if isinstance(v, numbers.Integral) else repr(float(v))
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write the ``header`` names as given, then one line per row, as UTF-8."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_csv_cell, row)) + "\n")
+
+
+def _write_json(payload, path) -> None:
+    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def load_wide_csv(path, schema: CsvSchema | None = None) -> SpatialFunctionalDataset:
@@ -539,11 +564,5 @@ def load_wide_csv(path, schema: CsvSchema | None = None) -> SpatialFunctionalDat
 
 def write_wide_csv(dataset: SpatialFunctionalDataset, path) -> None:
     """Write a dataset in the wide-CSV layout (planar ``x,y`` headers)."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        labels = [repr(float(t)) for t in dataset.grid.points]
-        fh.write(",".join(["x", "y"] + labels) + "\n")
-        for (x, y), row in zip(dataset.xy, dataset.curves):
-            cells = [repr(float(x)), repr(float(y))]
-            cells += [repr(float(v)) for v in row]
-            fh.write(",".join(cells) + "\n")
+    labels = [repr(float(t)) for t in dataset.grid.points]
+    _write_csv(path, ["x", "y"] + labels, np.hstack([dataset.xy, dataset.curves]))

@@ -15,7 +15,6 @@ parametric fit, and the formula above.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,6 +26,7 @@ from .dataset import (
     _check_threads,
     _pair_map,
     _sorted_sum,
+    _write_json,
 )
 from .errors import EstimationError, ValidationError
 from .variogram import (
@@ -77,9 +77,7 @@ class EssReport:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(self.to_dict(), path)
 
 
 def ess_scalar(R: np.ndarray) -> float:

@@ -12,7 +12,6 @@ variogram by least squares.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,6 +29,8 @@ from .dataset import (
     _read_csv_rows,
     _site_distances,
     _sorted_sum,
+    _write_csv,
+    _write_json,
 )
 from .errors import EstimationError, FitError, ValidationError
 
@@ -159,16 +160,13 @@ class TraceCovModel:
         if not (self.nugget >= 0 and math.isfinite(self.nugget)):
             raise ValidationError("nugget must be non-negative and finite")
 
-    def to_dict(self, sse: float | None = None) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "family": self.family,
             "sill": self.sill,
             "range": self.range_km,
             "nugget": self.nugget,
         }
-        if sse is not None:
-            out["sse"] = sse
-        return out
 
 
 def model_trace_cov(model: TraceCovModel, h):
@@ -186,14 +184,7 @@ def model_trace_cov(model: TraceCovModel, h):
 
 def model_trace_variogram(model: TraceCovModel, h):
     """Trace-variogram ``cov_tr(0) - cov_tr(h)``; zero at ``h = 0``."""
-    h_arr = np.asarray(h, dtype=float)
-    if np.any(h_arr < 0):
-        raise ValidationError("distances must be non-negative")
-    g = (model.sill + model.nugget) - model.sill * _CORR[model.family](
-        h_arr / model.range_km
-    )
-    g = np.where(h_arr > 0.0, g, 0.0)
-    return float(g) if np.isscalar(h) or h_arr.ndim == 0 else g
+    return model_trace_cov(model, 0.0) - model_trace_cov(model, h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,10 +234,7 @@ class EmpiricalVariogram:
 
     def to_csv(self, path) -> None:
         """Write ``h,gamma,count`` rows (NaN marks empty bins)."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("h,gamma,count\n")
-            for h, g, c in zip(self.centers, self.gamma, self.counts):
-                fh.write(f"{float(h)!r},{float(g)!r},{int(c)}\n")
+        _write_csv(path, ["h", "gamma", "count"], zip(self.centers, self.gamma, self.counts))
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalVariogram":
@@ -537,7 +525,4 @@ def _fit_once(fam, h, g, h_scale, g_scale, free_nugget):
 
 def write_model_json(result: FitResult, path) -> None:
     """Write a fitted model as ``{family, sill, range, nugget, sse}``."""
-    payload = result.model.to_dict(sse=result.sse)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json({**result.model.to_dict(), "sse": result.sse}, path)

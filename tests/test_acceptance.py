@@ -336,12 +336,9 @@ def _run_cli_suite(base_dir: Path, data_csv: Path, threads: str) -> dict:
     runs = {
         "variogram": ["variogram", "--input", str(data_csv), "--threads", threads],
         "ess": ["ess", "--input", str(data_csv), "--threads", threads],
-        "sweep": ["far1", "sweep", "--axis", "lambda0", "--threads", threads],
-        "simulate": ["far1", "simulate", "--n", "25", "--seed", "5", "--threads", threads],
-        "boxplot": [
-            "boxplot", "--input", str(data_csv), "--size", "20", "--reps", "5",
-            "--seed", "17", "--threads", threads,
-        ],
+        "sweep": ["far1", "sweep", "--axis", "lambda0"],
+        "simulate": ["far1", "simulate", "--n", "25", "--seed", "5"],
+        "boxplot": ["boxplot", "--input", str(data_csv), "--threads", threads],
         "subsample": [
             "subsample", "--input", str(data_csv), "--size", "20", "--reps", "5",
             "--seed", "17", "--threads", threads,

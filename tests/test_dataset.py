@@ -18,7 +18,8 @@ from fess import (
     trapz_inner,
     write_wide_csv,
 )
-from fess.dataset import EARTH_RADIUS_KM
+from fess.dataset import EARTH_RADIUS_KM, _write_csv
+from fess.variogram import EmpiricalVariogram
 from fess.rng import derived_rng
 
 from conftest import make_dataset
@@ -351,3 +352,70 @@ class TestLoadWideCsv:
         assert np.array_equal(back.curves, ds.curves)
         assert np.array_equal(back.xy, ds.xy)
         assert back.lon0 is None
+
+
+_BOM = "\ufeff"
+
+
+class TestByteOrderMark:
+    """A UTF-8 file that starts with a byte-order mark (as spreadsheet
+    "CSV UTF-8" exports write) reads exactly like the same file without it."""
+
+    def pair(self, tmp_path, text, name):
+        plain = tmp_path / name
+        marked = tmp_path / f"bom_{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(_BOM + text, encoding="utf-8")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        return plain, marked
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "lon,lat,10,20\n-145.0,40.0,1.0,2.0\n-144.0,40.5,3.0,4.0\n",
+            "x,y,10,20\n0.0,0.0,1.0,2.0\n3.5,-1.25,3.0,4.0\n",
+        ],
+        ids=["lonlat", "planar"],
+    )
+    def test_wide_csv(self, tmp_path, text):
+        plain, marked = self.pair(tmp_path, text, "data.csv")
+        a, b = load_wide_csv(plain), load_wide_csv(marked)
+        for name in ("xy", "curves"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.grid.points.tobytes() == b.grid.points.tobytes()
+        assert (a.lon0, a.warnings) == (b.lon0, b.warnings)
+
+    def test_variogram_csv(self, tmp_path):
+        plain, marked = self.pair(
+            tmp_path, "h,gamma,count\n10.5,1.25,8\n20,nan,0\n30,2.5,3\n", "emp.csv"
+        )
+        a, b = EmpiricalVariogram.from_csv(plain), EmpiricalVariogram.from_csv(marked)
+        for name in ("centers", "gamma", "counts"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    def test_schema_json(self, tmp_path):
+        plain, marked = self.pair(
+            tmp_path, '{"lon_column": "x", "lat_column": "y", "planar": true}\n', "schema.json"
+        )
+        assert CsvSchema.from_json(marked) == CsvSchema.from_json(plain)
+
+
+class TestWriteCsv:
+    def test_cells_round_trip(self, tmp_path):
+        rng = derived_rng(13)
+        floats = np.concatenate([rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50),
+                                 [math.pi, 0.1, 1e-320, -1.0 / 3.0, 2.0**53 + 1.0]])
+        rows = [(3, np.int64(-7), float(v), np.float64(v)) for v in floats]
+        rows.append((0, np.int64(2**62), math.nan, -0.0))
+        path = tmp_path / "table.csv"
+        _write_csv(path, ["n", " Count", "a b", "t"], rows)
+        lines = path.read_bytes().decode("utf-8").split("\n")
+        assert lines[0] == "n, Count,a b,t" and lines[-1] == ""
+        body = [line.split(",") for line in lines[1:-1]]
+        assert len(body) == len(rows)
+        for cells, (i, j, x, y) in zip(body[:-1], rows):
+            assert cells[:2] == [str(i), str(int(j))]
+            assert cells[2:] == [repr(x), repr(float(y))]
+            for cell in cells[2:]:
+                assert np.float64(cell).tobytes() == np.float64(x).tobytes()
+        assert body[-1] == ["0", str(2**62), "nan", "-0.0"]

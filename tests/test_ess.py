@@ -22,6 +22,7 @@ from fess import (
     model_trace_cov,
     pairwise_distances,
     PlanarCoord,
+    SpatialFunctionalDataset,
 )
 from fess.rng import derived_rng
 
@@ -312,3 +313,57 @@ class TestEssReportValidation:
             EssReport(n=3, ess=0.0, model=m)
         with pytest.raises(ValidationError):
             EssReport(n=0, ess=1.0, model=m)
+
+
+def _metamorphic_field(seed):
+    """A correlated field at 300 uniform sites in a 1000 km square.
+
+    On i.i.d. curves the misfit is flat in the range, and the first-minimum
+    rule of the fit may legitimately pick another grid point once the sites
+    move by a rounding error; a correlated field has a well-defined optimum.
+    """
+    grid = EvalGrid(np.linspace(0.0, 1.0, 22))
+    spec = GaussFieldSpec(TraceCovModel("exponential", 1.0, 150.0), np.full(5, 0.2), grid)
+    xy = derived_rng(seed).uniform(0.0, 1000.0, size=(300, 2))
+    return gauss_field_simulate(spec, xy, seed=seed)
+
+
+def _rotate(xy, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return xy @ np.array([[c, s], [-s, c]])
+
+
+# (transform of the sites, factor on the curves, expected sill and range factors)
+_METAMORPHIC = {
+    "translate": (lambda xy: xy + np.array([1234.5, -987.6]), 1.0, 1.0, 1.0),
+    "rotate": (lambda xy: _rotate(xy, 0.7), 1.0, 1.0, 1.0),
+    "scale_curves": (lambda xy: xy, 3.7, 3.7**2, 1.0),
+    "scale_sites": (lambda xy: 2.5 * xy, 1.0, 1.0, 2.5),
+}
+
+
+class TestEssPluginMetamorphic:
+    """The plug-in ESS is unchanged by rigid motions of the sites and by
+    scaling the curves or the coordinates, which scale the fitted sill and
+    range by known factors."""
+
+    @pytest.fixture(scope="class")
+    def field(self):
+        return _metamorphic_field(seed=0)
+
+    @pytest.mark.parametrize("transform", sorted(_METAMORPHIC))
+    @pytest.mark.parametrize("nugget", ["zero", "free"])
+    @pytest.mark.parametrize("family", ["exponential", "spherical", "gaussian"])
+    def test_invariance(self, field, family, nugget, transform):
+        move, curve_factor, sill_factor, range_factor = _METAMORPHIC[transform]
+        moved = SpatialFunctionalDataset(
+            field.grid, move(np.array(field.xy)), curve_factor * field.curves
+        )
+        base = ess_plugin(field, family, nugget=nugget)
+        other = ess_plugin(moved, family, nugget=nugget)
+        assert other.ess == pytest.approx(base.ess, rel=1e-6, abs=0.0)
+        assert other.model.sill == pytest.approx(sill_factor * base.model.sill, rel=1e-6, abs=0.0)
+        assert other.model.range_km == pytest.approx(
+            range_factor * base.model.range_km, rel=1e-6, abs=0.0
+        )
+        assert other.warnings == base.warnings

@@ -72,8 +72,7 @@ def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
             # the criterion-10 commands (far1 sweep and simulate run once, below)
             (f"{tag}/variogram", ["variogram", "--input", data, "--threads", "1"], True),
             (f"{tag}/ess", ["ess", "--input", data, "--threads", "1"], True),
-            (f"{tag}/boxplot", ["boxplot", "--input", data, "--size", "20", "--reps", "5",
-                                "--seed", "17", "--threads", "1"], True),
+            (f"{tag}/boxplot", ["boxplot", "--input", data, "--threads", "1"], True),
             (f"{tag}/subsample", ["subsample", "--input", data, "--size", "20", "--reps", "5",
                                   "--seed", "17", "--threads", "1"], True),
             (f"{tag}/variogram_free", ["variogram", "--input", data, "--bins", "9",
@@ -88,8 +87,8 @@ def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
                             "--nugget", "free"], True),
         ]
     runs += [
-        ("sweep", ["far1", "sweep", "--axis", "lambda0", "--threads", "1"], True),
-        ("simulate", ["far1", "simulate", "--n", "25", "--seed", "5", "--threads", "1"], True),
+        ("sweep", ["far1", "sweep", "--axis", "lambda0"], True),
+        ("simulate", ["far1", "simulate", "--n", "25", "--seed", "5"], True),
         ("simulate/ess3", ["ess", "--input", str(tmp / "out" / "simulate" / "far1_dataset.csv")]
          + fams, False),
         # fit-layer paths: one family, a frozen nugget, few bins
