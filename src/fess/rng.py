@@ -8,6 +8,8 @@ be generated in any order, or in parallel, with identical results.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import ValidationError
@@ -15,10 +17,7 @@ from .errors import ValidationError
 
 def derived_rng(seed: int, *keys: int) -> np.random.Generator:
     """Return a Generator keyed by ``seed`` and optional counter values."""
-    seed = int(seed)
-    if seed < 0:
-        raise ValidationError("seed must be a non-negative integer")
-    entropy = [seed] + [int(k) for k in keys]
-    if any(k < 0 for k in entropy):
-        raise ValidationError("seed components must be non-negative")
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    entropy = [seed, *keys]
+    if any(not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 0 for k in entropy):
+        raise ValidationError(f"seed and keys must be non-negative integers, got {entropy!r}")
+    return np.random.default_rng(np.random.SeedSequence([int(k) for k in entropy]))

@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import fess.fboxplot
 from fess import (
     ValidationError,
     fidelity_metrics,
@@ -10,9 +12,10 @@ from fess import (
     mbd,
     subsample_experiment,
 )
+from fess.fboxplot import _band_depths
 from fess.rng import derived_rng
 
-from conftest import make_dataset, random_dataset
+from conftest import make_dataset, random_dataset, tied_dataset
 
 
 def brute_force_mbd(X):
@@ -221,3 +224,107 @@ class TestSubsampleExperiment:
             subsample_experiment(full, size=1, reps=2, seed=0)
         with pytest.raises(ValidationError):
             subsample_experiment(full, size=11, reps=2, seed=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"size": 2.5},
+            {"size": "5"},
+            {"size": True},
+            {"reps": 2.7},
+            {"reps": True},
+            {"seed": 1.9},
+            {"seed": False},
+        ],
+    )
+    def test_non_integer_arguments_rejected(self, kwargs):
+        full = random_dataset(derived_rng(69), 10, 4)
+        args = {"size": 5, "reps": 3, "seed": 1} | kwargs
+        with pytest.raises(ValidationError, match="integer"):
+            subsample_experiment(full, **args)
+
+
+@pytest.mark.parametrize("keys", [(1.9,), (True,), (3, 2.0), (3, False), (-1,), (3, -2)])
+def test_derived_rng_takes_non_negative_integers_only(keys):
+    with pytest.raises(ValidationError, match="non-negative integers"):
+        derived_rng(*keys)
+
+
+def signed_zero_dataset(n=13, m=5):
+    """Integer-valued curves, many of them ``0.0`` or ``-0.0``."""
+    rng = derived_rng(70)
+    X = rng.integers(-2, 3, size=(n, m)).astype(float)
+    zeros = X == 0.0
+    X[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return make_dataset(X)
+
+
+BATCH_DATASETS = {
+    "tied": lambda: tied_dataset(derived_rng(71), 15, 6),
+    "signed_zero": signed_zero_dataset,
+}
+
+
+def run_in_batches(monkeypatch, full, size, reps, seed, per_batch):
+    monkeypatch.setattr(
+        fess.fboxplot, "_BATCH_ELEMENTS", per_batch * size * full.curves.shape[1]
+    )
+    return subsample_experiment(full, size=size, reps=reps, seed=seed)
+
+
+class TestSubsampleBatches:
+    """Batched scoring equals scoring each replicate on its own, bit for bit."""
+
+    @pytest.mark.parametrize("per_batch", [1, 2, 7])
+    @pytest.mark.parametrize("which", ["tied", "signed_zero"])
+    @pytest.mark.parametrize("at_n", [False, True])
+    def test_batches_equal_per_replicate_definition(self, monkeypatch, per_batch, which, at_n):
+        full = BATCH_DATASETS[which]()
+        n = full.n_curves
+        size, reps, seed = (n if at_n else 2), 9, 31
+        exp = run_in_batches(monkeypatch, full, size, reps, seed, per_batch)
+        med_full = full.curves[functional_boxplot(full).median_index]
+        ref, mads = [], []
+        for r in range(reps):
+            sub = full.subset(derived_rng(seed, r).choice(n, size=size, replace=False))
+            ref.append(fidelity_metrics(full, sub).as_tuple())
+            med_sub = sub.curves[functional_boxplot(sub).median_index]
+            mads.append(np.mean(np.abs(med_full - med_sub)))
+        assert [m.as_tuple() for m in exp.replicates] == ref
+        assert exp.means.as_tuple() == tuple(np.array(ref).mean(axis=0))
+        assert exp.median_band_halfwidth == np.mean(mads)
+
+    @pytest.mark.parametrize("which", ["tied", "signed_zero"])
+    def test_stacked_depths_equal_mbd_of_each_sample(self, which):
+        full = BATCH_DATASETS[which]()
+        rng = derived_rng(72)
+        stack = np.stack([full.curves[rng.permutation(full.n_curves)[:9]] for _ in range(4)])
+        depths = _band_depths(stack.transpose(0, 2, 1))
+        assert depths.shape == (4, 9)
+        for X, d in zip(stack, depths):
+            assert np.array_equal(d, mbd(make_dataset(X)))
+            assert np.array_equal(d, brute_force_mbd(X))
+
+    @pytest.mark.parametrize("per_batch", [1, 3, None])
+    def test_leading_replicates_do_not_depend_on_reps(self, monkeypatch, per_batch):
+        # README "Determinism": replicates can be evaluated in any order or
+        # in parallel without changing output.
+        full = tied_dataset(derived_rng(73), 24, 5)
+        if per_batch is None:
+            run = lambda reps: subsample_experiment(full, size=8, reps=reps, seed=4)
+        else:
+            run = lambda reps: run_in_batches(monkeypatch, full, 8, reps, 4, per_batch)
+        long = [m.as_tuple() for m in run(11).replicates]
+        for k in (1, 2, 5, 7):
+            assert [m.as_tuple() for m in run(k).replicates] == long[:k]
+
+    def test_batches_bound_peak_memory(self):
+        # Scoring all 1000 replicates in one stack peaks near 150 MB.
+        full = random_dataset(derived_rng(74), 600, 22)
+        tracemalloc.start()
+        try:
+            subsample_experiment(full, size=106, reps=1000, seed=2024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6

@@ -118,6 +118,12 @@ def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
             (f"large/ess3_t{threads}", ["ess", "--input", large, "--nugget", "free",
                                         "--threads", threads] + fams, True),
         ]
+    # subsample replicates scored in batches: 400 of the large CSV's 2400
+    # curves on 6 levels make 13 replicates a batch, so 60 replicates span
+    # 5 batches and the last one is partial. The small subsample entries
+    # fit in one batch.
+    runs.append(("large/subsample", ["subsample", "--input", large, "--size", "400",
+                                     "--reps", "60", "--seed", "17"], True))
     return runs
 
 
