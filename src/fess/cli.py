@@ -3,10 +3,10 @@
 Subcommands wire the library into reproducible batch runs: every
 randomized command requires an explicit ``--seed``, outputs are plain
 CSV/JSON written with fixed formatting, and reruns produce byte-identical
-files. ``--threads N`` sets the worker threads of the empirical-variogram
-pair stage of ``variogram`` and ``ess`` (default: the usable cores);
-outputs are identical for any value, because the per-block results are
-added in one canonical order. ``boxplot`` and ``subsample`` still accept
+files. ``--threads N`` sets the worker threads of the pair stages of
+``variogram`` (the empirical variogram) and ``ess`` (the variogram and the
+ESS sum) (default: the usable cores); outputs are identical for any
+value, because the per-block results are added in one canonical order. ``boxplot`` and ``subsample`` still accept
 the flag and ignore it; the other subcommands do not take it.
 
 Exit codes: 0 success, 1 computation failure, 2 usage/validation error.
@@ -229,7 +229,7 @@ def _thread_count(text: str) -> int:
 
 
 _THREADS_HELP = (
-    "worker threads for the variogram pair stage of variogram and ess "
+    "worker threads for the pair stages of variogram and ess "
     "(default: the usable cores); outputs are identical for any value; "
     "boxplot and subsample accept and ignore it, because the benchmark's "
     "session passes it to them"

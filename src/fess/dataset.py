@@ -225,16 +225,22 @@ def pairwise_distances(locs) -> np.ndarray:
 
 
 # Row-block budget of the streamed pair stages: a block of b rows against
-# the w columns right of its first row is sized so that the b x w x m
-# curve-difference array holds about this many float64 values (2 MB).
-# Larger blocks buy little speed and raise peak memory at small n.
-_PAIR_BLOCK_ELEMENTS = 2**18
+# the w columns right of its first row is sized so that b * w * m is about
+# this many values. The pair kernels form no b x w x m array, so each of a
+# block's b x w pair arrays holds about 2**20 / m float64s (380 KB at
+# m = 22). At n = 5000, m = 22 on 2 cores, 2**20 ran both pair passes
+# fastest on 1 and 2 threads (variogram 0.25 and 0.15 s, ESS sum 0.07 and
+# 0.05 s). Smaller blocks gained nothing from a second thread at 2**18,
+# because their many small numpy calls hold the GIL; 2**21 and 2**22 were
+# 0.03-0.1 s slower per pass.
+_PAIR_BLOCK_ELEMENTS = 2**20
 
 # Fewest pair blocks per worker thread. Starting and feeding threads costs
 # more than it saves on small passes: with m = 22 on 2 cores, 2 threads
-# made the variogram of n = 400 sites (8 blocks) slower than 1 thread, left
-# n = 600 (17 blocks) level and ran n = 1000 (45 blocks) 1.1-1.5x and
-# n >= 2000 (180 blocks) 1.5x faster.
+# ran the variogram of n = 400-600 sites (3-5 blocks) 0.95x as fast as 1
+# thread, n = 1000-1400 (12-23 blocks) 1.0-1.6x from run to run, and
+# n = 1700-5000 (33-262 blocks) 1.6-1.7x as fast; the ESS sum gained
+# 1.2-1.5x from n = 1700 on.
 _MIN_BLOCKS_PER_WORKER = 16
 
 # Marks block entries that are not pairs (the diagonal and below it).
@@ -272,10 +278,18 @@ def _pair_spans(n: int, m: int) -> list[tuple[int, int]]:
 
 
 def _site_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances between the sites ``a`` (rows) and ``b`` (columns)."""
+    """Distances between the sites ``a`` (rows) and ``b`` (columns).
+
+    ``sqrt(dx*dx + dy*dy)`` in place: symmetric in the two sites, and under
+    half the time of ``np.hypot``, whose guards against overflow planar
+    distances in km do not need.
+    """
     dx = a[:, 0][:, None] - b[:, 0][None, :]
     dy = a[:, 1][:, None] - b[:, 1][None, :]
-    return np.hypot(dx, dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def _check_threads(threads) -> None:
@@ -302,7 +316,8 @@ def _pair_map(fn, dataset: "SpatialFunctionalDataset", rows=None, threads=None) 
     ``X`` is ``rows`` (default: the curves) in :func:`_canonical_order`, the
     one row order of every pair stage. ``d[k, c]`` is the distance between
     rows ``i0 + k`` and ``i0 + c``; entries with ``c <= k`` are not pairs and
-    hold ``_NOT_A_PAIR``. The blocks are :func:`_pair_spans`.
+    hold ``_NOT_A_PAIR``. The blocks are the :func:`_pair_spans` of the
+    dataset's n rows and m grid levels, whatever the width of ``rows``.
 
     With ``threads`` workers (default: the usable cores; see
     :func:`_worker_count`) each worker runs one contiguous run of blocks,
@@ -315,15 +330,14 @@ def _pair_map(fn, dataset: "SpatialFunctionalDataset", rows=None, threads=None) 
     order = _canonical_order(dataset)
     xy = dataset.xy[order]
     X = (dataset.curves if rows is None else rows)[order]
-    n, m = X.shape
-    spans = _pair_spans(n, m)
+    spans = _pair_spans(dataset.n_curves, dataset.n_levels)
     workers = _worker_count(threads, len(spans))
 
     def run(chunk):
         out = []
         for i0, i1 in chunk:
             d = _site_distances(xy[i0:i1], xy[i0:])
-            d[np.arange(n - i0)[None, :] <= np.arange(i1 - i0)[:, None]] = _NOT_A_PAIR
+            d[np.tril_indices(i1 - i0)] = _NOT_A_PAIR
             out.append(fn(d, X[i0:i1], X[i0:]))
         return out
 

@@ -30,6 +30,7 @@ from .dataset import (
 )
 from .errors import EstimationError, ValidationError
 from .variogram import (
+    _CORR,
     LagBins,
     TraceCovModel,
     _check_nugget,
@@ -156,11 +157,10 @@ def _plugin_ess(
     :func:`fit_model`. ``sum_ij cov_tr(d_ij)`` is ``n cov_tr(0)`` plus twice
     the pairs ``i < j``, summed for all fitted models in one pass over the
     canonical pair blocks, added in block order (bitwise invariant under row
-    relabelling); coincident sites carry the nugget, as the diagonal does.
-    ``threads`` is passed to the variogram. The ESS sum runs on one thread:
-    its per-block numpy calls are too small to overlap outside the GIL, and
-    on 2 threads it ran no faster at n = 2000-5000 and 1.3-1.5x slower at
-    n = 600-1400.
+    relabelling); each block adds ``sill * sum corr(d / range)`` over its
+    pairs and the nugget once per coincident pair, as the diagonal carries
+    it. Both pair passes run on ``threads`` workers (default: the usable
+    cores); the reports do not depend on their number.
     """
     # reject a bad family, nugget or thread count before the O(n^2) pair passes
     for family in families:
@@ -171,13 +171,19 @@ def _plugin_ess(
         bins = default_lag_bins(dataset)
     ev = empirical_trace_variogram(dataset, bins, threads=threads)
     fits = [fit_model(ev, family, nugget) for family in families]
+    models = [fit.model for fit in fits]
 
     def block_sums(d, head, tail):
         d = d[d != _NOT_A_PAIR]
-        return [float(np.sum(model_trace_cov(fit.model, d))) for fit in fits]
+        coincident = int(np.count_nonzero(d == 0.0))
+        return [
+            model.sill * float(np.sum(_CORR[model.family](d / model.range_km)))
+            + model.nugget * coincident
+            for model in models
+        ]
 
     upper = [0.0] * len(fits)
-    for sums in _pair_map(block_sums, dataset, threads=1):
+    for sums in _pair_map(block_sums, dataset, threads=threads):
         for k, value in enumerate(sums):
             upper[k] += value
     n = dataset.n_curves
@@ -200,8 +206,7 @@ def ess_plugin(
     of the requested family with the nugget ``"zero"`` or ``"free"``, then
     the functional ESS under the fitted model. The report embeds the
     fitted model; fit warnings propagate.
-    Every pair stage streams over row blocks, so memory stays O(n m). The
-    variogram's runs on the usable cores; the report does not depend on
-    their number.
+    Every pair stage streams over row blocks, so memory stays O(n m), and
+    runs on the usable cores; the report does not depend on their number.
     """
     return _plugin_ess(dataset, [family], bins, nugget)[0]

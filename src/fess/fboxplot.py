@@ -49,25 +49,41 @@ def _band_depths(K: np.ndarray) -> np.ndarray:
     if n < 2:
         raise ValidationError("band depth needs at least 2 curves")
     total_pairs = n * (n - 1) // 2
+    # Positions and pair counts in int32 while n (n - 1), the largest
+    # intermediate, fits, summed over the grid in int64; the in-place steps
+    # below keep the temporaries few and small, so that a stack of batches
+    # reuses the same heap memory instead of fresh pages.
+    dtype = np.int32 if n * (n - 1) < 2**31 else np.int64
     order = np.argsort(K, axis=-1, kind="stable")
     ranked = np.take_along_axis(K, order, axis=-1)
-    pos = np.arange(n)
+    pos = np.arange(n, dtype=dtype)
     # In each sorted row, the values equal to the one at position p
     # occupy positions first[p]..last[p]: ``below = first`` values lie
     # strictly under it and ``above = n - 1 - last`` strictly over it.
     starts = np.ones(K.shape, dtype=bool)
-    starts[..., 1:] = ranked[..., 1:] != ranked[..., :-1]
+    np.not_equal(ranked[..., 1:], ranked[..., :-1], out=starts[..., 1:])
     ends = np.ones(K.shape, dtype=bool)
     ends[..., :-1] = starts[..., 1:]
-    below = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
-    last = np.minimum.accumulate(np.where(ends, pos, n - 1)[..., ::-1], axis=-1)[..., ::-1]
-    above = n - 1 - last
+    below = np.zeros(K.shape, dtype=dtype)
+    np.copyto(below, pos, where=starts)
+    np.maximum.accumulate(below, axis=-1, out=below)
+    above = np.full(K.shape, n - 1, dtype=dtype)
+    np.copyto(above, pos, where=ends)
+    np.minimum.accumulate(above[..., ::-1], axis=-1, out=above[..., ::-1])
+    np.subtract(n - 1, above, out=above)
     # A pair band misses the value only if both members sit strictly on
-    # the same side of it.
-    ranked_counts = total_pairs - below * (below - 1) // 2 - above * (above - 1) // 2
-    pair_counts = np.empty_like(ranked_counts)
-    np.put_along_axis(pair_counts, order, ranked_counts, axis=-1)
-    return pair_counts.sum(axis=-2) / (total_pairs * m)
+    # the same side of it: below (below - 1) / 2 pairs under it, above
+    # (above - 1) / 2 over it. ``below`` then ``above`` are reused in place.
+    missed = below - 1
+    missed *= below
+    missed //= 2
+    np.subtract(above, 1, out=below)
+    below *= above
+    below //= 2
+    missed += below
+    np.subtract(total_pairs, missed, out=missed)
+    np.put_along_axis(above, order, missed, axis=-1)
+    return above.sum(axis=-2, dtype=np.int64) / (total_pairs * m)
 
 
 def mbd(dataset: SpatialFunctionalDataset) -> np.ndarray:

@@ -64,6 +64,9 @@ class LagBins:
 
     edges: np.ndarray
     centers: np.ndarray = field(init=False, repr=False, compare=False)
+    # bin width when the edges are equally spaced and arithmetic binning
+    # reproduces ``np.digitize`` on them; None otherwise
+    _width: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=float)
@@ -79,6 +82,16 @@ class LagBins:
         object.__setattr__(
             self, "centers", _frozen_array((edges[:-1] + edges[1:]) / 2.0)
         )
+        object.__setattr__(self, "_width", None)
+        if np.array_equal(edges, np.linspace(edges[0], edges[-1], edges.size)):
+            # The arithmetic index is monotone in h and one comparison with
+            # each neighbouring edge corrects an estimate that is off by
+            # one, so agreeing with digitize on every edge and the float
+            # below it makes it agree on every distance.
+            object.__setattr__(self, "_width", (edges[-1] - edges[0]) / len(self))
+            probe = np.concatenate([edges, np.nextafter(edges, -np.inf)])
+            if not np.array_equal(self._arithmetic_slots(probe), self._digitize_slots(probe)):
+                object.__setattr__(self, "_width", None)
 
     def __len__(self) -> int:
         return self.edges.size - 1
@@ -93,11 +106,41 @@ class LagBins:
 
     def index_of(self, h: np.ndarray) -> np.ndarray:
         """Bin index per distance, -1 for out-of-range distances."""
-        h = np.asarray(h, dtype=float)
-        idx = np.digitize(h, self.edges) - 1
-        idx[h == self.edges[-1]] = len(self) - 1
-        idx[(idx < 0) | (idx >= len(self))] = -1
+        idx = self._slots(np.asarray(h, dtype=float)) - 1
+        idx[idx == len(self)] = -1
         return idx
+
+    def _slots(self, h: np.ndarray) -> np.ndarray:
+        """Bin index plus one per distance: 0 below the first edge and
+        ``len(self) + 1`` past the last.
+
+        Equal-width edges are binned arithmetically, other edges by
+        ``np.digitize``; both give the same slots.
+        """
+        if self._width is None:
+            return self._digitize_slots(h)
+        return self._arithmetic_slots(h)
+
+    def _digitize_slots(self, h: np.ndarray) -> np.ndarray:
+        slots = np.digitize(h, self.edges)
+        slots[h == self.edges[-1]] = len(self)
+        return slots
+
+    def _arithmetic_slots(self, h: np.ndarray) -> np.ndarray:
+        # floor((h - edges[0]) / width) + 1 within [1, bins], then one step
+        # down below the slot's lower edge or up at or past its upper edge;
+        # the last bin's upper edge is the float after the last edge, so
+        # the bin is closed on the right
+        t = np.subtract(h, self.edges[0])
+        t /= self._width
+        t += 1.0
+        np.clip(t, 1.0, len(self), out=t)
+        slots = t.astype(np.intp)
+        lower = np.append(0.0, self.edges[:-1])  # slot 0 is never looked up
+        upper = np.append(self.edges[:-1], np.nextafter(self.edges[-1], np.inf))
+        slots -= h < lower[slots]
+        slots += h >= upper[slots]
+        return slots
 
 
 def _max_site_distance(dataset: SpatialFunctionalDataset) -> float:
@@ -269,31 +312,40 @@ def _trace_variance(dataset: SpatialFunctionalDataset) -> float:
     return _sorted_sum(per_curve) / dataset.n_curves
 
 
-def _binned_pair_stats(
-    dataset: SpatialFunctionalDataset, rows, bins: LagBins, pair_values, threads
-):
+def _binned_pair_stats(dataset: SpatialFunctionalDataset, bins: LagBins, from_gram, threads):
     """Per-bin pair counts, value sums and mean pair distances.
 
-    ``rows`` is an n-by-m matrix aligned with the dataset's rows. The pairs
-    stream in the canonical row blocks of ``_pair_map`` on ``threads``
-    workers; ``pair_values(head, tail)`` returns a block's ``b x w`` pair
-    values from its ``b`` head rows against its ``w`` tail rows. The
-    per-block ``np.bincount`` results are added in block order, which
-    depends only on the data, so results are bitwise invariant under row
-    relabelling and do not depend on ``threads``.
+    The pairs stream in the canonical row blocks of ``_pair_map`` on
+    ``threads`` workers. Each block's pair values come from one Gram
+    kernel on the mean-centred curves: ``from_gram(g, a2, b2)`` maps the
+    ``b x w`` inner products ``g = a . W b`` of the block's head rows
+    against its tail rows, with their squared W-norms ``a2`` and ``b2``,
+    to the pair values. ``np.einsum`` computes the norms and the products
+    with the same sums over the grid, so a curve paired with an equal
+    curve has ``g`` equal to both norms bit for bit; it also keeps BLAS
+    threads from competing with the workers. The per-block
+    ``np.bincount`` results are added in block order, which depends only
+    on the data, so results are bitwise invariant under row relabelling
+    and do not depend on ``threads``.
     """
     if dataset.n_curves < 2:
         raise ValidationError("empirical estimation needs at least 2 curves")
     n_bins = len(bins)
+    w = dataset.grid.quad_weights
+    dev = dataset.curves - _column_means(dataset.curves)[None, :]
+    # each row: a centred curve, then its squared W-norm
+    rows = np.column_stack([dev, np.einsum("km,km->k", dev * w, dev)])
 
     def block_stats(d, head, tail):
-        idx = bins.index_of(d)
-        keep = idx >= 0
-        idx = idx[keep]
+        g = np.einsum("km,cm->kc", head[:, :-1] * w, tail[:, :-1])
+        values = from_gram(g, head[:, -1:], tail[:, -1])
+        # slots 0 and n_bins + 1 collect the pairs outside the bins and the
+        # entries that are not pairs, and are dropped
+        slots = bins._slots(d).ravel()
         return (
-            np.bincount(idx, minlength=n_bins),
-            np.bincount(idx, weights=pair_values(head, tail)[keep], minlength=n_bins),
-            np.bincount(idx, weights=d[keep], minlength=n_bins),
+            np.bincount(slots, minlength=n_bins + 2)[1:-1],
+            np.bincount(slots, weights=values.ravel(), minlength=n_bins + 2)[1:-1],
+            np.bincount(slots, weights=d.ravel(), minlength=n_bins + 2)[1:-1],
         )
 
     counts = np.zeros(n_bins, dtype=np.int64)
@@ -320,6 +372,15 @@ def _binned_pair_stats(
     return counts, sums, centers
 
 
+def _squared_distances(g, a2, b2):
+    # |a - b|^2 = |a|^2 + |b|^2 - 2 a.Wb, exactly 0 for equal curves and
+    # clipped at 0 where rounding would make it negative
+    g *= -2.0
+    g += a2
+    g += b2
+    return np.maximum(g, 0.0, out=g)
+
+
 def empirical_trace_variogram(
     dataset: SpatialFunctionalDataset, bins: LagBins, threads: int | None = None
 ) -> EmpiricalVariogram:
@@ -332,17 +393,7 @@ def empirical_trace_variogram(
     variance). The pair stage runs on ``threads`` worker threads (default:
     the usable cores); the result is the same for any thread count.
     """
-    w = dataset.grid.quad_weights
-
-    def squared_distances(head, tail):
-        # Squared norms from explicit differences (not a Gram expansion),
-        # so every pair term is non-negative by construction.
-        diff = head[:, None, :] - tail[None, :, :]
-        return np.square(diff, out=diff) @ w
-
-    counts, sums, centers = _binned_pair_stats(
-        dataset, dataset.curves, bins, squared_distances, threads
-    )
+    counts, sums, centers = _binned_pair_stats(dataset, bins, _squared_distances, threads)
     gamma = np.full(len(bins), np.nan)
     occ = counts > 0
     gamma[occ] = sums[occ] / (2.0 * counts[occ])
@@ -360,13 +411,9 @@ def empirical_trace_covariogram(
     ``sigma0`` of :func:`empirical_trace_variogram`. The pair stage runs
     on the usable cores; the result does not depend on their number.
     """
-    w = dataset.grid.quad_weights
-    dev = dataset.curves - _column_means(dataset.curves)[None, :]
-
-    def inner_products(head, tail):
-        return (head * w) @ tail.T
-
-    counts, sums, centers = _binned_pair_stats(dataset, dev, bins, inner_products, None)
+    counts, sums, centers = _binned_pair_stats(
+        dataset, bins, lambda g, a2, b2: g, None
+    )
     sigma = np.full(len(bins), np.nan)
     occ = counts > 0
     sigma[occ] = sums[occ] / counts[occ]
@@ -388,6 +435,10 @@ _LOG_RANGE_GRID = np.linspace(_LOG_RANGE_LO, _LOG_RANGE_HI, 9 * 128 + 1)
 # Iteration budget of the Nelder-Mead refinement (function evaluations:
 # twice that).
 _MAX_ITER = 4000
+# Relative misfit differences below this are rounding: grid misfits within
+# it of the least one tie, and the refinement stops once its simplex
+# values agree to within it.
+_SSE_RTOL = 1e-12
 
 
 def _profile(fam, hn, gn, log_range, free_nugget):
@@ -428,8 +479,9 @@ def fit_model(ev: EmpiricalVariogram, family: str, nugget: str = "zero") -> FitR
     projection: for a fixed range, sill and nugget solve a linear least-
     squares problem in closed form, so only the range is searched. The
     first minimum of the misfit over a fixed log-range grid (the smallest
-    range among equal misfits) is refined by one bounded Nelder-Mead run
-    within the neighbouring grid cells. Deterministic. Returns the fitted
+    range among misfits equal up to rounding) is refined by one bounded
+    Nelder-Mead run within the neighbouring grid cells, which stops once
+    its misfits agree up to rounding. Deterministic. Returns the fitted
     model with the achieved objective value; a range at the lower or
     upper end of its box carries the warning "range pinned at lower
     bound" or "range pinned at upper bound".
@@ -483,24 +535,33 @@ def _fit_once(fam, h, g, h_scale, g_scale, free_nugget):
     hn = h / h_scale
     gn = g / g_scale
     sse_grid = _profile(fam, hn, gn, _LOG_RANGE_GRID, free_nugget)[2]
-    # the first minimum: the smallest range among equal misfits
-    i = int(np.argmin(sse_grid))
-    lo = _LOG_RANGE_GRID[max(i - 1, 0)]
-    hi = _LOG_RANGE_GRID[min(i + 1, _LOG_RANGE_GRID.size - 1)]
-    run = minimize(
-        lambda x: float(_profile(fam, hn, gn, x, free_nugget)[2][0]),
-        [_LOG_RANGE_GRID[i]],
-        method="Nelder-Mead",
-        bounds=[(lo, hi)],
-        options={
-            "initial_simplex": [[_LOG_RANGE_GRID[i]], [hi if i == 0 else lo]],
-            "xatol": 1e-10,
-            "fatol": 1e-16,
-            "maxiter": _MAX_ITER,
-            "maxfev": 2 * _MAX_ITER,
-        },
-    )
-    log_range = float(run.x[0]) if run.fun < sse_grid[i] else float(_LOG_RANGE_GRID[i])
+    # the first minimum: the smallest range among misfits equal to the
+    # least one up to rounding, so a last-bit change in the variogram does
+    # not move the fit to a distant range
+    i = int(np.argmax(sse_grid <= np.min(sse_grid) * (1.0 + _SSE_RTOL)))
+    log_range = float(_LOG_RANGE_GRID[i])
+    converged = True
+    if sse_grid[i] > 0:  # an exact fit at a grid point needs no refinement
+        lo = _LOG_RANGE_GRID[max(i - 1, 0)]
+        hi = _LOG_RANGE_GRID[min(i + 1, _LOG_RANGE_GRID.size - 1)]
+        run = minimize(
+            lambda x: float(_profile(fam, hn, gn, x, free_nugget)[2][0]),
+            [log_range],
+            method="Nelder-Mead",
+            bounds=[(lo, hi)],
+            options={
+                "initial_simplex": [[log_range], [hi if i == 0 else lo]],
+                "xatol": 1e-10,
+                # relative to the misfit: an absolute tolerance a few ulp
+                # wide leaves a collapsed simplex iterating on rounding noise
+                "fatol": _SSE_RTOL * sse_grid[i],
+                "maxiter": _MAX_ITER,
+                "maxfev": 2 * _MAX_ITER,
+            },
+        )
+        converged = run.success
+        if run.fun < sse_grid[i]:
+            log_range = float(run.x[0])
     sill, nugget, sse = (
         float(v[0]) for v in _profile(fam, hn, gn, np.array([log_range]), free_nugget)
     )
@@ -508,7 +569,7 @@ def _fit_once(fam, h, g, h_scale, g_scale, free_nugget):
         fam, g_scale * sill, h_scale * math.exp(log_range), g_scale * nugget
     )
     sse *= g_scale**2
-    if not run.success:
+    if not converged:
         raise FitError(
             f"{fam} fit did not converge within {_MAX_ITER} iterations",
             best=model,

@@ -1,6 +1,8 @@
 import argparse
+import importlib.util
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,14 @@ import fess.cli
 import fess.dataset
 import fess.ess
 import fess.variogram
-from fess import default_lag_bins, ess_plugin, load_wide_csv
+from fess import (
+    EmpiricalVariogram,
+    default_lag_bins,
+    empirical_trace_variogram,
+    ess_plugin,
+    fit_model,
+    load_wide_csv,
+)
 from fess.cli import build_parser, main
 from fess.rng import derived_rng
 
@@ -57,6 +66,26 @@ def iid_csv(tmp_path):
     path = tmp_path / "iid.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def duplicated_csv(tmp_path):
+    """The duplicated-sites input of ``tools/cli_manifest.py``."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_manifest.py"
+    spec = importlib.util.spec_from_file_location("cli_manifest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    csv_path = tmp_path / "duplicated.csv"
+    tool.write_field_csv(csv_path, seed=2020, n=45, repeat_shift=0.0)
+    return csv_path
+
+
+def last_bit_variants(ev):
+    """``ev`` and its copies with every value one float up and one down."""
+    return [ev] + [
+        EmpiricalVariogram(ev.centers, np.nextafter(ev.gamma, to), ev.counts, ev.sigma0)
+        for to in (np.inf, -np.inf)
+    ]
 
 
 def read_bytes(path):
@@ -189,6 +218,35 @@ class TestEssCommand:
         assert "ess=45 " in capsys.readouterr().out
         for fam in fams:
             assert f"{fam}: range pinned at lower bound" in caplog.text
+
+    def test_fit_ties_ignore_last_bit_changes(self, iid_csv):
+        # the grid misfits of these fits tie to rounding: a last-bit change
+        # in the variogram must not move the range off the lower bound
+        ds = load_wide_csv(iid_csv)
+        ev = empirical_trace_variogram(ds, default_lag_bins(ds, 40))
+        for fam in ("exponential", "spherical", "gaussian"):
+            fits = [fit_model(variant, fam) for variant in last_bit_variants(ev)]
+            assert fits[0].warnings == ("range pinned at lower bound",)
+            for fit in fits[1:]:
+                assert fit.model.range_km == fits[0].model.range_km
+                assert fit.warnings == fits[0].warnings
+
+    def test_free_nugget_refinement_converges_at_rounding_level(
+        self, duplicated_csv, tmp_path
+    ):
+        # the exponential refinement here once spent its whole budget on a
+        # collapsed simplex whose misfits differed by rounding noise
+        ds = load_wide_csv(duplicated_csv)
+        ev = empirical_trace_variogram(ds, default_lag_bins(ds))
+        for variant in last_bit_variants(ev):
+            for fam in ("exponential", "spherical", "gaussian"):
+                fit_model(variant, fam, "free")  # FitError if it does not converge
+        out = tmp_path / "out"
+        assert main(["ess", "--input", str(duplicated_csv), "--nugget", "free",
+                     "--out-dir", str(out)]) == 0
+        assert main(["variogram", "--input", str(duplicated_csv), "--out-dir", str(out)]) == 0
+        assert main(["fit", "--input", str(out / "empirical_variogram.csv"),
+                     "--nugget", "free", "--out-dir", str(out / "fit")]) == 0
 
     def test_families_match_ess_plugin_bytes(self, dataset_csv, tmp_path):
         out = tmp_path / "out"

@@ -47,6 +47,46 @@ class TestLagBins:
         h = np.array([0.0, 0.5, 1.0, 2.0, 2.5])
         assert list(bins.index_of(h)) == [0, 0, 1, 1, -1]
 
+    @staticmethod
+    def digitize_reference(bins, h):
+        idx = np.digitize(h, bins.edges) - 1
+        idx[h == bins.edges[-1]] = len(bins) - 1
+        idx[(idx < 0) | (idx >= len(bins))] = -1
+        return idx
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            np.linspace(0.0, 1234.5, 16),
+            np.linspace(7.25, 19.0, 9),  # a non-zero first edge
+            np.linspace(0.0, 3.0, 1001),  # 1000 bins
+            np.linspace(0.0, 1.0, 2),
+            np.linspace(1e6, 1e6 + 0.7, 8),
+        ],
+    )
+    def test_arithmetic_binning_matches_digitize(self, edges):
+        bins = LagBins(edges)
+        assert bins._width is not None  # equal widths take the arithmetic path
+        rng = derived_rng(30)
+        span = edges[-1] - edges[0]
+        h = np.concatenate([
+            rng.uniform(edges[0] - 0.1 * span, edges[-1] + 0.1 * span, 20000),
+            edges,
+            np.nextafter(edges, np.inf),
+            np.nextafter(edges, -np.inf),
+            [fess.dataset._NOT_A_PAIR, 0.0],
+        ])
+        assert np.array_equal(bins.index_of(h), self.digitize_reference(bins, h))
+        # pair blocks are 2-d
+        block = h[:20000].reshape(40, 500)
+        assert np.array_equal(bins.index_of(block), self.digitize_reference(bins, block))
+
+    def test_unequal_edges_take_the_digitize_path(self):
+        bins = LagBins([0.0, 1.0, 3.0, 4.5])
+        assert bins._width is None
+        h = np.array([-1.0, 0.0, 0.5, 1.0, np.nextafter(3.0, 0.0), 3.0, 4.5, 4.6])
+        assert list(bins.index_of(h)) == [-1, 0, 0, 1, 1, 2, 2, -1]
+
     def test_default_bins_span_half_max(self, monkeypatch):
         ds = make_dataset(np.eye(2), xy=[[0.0, 0.0], [100.0, 0.0]])
         bins = default_lag_bins(ds, n_bins=10)
@@ -175,6 +215,21 @@ class TestEmpiricalVariogram:
         ev = empirical_trace_variogram(ds, LagBins([0.0, 3.0, 6.0]))
         assert np.all(ev.gamma[ev.occupied] == 0.0)
         assert ev.sigma0 == 0.0
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 22, 41])
+    def test_repeated_curves_give_exactly_zero(self, m):
+        # each curve is repeated at its own site, far from the others, so
+        # the first bin holds only pairs of equal curves
+        rng = derived_rng(31)
+        k = 12
+        curves = 1e3 * rng.standard_normal((k, m)) + rng.uniform(-5e4, 5e4, size=m)
+        xy = np.column_stack([1000.0 * np.arange(k), np.zeros(k)])
+        grid = EvalGrid(np.cumsum(rng.uniform(0.1, 1.0, m)))
+        ds = make_dataset(np.repeat(curves, 3, axis=0), xy=np.repeat(xy, 3, axis=0), grid=grid)
+        ev = empirical_trace_variogram(ds, LagBins([0.0, 1.0, 20000.0]))
+        assert ev.counts[0] == 3 * k
+        assert ev.gamma[0] == 0.0
+        assert ev.gamma[1] > 0.0
 
     def test_opposite_pair_value(self):
         grid = EvalGrid(np.linspace(0.0, 1.0, 11))
