@@ -12,6 +12,8 @@ class EstimationError(RuntimeError):
 class FitError(RuntimeError):
     """Model fitting failed to converge.
 
+    The range search of ``fit_model`` converges by construction, so no
+    routine in this package raises it; it stays for callers that catch it.
     Carries the best parameter set seen so far in ``best`` (a model or
     ``None``) and its objective value in ``sse``.
     """

@@ -28,7 +28,7 @@ import numpy as np
 
 from .dataset import SpatialFunctionalDataset, _frozen_array
 from .errors import ValidationError
-from .rng import derived_rng
+from .rng import _entropy, _stream
 
 FENCE_FACTOR = 1.5
 
@@ -290,6 +290,7 @@ def subsample_experiment(
         raise ValidationError(f"subsample size must lie in [2, {n}], got {size}")
     if reps < 1:
         raise ValidationError("need at least one replicate")
+    (seed,) = _entropy(seed)  # checked once; each replicate adds its index
     full_summary = functional_boxplot(full)
     # Dense column ranks of the full sample sort and tie within any subsample
     # as the values do; 8- or 16-bit ranks make the stable sorts radix sorts.
@@ -304,7 +305,7 @@ def subsample_experiment(
     mads = []
     for first in range(0, reps, batch):
         draws = range(first, min(first + batch, reps))
-        idx = np.stack([derived_rng(seed, r).choice(n, size, replace=False) for r in draws])
+        idx = np.stack([_stream([seed, r]).choice(n, size, replace=False) for r in draws])
         X = full.subset(idx.ravel()).curves.reshape(*idx.shape, m)
         depths = _band_depths(ranks[:, idx].transpose(1, 0, 2))
         rows, mad = _fidelity_rows(full, full_summary, X, depths)
@@ -315,7 +316,7 @@ def subsample_experiment(
     return SubsampleExperiment(
         size=int(size),
         reps=int(reps),
-        seed=int(seed),
+        seed=seed,
         replicates=tuple(replicates),
         means=means,
         median_band_halfwidth=float(np.mean(np.concatenate(mads))),

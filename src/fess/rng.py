@@ -17,7 +17,16 @@ from .errors import ValidationError
 
 def derived_rng(seed: int, *keys: int) -> np.random.Generator:
     """Return a Generator keyed by ``seed`` and optional counter values."""
-    entropy = [seed, *keys]
-    if any(not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 0 for k in entropy):
-        raise ValidationError(f"seed and keys must be non-negative integers, got {entropy!r}")
-    return np.random.default_rng(np.random.SeedSequence([int(k) for k in entropy]))
+    return _stream(_entropy(seed, *keys))
+
+
+def _entropy(*values) -> list[int]:
+    """``values`` as ints, each checked to be a non-negative integer."""
+    if any(not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 0 for v in values):
+        raise ValidationError(f"seed and keys must be non-negative integers, got {list(values)!r}")
+    return [int(v) for v in values]
+
+
+def _stream(entropy: list[int]) -> np.random.Generator:
+    # the generator keyed by already checked entropy
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

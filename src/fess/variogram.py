@@ -15,10 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import ConvexHull, QhullError
 
 from .dataset import (
     SpatialFunctionalDataset,
@@ -32,7 +31,7 @@ from .dataset import (
     _write_csv,
     _write_json,
 )
-from .errors import EstimationError, FitError, ValidationError
+from .errors import EstimationError, ValidationError
 
 # Correlation of each family as a function of ``u = h / range``: the one
 # definition that the model, the fit objective and the simulator share.
@@ -148,15 +147,39 @@ def _max_site_distance(dataset: SpatialFunctionalDataset) -> float:
 
     The farthest pair of a planar set are vertices of its convex hull, so
     only hull vertices are compared, with the expression of the pair
-    blocks. Sets without a 2-d hull (fewer than 3 distinct sites, or all
-    collinear) take the maximum over the pair blocks.
+    blocks: the result is the pair maximum bit for bit. Sites strictly
+    inside the octagon of extreme points (least and greatest x, y, x + y
+    and x - y; Akl and Toussaint 1978) are not hull vertices and are
+    dropped first; a monotone chain (Andrew 1979) takes the hull of the
+    rest, collinear sets and single sites included.
     """
-    sites = np.unique(dataset.xy, axis=0)
-    try:
-        hull = sites[ConvexHull(sites).vertices]
-    except QhullError:
-        block_max = _pair_map(lambda d, head, tail: float(np.max(d)), dataset, threads=1)
-        return max(block_max, default=0.0)
+    x, y = dataset.xy.T
+    octagon = dataset.xy[
+        [np.argmax(x), np.argmax(x + y), np.argmax(y), np.argmin(x - y),
+         np.argmin(x), np.argmin(x + y), np.argmin(y), np.argmax(x - y)]
+    ]
+    # counter-clockwise edges; a site is strictly inside when it is strictly
+    # left of every edge of positive length
+    start = octagon[:, :, None]
+    edge = np.roll(octagon, -1, axis=0)[:, :, None] - start
+    left = edge[:, 0] * (y - start[:, 1]) - edge[:, 1] * (x - start[:, 0]) > 0
+    inside = np.all(left | ~np.any(edge, axis=1), axis=0)
+    # the octagon's own vertices stay when every edge is a point
+    sites = np.unique(np.vstack([octagon, dataset.xy[~inside]]), axis=0).tolist()
+
+    def half_hull(points):
+        chain = []
+        for p in points:
+            while len(chain) >= 2 and (
+                (chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])
+            ) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain[:-1]
+
+    chain = half_hull(sites) + half_hull(sites[::-1])
+    hull = np.array(chain or sites)  # a single site has an empty chain
     return float(np.max(_site_distances(hull, hull)))
 
 
@@ -432,13 +455,41 @@ class FitResult:
 # misfit can dip just past an occupied lag, over a few hundredths of a
 # log unit; 8 and 32 points per decade stepped over such dips.
 _LOG_RANGE_GRID = np.linspace(_LOG_RANGE_LO, _LOG_RANGE_HI, 9 * 128 + 1)
-# Iteration budget of the Nelder-Mead refinement (function evaluations:
-# twice that).
-_MAX_ITER = 4000
-# Relative misfit differences below this are rounding: grid misfits within
-# it of the least one tie, and the refinement stops once its simplex
-# values agree to within it.
+# Misfit differences below this, relative to the least grid misfit or to
+# the data's sum of squares, are rounding: grid misfits within it of the
+# least one tie, and a refinement must gain more than it.
 _SSE_RTOL = 1e-12
+# The refinement evaluates this many equally spaced log ranges per round
+# and stops once its bracket is at most _ZOOM_WIDTH wide.
+_ZOOM_POINTS = 65
+_ZOOM_WIDTH = 1e-10
+
+
+class _Zoom(NamedTuple):
+    x: float  # least point of the last round
+    fun: float  # its misfit
+    nfev: int  # calls of the misfit, one per round
+
+
+def minimize(misfit, lo: float, hi: float) -> _Zoom:
+    """Least of ``misfit`` over the bracket ``[lo, hi]`` by zooming.
+
+    ``misfit`` maps an array of points to their values. Each round
+    evaluates ``_ZOOM_POINTS`` equally spaced points of the bracket and
+    narrows it to the neighbours of the least one (the first among equal
+    values), until the bracket is at most ``_ZOOM_WIDTH`` wide: 7 rounds
+    for two cells of the range grid. Returns the least point of the last
+    round.
+    """
+    nfev = 0
+    while True:
+        x = np.linspace(lo, hi, _ZOOM_POINTS)
+        f = misfit(x)
+        nfev += 1
+        j = int(np.argmin(f))
+        if hi - lo <= _ZOOM_WIDTH:
+            return _Zoom(float(x[j]), float(f[j]), nfev)
+        lo, hi = x[max(j - 1, 0)], x[min(j + 1, _ZOOM_POINTS - 1)]
 
 
 def _profile(fam, hn, gn, log_range, free_nugget):
@@ -479,17 +530,16 @@ def fit_model(ev: EmpiricalVariogram, family: str, nugget: str = "zero") -> FitR
     projection: for a fixed range, sill and nugget solve a linear least-
     squares problem in closed form, so only the range is searched. The
     first minimum of the misfit over a fixed log-range grid (the smallest
-    range among misfits equal up to rounding) is refined by one bounded
-    Nelder-Mead run within the neighbouring grid cells, which stops once
-    its misfits agree up to rounding. Deterministic. Returns the fitted
-    model with the achieved objective value; a range at the lower or
-    upper end of its box carries the warning "range pinned at lower
-    bound" or "range pinned at upper bound".
+    range among misfits equal up to rounding) is refined by zooming into
+    the neighbouring grid cells (:func:`minimize`) until the bracket is at
+    most 1e-10 wide; the refined range is kept only when its misfit is
+    lower by more than rounding. Deterministic. Returns the fitted model
+    with the achieved objective value; a range at the lower or upper end
+    of its box carries the warning "range pinned at lower bound" or
+    "range pinned at upper bound".
 
     Raises :class:`EstimationError` if the variogram is zero in every
-    occupied bin (no covariance to fit), and :class:`FitError` (carrying
-    the best point found) if the refinement does not converge within the
-    budget.
+    occupied bin (no covariance to fit).
     """
     fam = _family(family)
     _check_nugget(nugget)
@@ -540,28 +590,15 @@ def _fit_once(fam, h, g, h_scale, g_scale, free_nugget):
     # not move the fit to a distant range
     i = int(np.argmax(sse_grid <= np.min(sse_grid) * (1.0 + _SSE_RTOL)))
     log_range = float(_LOG_RANGE_GRID[i])
-    converged = True
-    if sse_grid[i] > 0:  # an exact fit at a grid point needs no refinement
-        lo = _LOG_RANGE_GRID[max(i - 1, 0)]
-        hi = _LOG_RANGE_GRID[min(i + 1, _LOG_RANGE_GRID.size - 1)]
-        run = minimize(
-            lambda x: float(_profile(fam, hn, gn, x, free_nugget)[2][0]),
-            [log_range],
-            method="Nelder-Mead",
-            bounds=[(lo, hi)],
-            options={
-                "initial_simplex": [[log_range], [hi if i == 0 else lo]],
-                "xatol": 1e-10,
-                # relative to the misfit: an absolute tolerance a few ulp
-                # wide leaves a collapsed simplex iterating on rounding noise
-                "fatol": _SSE_RTOL * sse_grid[i],
-                "maxiter": _MAX_ITER,
-                "maxfev": 2 * _MAX_ITER,
-            },
-        )
-        converged = run.success
-        if run.fun < sse_grid[i]:
-            log_range = float(run.x[0])
+    run = minimize(
+        lambda x: _profile(fam, hn, gn, x, free_nugget)[2],
+        _LOG_RANGE_GRID[max(i - 1, 0)],
+        _LOG_RANGE_GRID[min(i + 1, _LOG_RANGE_GRID.size - 1)],
+    )
+    # a gain relative to the misfit would chase rounding noise where the
+    # variogram is fitted exactly, so it is relative to the data instead
+    if run.fun < sse_grid[i] - _SSE_RTOL * float(np.dot(gn, gn)):
+        log_range = run.x
     sill, nugget, sse = (
         float(v[0]) for v in _profile(fam, hn, gn, np.array([log_range]), free_nugget)
     )
@@ -569,12 +606,6 @@ def _fit_once(fam, h, g, h_scale, g_scale, free_nugget):
         fam, g_scale * sill, h_scale * math.exp(log_range), g_scale * nugget
     )
     sse *= g_scale**2
-    if not converged:
-        raise FitError(
-            f"{fam} fit did not converge within {_MAX_ITER} iterations",
-            best=model,
-            sse=sse,
-        )
     warnings = ()
     if log_range <= _LOG_RANGE_LO + 1e-9:
         warnings = ("range pinned at lower bound",)

@@ -2,11 +2,15 @@ import argparse
 import importlib.util
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fess
 import fess.cli
 import fess.dataset
 import fess.ess
@@ -240,7 +244,7 @@ class TestEssCommand:
         ev = empirical_trace_variogram(ds, default_lag_bins(ds))
         for variant in last_bit_variants(ev):
             for fam in ("exponential", "spherical", "gaussian"):
-                fit_model(variant, fam, "free")  # FitError if it does not converge
+                fit_model(variant, fam, "free")
         out = tmp_path / "out"
         assert main(["ess", "--input", str(duplicated_csv), "--nugget", "free",
                      "--out-dir", str(out)]) == 0
@@ -519,3 +523,33 @@ def test_every_parsed_flag_is_read(command, dataset_csv, tmp_path, capsys):
     assert args.func(args) == 0
     unread = set(vars(args)) - reads - {"func", "command", "subcommand"}
     assert unread == _UNREAD_ALLOWED.get(command, set())
+
+
+_SESSION = """
+import json, sys
+import fess, fess.cli
+from fess.cli import main
+csv, out = sys.argv[1], sys.argv[2]
+codes = [
+    main(["variogram", "--input", csv, "--out-dir", out + "/variogram"]),
+    main(["ess", "--input", csv, "--nugget", "free", "--out-dir", out + "/ess"]),
+    main(["fit", "--input", out + "/variogram/empirical_variogram.csv",
+          "--nugget", "free", "--out-dir", out + "/fit"]),
+]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_fess_runs_on_numpy_alone(dataset_csv, tmp_path):
+    # the package depends on numpy only: importing it and running the
+    # variogram, ess and fit commands loads no scipy module
+    src = Path(fess.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SESSION, str(dataset_csv), str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0, 0], "scipy": []}
+    for path in (src / "fess").rglob("*.py"):
+        assert "scipy" not in path.read_text(encoding="utf-8").lower(), path

@@ -6,6 +6,7 @@ import pytest
 
 import fess.fboxplot
 from fess import (
+    SpatialFunctionalDataset,
     ValidationError,
     fidelity_metrics,
     functional_boxplot,
@@ -242,6 +243,26 @@ class TestSubsampleExperiment:
         args = {"size": 5, "reps": 3, "seed": 1} | kwargs
         with pytest.raises(ValidationError, match="integer"):
             subsample_experiment(full, **args)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2024, np.uint64(2**63 + 11)])
+def test_replicate_draws_are_derived_rng_draws(monkeypatch, seed):
+    # subsample_experiment checks the seed once and draws replicate r as
+    # derived_rng(seed, r) would, index for index
+    drawn = []
+    subset = SpatialFunctionalDataset.subset
+
+    def recording(self, idx):
+        drawn.append(np.array(idx))
+        return subset(self, idx)
+
+    monkeypatch.setattr(SpatialFunctionalDataset, "subset", recording)
+    full = random_dataset(derived_rng(69), 40, 4)
+    for size, reps in ((2, 30), (9, 7), (40, 3)):
+        drawn.clear()
+        subsample_experiment(full, size=size, reps=reps, seed=seed)
+        ref = [derived_rng(seed, r).choice(40, size, replace=False) for r in range(reps)]
+        assert np.array_equal(np.concatenate(drawn), np.concatenate(ref))
 
 
 @pytest.mark.parametrize("keys", [(1.9,), (True,), (3, 2.0), (3, False), (-1,), (3, -2)])

@@ -11,7 +11,6 @@ from fess import (
     EmpiricalVariogram,
     EstimationError,
     EvalGrid,
-    FitError,
     LagBins,
     TraceCovModel,
     ValidationError,
@@ -116,21 +115,40 @@ class TestLagBins:
         lattice = np.array([(i, j) for i in range(9) for j in range(7)], dtype=float)
         dup = rng.uniform(-500.0, 500.0, size=(40, 2))
         line = np.linspace(-3.0, 7.0, 25)
+        angle = rng.uniform(0.0, 2.0 * math.pi, 200)
+        # sites on the four edges of an axis-aligned rectangle: its corners
+        # are extreme in several directions, so octagon edges have length 0
+        s = rng.uniform(0.0, 1.0, 160)
+        rectangle = np.vstack([
+            np.column_stack([40.0 * s[:40], np.zeros(40)]),
+            np.column_stack([40.0 * s[40:80], np.full(40, 7.0)]),
+            np.column_stack([np.zeros(40), 7.0 * s[80:120]]),
+            np.column_stack([np.full(40, 40.0), 7.0 * s[120:]]),
+        ])
+        thin = np.column_stack([rng.uniform(-1e3, 1e3, 300), rng.uniform(-1e-3, 1e-3, 300)])
+        turn = np.array([[math.cos(0.3), math.sin(0.3)], [-math.sin(0.3), math.cos(0.3)]])
         cases = [
-            ("random", rng.uniform(-1e3, 1e3, size=(300, 2)), 0),
-            ("random", rng.normal(5e3, 1.0, size=(50, 2)), 0),
-            ("lattice", lattice * math.pi, 0),
-            ("duplicated", np.vstack([dup, dup[::2], dup[:3]]), 0),
-            ("collinear", np.column_stack([line, 0.3 * line + 1.0]), 1),
-            ("two sites", [[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]], 1),
+            ("random", rng.uniform(-1e3, 1e3, size=(300, 2))),
+            ("random", rng.normal(5e3, 1.0, size=(50, 2))),
+            ("lattice", lattice * math.pi),
+            ("duplicated", np.vstack([dup, dup[::2], dup[:3]])),
+            ("collinear", np.column_stack([line, 0.3 * line + 1.0])),
+            ("two sites", [[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]]),
+            ("circle", 250.0 * np.column_stack([np.cos(angle), np.sin(angle)]) + 3e3),
+            ("rectangle edges", rectangle),
+            ("thin, rotated 0.3 rad", thin @ turn + [2e3, -1e3]),
+            ("single site", [[3.0, 4.0]]),
         ]
-        for name, xy, n_passes in cases:
+        for name, xy in cases:
             xy = np.asarray(xy, dtype=float)
             ds = make_dataset(rng.standard_normal((len(xy), 3)), xy=xy)
             passes.clear()
             dmax = fess.variogram._max_site_distance(ds)
             assert dmax == np.max(pairwise_distances(ds.xy)), name
-            assert len(passes) == n_passes, name
+            assert not passes, name
+        assert dmax == 0.0
+        with pytest.raises(ValidationError, match="all locations coincide"):
+            default_lag_bins(ds)
 
 
 class TestModelFamilies:
@@ -521,13 +539,46 @@ class TestFitModel:
         with pytest.raises(ValidationError, match="nugget"):
             fit_model(ev, "exponential", "bogus")
 
-    def test_nonconvergence_carries_best_so_far(self, monkeypatch):
-        monkeypatch.setattr(fess.variogram, "_MAX_ITER", 1)
-        ev = exact_variogram_record("gaussian", 1.0, 50.0)
-        with pytest.raises(FitError, match="within 1 iterations") as err:
-            fit_model(ev, "gaussian")
-        assert err.value.best is not None
-        assert np.isfinite(err.value.sse)
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("free_nugget", [False, True])
+    def test_zoom_narrows_to_tolerance_and_never_loses(self, monkeypatch, family, free_nugget):
+        # the refinement's last round spans at most 1e-10 in log range, and
+        # the fit's misfit is never above the one it reports without it, at
+        # the grid point the zoom starts from
+        runs = []
+        minimize = fess.variogram.minimize
+
+        def recorded(misfit, lo, hi):
+            rounds = []
+            run = minimize(lambda x: rounds.append(x) or misfit(x), lo, hi)
+            runs.append((lo, hi, rounds, run))
+            return run
+
+        monkeypatch.setattr(fess.variogram, "minimize", recorded)
+        grid = fess.variogram._LOG_RANGE_GRID
+        rng = derived_rng(29)
+        variograms = [exact_variogram_record(family, 1.0, 100.0, nugget=0.25)]
+        for _ in range(6):
+            ds = random_dataset(rng, 60, 5)
+            variograms.append(empirical_trace_variogram(ds, default_lag_bins(ds, 8)))
+        for ev in variograms:
+            h = ev.centers[ev.occupied]
+            g = ev.gamma[ev.occupied]
+            h_scale, g_scale = float(np.max(h)), float(np.max(np.abs(g)))
+            res = fess.variogram._fit_once(family, h, g, h_scale, g_scale, free_nugget)
+            (lo, hi, rounds, run), = runs
+            runs.clear()
+            inner = grid[(grid > lo) & (grid < hi)]
+            start = inner[0] if inner.size else (lo if lo == grid[0] else hi)
+            unrefined = fess.variogram._profile(
+                family, h / h_scale, g / g_scale, np.array([start]), free_nugget
+            )[2][0]
+            assert res.sse <= unrefined * g_scale**2
+            assert rounds[0][0] == lo and rounds[0][-1] == hi
+            for outer, x in zip(rounds, rounds[1:]):
+                assert outer[0] <= x[0] < x[-1] <= outer[-1]
+            assert rounds[-1][-1] - rounds[-1][0] <= 1e-10
+            assert run.nfev == len(rounds) <= 7
 
     def test_empty_bins_are_skipped(self):
         bins = LagBins.equal_width(100.0, 6)
@@ -608,8 +659,8 @@ class TestFitModel:
             assert report.model.nugget > 0.0
 
     def test_one_minimize_call_per_search(self, monkeypatch):
-        # the range search is one Nelder-Mead run of the module-global
-        # minimize; the free nugget adds the zero-nugget fit it ties against
+        # the range search is one zoom of the module-global minimize; the
+        # free nugget adds the zero-nugget fit it ties against
         calls = []
         minimize = fess.variogram.minimize
 
