@@ -20,7 +20,7 @@ from .dataset import (
     project_sinusoidal,
     trapz_inner,
 )
-from .errors import EstimationError, FitError, ValidationError
+from .errors import EstimationError, ValidationError
 from .ess import EssReport, ess_functional, ess_plugin, ess_scalar
 from .far1 import (
     Far1Spec,
@@ -67,7 +67,6 @@ __all__ = [
     "trapz_inner",
     "ValidationError",
     "EstimationError",
-    "FitError",
     "LagBins",
     "EmpiricalVariogram",
     "TraceCovModel",

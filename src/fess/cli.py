@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import CsvSchema, EvalGrid, _write_csv, _write_json, load_wide_csv, write_wide_csv
-from .errors import EstimationError, FitError, ValidationError
+from .errors import EstimationError, ValidationError
 from .ess import _plugin_ess
 from .far1 import Far1Spec, far1_simulate, far1_sweep
 from .fboxplot import functional_boxplot, subsample_experiment
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"fess: error: {exc}", file=sys.stderr)
         return 2
-    except (EstimationError, FitError) as exc:
+    except EstimationError as exc:
         print(f"fess: computation failed: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

@@ -292,10 +292,17 @@ def _site_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
+def _positive_int(value, name: str) -> int:
+    """``value`` as an int, if it is an integer of at least 1 (a bool is not)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _check_threads(threads) -> None:
     """Reject a thread count other than ``None`` or an integer >= 1."""
-    if threads is not None and not (isinstance(threads, numbers.Integral) and threads >= 1):
-        raise ValidationError(f"threads must be an integer of at least 1, got {threads!r}")
+    if threads is not None:
+        _positive_int(threads, "threads")
 
 
 def _worker_count(threads: int | None, n_blocks: int) -> int:

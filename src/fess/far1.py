@@ -22,7 +22,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import EvalGrid, SpatialFunctionalDataset, _as_xy, pairwise_distances
+from .dataset import (
+    EvalGrid,
+    SpatialFunctionalDataset,
+    _as_xy,
+    _frozen_array,
+    _positive_int,
+    pairwise_distances,
+)
 from .errors import EstimationError, ValidationError
 from .rng import derived_rng
 from .variogram import TraceCovModel, model_trace_cov
@@ -97,12 +104,8 @@ class Far1Spec:
         if self.basis not in BASES:
             raise ValidationError(f"unknown basis {self.basis!r}")
         _check_unit_grid(self.grid)
-        lams = lams.copy()
-        etas = etas.copy()
-        lams.flags.writeable = False
-        etas.flags.writeable = False
-        object.__setattr__(self, "lambdas", lams)
-        object.__setattr__(self, "etas", etas)
+        object.__setattr__(self, "lambdas", _frozen_array(lams))
+        object.__setattr__(self, "etas", _frozen_array(etas))
 
     @property
     def n_terms(self) -> int:
@@ -138,9 +141,7 @@ def marginal_ess(lam: float, n: int) -> float:
     """Scalar AR(1) effective sample size of one coordinate process."""
     if not 0.0 <= lam < 1.0:
         raise ValidationError("autoregressive coefficient must lie in [0, 1)")
-    if n < 1 or n != int(n):
-        raise ValidationError("n must be a positive integer")
-    n = int(n)
+    n = _positive_int(n, "n")
     return n * n / _corr_mass(lam, n)
 
 
@@ -160,9 +161,7 @@ def far1_ess(spec: Far1Spec, n: int) -> float:
     weights proportional to the stationary coordinate variances; agrees
     with the direct double-sum evaluation of the defining ratio.
     """
-    if n < 1 or n != int(n):
-        raise ValidationError("n must be a positive integer")
-    return _harmonic_ess(spec.lambdas, spec.stationary_weights, int(n))
+    return _harmonic_ess(spec.lambdas, spec.stationary_weights, _positive_int(n, "n"))
 
 
 def far1_simulate(spec: Far1Spec, n: int, seed: int) -> SpatialFunctionalDataset:
@@ -174,9 +173,7 @@ def far1_simulate(spec: Far1Spec, n: int, seed: int) -> SpatialFunctionalDataset
     inter-observation distance equals the time lag. Deterministic per
     seed.
     """
-    if n < 1 or n != int(n):
-        raise ValidationError("n must be a positive integer")
-    n = int(n)
+    n = _positive_int(n, "n")
     rng = derived_rng(seed)
     k = spec.n_terms
     z = rng.standard_normal((k, n))
@@ -217,9 +214,9 @@ def far1_sweep(
         raise ValidationError("sweep values must lie in the open interval (0, 1)")
     if not 0.0 < fixed < 1.0:
         raise ValidationError("fixed decay base must lie in (0, 1)")
-    ns = [int(n) for n in n_list]
-    if not ns or any(n < 1 for n in ns):
-        raise ValidationError("sample sizes must be positive integers")
+    ns = [_positive_int(n, "n") for n in n_list]
+    if not ns:
+        raise ValidationError("need at least one sample size")
 
     out: list[SweepPoint] = []
     for v in vals:
@@ -268,9 +265,7 @@ class GaussFieldSpec:
         if self.basis not in BASES:
             raise ValidationError(f"unknown basis {self.basis!r}")
         _check_unit_grid(self.grid)
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _frozen_array(w))
 
 
 def gauss_field_simulate(

@@ -20,11 +20,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import (
+    _PAIR_BLOCK_ELEMENTS,
     SpatialFunctionalDataset,
     _column_means,
     _frozen_array,
     _pair_map,
     _parse_cell,
+    _positive_int,
     _read_csv_rows,
     _site_distances,
     _sorted_sum,
@@ -66,6 +68,11 @@ class LagBins:
     # bin width when the edges are equally spaced and arithmetic binning
     # reproduces ``np.digitize`` on them; None otherwise
     _width: float | None = field(init=False, repr=False, compare=False)
+    # lower and upper bound of each slot: ``_lower[s] <= h < _upper[s]``
+    # for slots 1 to len(self); the last bin's upper bound is the float
+    # after the last edge, so the bin is closed on the right
+    _lower: np.ndarray = field(init=False, repr=False, compare=False)
+    _upper: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=float)
@@ -80,6 +87,11 @@ class LagBins:
         object.__setattr__(self, "edges", _frozen_array(edges))
         object.__setattr__(
             self, "centers", _frozen_array((edges[:-1] + edges[1:]) / 2.0)
+        )
+        # slot 0 is never looked up in _lower
+        object.__setattr__(self, "_lower", _frozen_array(np.append(0.0, edges[:-1])))
+        object.__setattr__(
+            self, "_upper", _frozen_array(np.append(edges[:-1], np.nextafter(edges[-1], np.inf)))
         )
         object.__setattr__(self, "_width", None)
         if np.array_equal(edges, np.linspace(edges[0], edges[-1], edges.size)):
@@ -99,9 +111,7 @@ class LagBins:
     def equal_width(cls, max_lag: float, n_bins: int = 15) -> "LagBins":
         if not (max_lag > 0 and math.isfinite(max_lag)):
             raise ValidationError("max_lag must be positive and finite")
-        if n_bins < 1:
-            raise ValidationError("need at least one bin")
-        return cls(np.linspace(0.0, max_lag, n_bins + 1))
+        return cls(np.linspace(0.0, max_lag, _positive_int(n_bins, "n_bins") + 1))
 
     def index_of(self, h: np.ndarray) -> np.ndarray:
         """Bin index per distance, -1 for out-of-range distances."""
@@ -114,31 +124,26 @@ class LagBins:
         ``len(self) + 1`` past the last.
 
         Equal-width edges are binned arithmetically, other edges by
-        ``np.digitize``; both give the same slots.
+        ``np.searchsorted`` on the upper slot bounds; both give the same
+        slots.
         """
         if self._width is None:
             return self._digitize_slots(h)
         return self._arithmetic_slots(h)
 
     def _digitize_slots(self, h: np.ndarray) -> np.ndarray:
-        slots = np.digitize(h, self.edges)
-        slots[h == self.edges[-1]] = len(self)
-        return slots
+        return np.searchsorted(self._upper, h, side="right")
 
     def _arithmetic_slots(self, h: np.ndarray) -> np.ndarray:
         # floor((h - edges[0]) / width) + 1 within [1, bins], then one step
-        # down below the slot's lower edge or up at or past its upper edge;
-        # the last bin's upper edge is the float after the last edge, so
-        # the bin is closed on the right
+        # down below the slot's lower bound or up at or past its upper bound
         t = np.subtract(h, self.edges[0])
         t /= self._width
         t += 1.0
         np.clip(t, 1.0, len(self), out=t)
         slots = t.astype(np.intp)
-        lower = np.append(0.0, self.edges[:-1])  # slot 0 is never looked up
-        upper = np.append(self.edges[:-1], np.nextafter(self.edges[-1], np.inf))
-        slots -= h < lower[slots]
-        slots += h >= upper[slots]
+        slots -= h < self._lower[slots]
+        slots += h >= self._upper[slots]
         return slots
 
 
@@ -180,7 +185,12 @@ def _max_site_distance(dataset: SpatialFunctionalDataset) -> float:
 
     chain = half_hull(sites) + half_hull(sites[::-1])
     hull = np.array(chain or sites)  # a single site has an empty chain
-    return float(np.max(_site_distances(hull, hull)))
+    # row blocks of about _PAIR_BLOCK_ELEMENTS distances, so a hull of many
+    # vertices (sites on a circle) never forms its dense distance matrix
+    k = max(1, _PAIR_BLOCK_ELEMENTS // len(hull))
+    return float(max(
+        np.max(_site_distances(hull[i:i + k], hull)) for i in range(0, len(hull), k)
+    ))
 
 
 def default_lag_bins(dataset: SpatialFunctionalDataset, n_bins: int = 15) -> LagBins:
@@ -328,15 +338,10 @@ class EmpiricalVariogram:
         return cls(centers, gamma, counts, sigma0=None)
 
 
-def _trace_variance(dataset: SpatialFunctionalDataset) -> float:
-    """Mean squared distance of curves to the pointwise sample mean."""
-    dev = dataset.curves - _column_means(dataset.curves)[None, :]
-    per_curve = (dev**2) @ dataset.grid.quad_weights
-    return _sorted_sum(per_curve) / dataset.n_curves
-
-
-def _binned_pair_stats(dataset: SpatialFunctionalDataset, bins: LagBins, from_gram, threads):
-    """Per-bin pair counts, value sums and mean pair distances.
+def _binned_pair_stats(
+    dataset: SpatialFunctionalDataset, bins: LagBins, from_gram, divisor, threads
+) -> EmpiricalVariogram:
+    """Per-bin means of the pair values, each divided by ``divisor``.
 
     The pairs stream in the canonical row blocks of ``_pair_map`` on
     ``threads`` workers. Each block's pair values come from one Gram
@@ -349,7 +354,8 @@ def _binned_pair_stats(dataset: SpatialFunctionalDataset, bins: LagBins, from_gr
     threads from competing with the workers. The per-block
     ``np.bincount`` results are added in block order, which depends only
     on the data, so results are bitwise invariant under row relabelling
-    and do not depend on ``threads``.
+    and do not depend on ``threads``. ``sigma0`` is the mean of the
+    kernel's squared norms, the i = j terms.
     """
     if dataset.n_curves < 2:
         raise ValidationError("empirical estimation needs at least 2 curves")
@@ -392,7 +398,10 @@ def _binned_pair_stats(dataset: SpatialFunctionalDataset, bins: LagBins, from_gr
     # biases fitted ranges low. Empty bins keep the midpoint.
     centers = np.array(bins.centers)
     centers[occ] = hsums[occ] / counts[occ]
-    return counts, sums, centers
+    values = np.full(n_bins, np.nan)
+    values[occ] = sums[occ] / (divisor * counts[occ])
+    sigma0 = _sorted_sum(rows[:, -1]) / dataset.n_curves
+    return EmpiricalVariogram(centers, values, counts, sigma0)
 
 
 def _squared_distances(g, a2, b2):
@@ -416,11 +425,7 @@ def empirical_trace_variogram(
     variance). The pair stage runs on ``threads`` worker threads (default:
     the usable cores); the result is the same for any thread count.
     """
-    counts, sums, centers = _binned_pair_stats(dataset, bins, _squared_distances, threads)
-    gamma = np.full(len(bins), np.nan)
-    occ = counts > 0
-    gamma[occ] = sums[occ] / (2.0 * counts[occ])
-    return EmpiricalVariogram(centers, gamma, counts, sigma0=_trace_variance(dataset))
+    return _binned_pair_stats(dataset, bins, _squared_distances, 2.0, threads)
 
 
 def empirical_trace_covariogram(
@@ -434,13 +439,7 @@ def empirical_trace_covariogram(
     ``sigma0`` of :func:`empirical_trace_variogram`. The pair stage runs
     on the usable cores; the result does not depend on their number.
     """
-    counts, sums, centers = _binned_pair_stats(
-        dataset, bins, lambda g, a2, b2: g, None
-    )
-    sigma = np.full(len(bins), np.nan)
-    occ = counts > 0
-    sigma[occ] = sums[occ] / counts[occ]
-    return EmpiricalVariogram(centers, sigma, counts, sigma0=_trace_variance(dataset))
+    return _binned_pair_stats(dataset, bins, lambda g, a2, b2: g, 1, None)
 
 
 @dataclass(frozen=True)

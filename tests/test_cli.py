@@ -14,6 +14,7 @@ import fess
 import fess.cli
 import fess.dataset
 import fess.ess
+import fess.fboxplot
 import fess.variogram
 from fess import (
     EmpiricalVariogram,
@@ -457,15 +458,29 @@ class TestBoxplotCommands:
 
 
 class TestDeterminism:
-    def test_byte_identical_reruns_and_thread_counts(self, dataset_csv, tmp_path):
+    def test_byte_identical_reruns_and_thread_counts(self, dataset_csv, tmp_path, monkeypatch):
+        # subsample does not read --threads (criterion 10 covers thread
+        # counts); the last run scores its 4 replicates one batch each
+        fidelity_rows = fess.fboxplot._fidelity_rows
+        batches = []
+
+        def counted(*args):
+            batches.append(1)
+            return fidelity_rows(*args)
+
+        monkeypatch.setattr(fess.fboxplot, "_fidelity_rows", counted)
         outputs = []
-        for tag, threads in (("r1", "1"), ("r2", "1"), ("r8", "8")):
+        for tag, threads, batch_elements in (("r1", "1", None), ("r2", "1", None), ("r8", "8", 1)):
+            if batch_elements is not None:
+                monkeypatch.setattr(fess.fboxplot, "_BATCH_ELEMENTS", batch_elements)
+            batches.clear()
             out = tmp_path / tag
             rc = main(
                 ["subsample", "--input", str(dataset_csv), "--out-dir", str(out),
                  "--size", "15", "--reps", "4", "--seed", "99", "--threads", threads]
             )
             assert rc == 0
+            assert len(batches) == (1 if batch_elements is None else 4)
             outputs.append(
                 (
                     read_bytes(out / "subsample_metrics.csv"),

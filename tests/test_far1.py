@@ -239,6 +239,21 @@ class TestFar1Sweep:
             far1_sweep("scale", [0.5], [30])
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True, 0, -4])
+def test_sample_sizes_must_be_positive_integers(n):
+    spec = Far1Spec([0.5], [1.0], tiny_grid())
+    calls = [
+        lambda: marginal_ess(0.5, n),
+        lambda: far1_ess(spec, n),
+        lambda: far1_simulate(spec, n, seed=1),
+        lambda: far1_sweep("lambda0", [0.5], [n]),
+        lambda: far1_sweep("lambda0", [0.5], [30, n]),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="n must be a positive integer"):
+            call()
+
+
 class TestGaussField:
     def make_spec(self, grid_points=201):
         grid = EvalGrid(np.linspace(0.0, 1.0, grid_points))

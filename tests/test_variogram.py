@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,30 @@ class TestLagBins:
         h = np.array([-1.0, 0.0, 0.5, 1.0, np.nextafter(3.0, 0.0), 3.0, 4.5, 4.6])
         assert list(bins.index_of(h)) == [-1, 0, 0, 1, 1, 2, 2, -1]
 
+    @pytest.mark.parametrize("first", [0.0, 7.25])
+    @pytest.mark.parametrize("n_bins", [1, 2, 15, 300])
+    def test_unequal_edges_match_digitize(self, first, n_bins):
+        rng = derived_rng(32)
+        edges = first + np.cumsum(np.concatenate([[0.0], rng.uniform(0.01, 50.0, n_bins)]))
+        bins = LagBins(edges)
+        assert (bins._width is None) == (n_bins > 1)
+        span = edges[-1] - edges[0]
+        h = np.concatenate([
+            rng.uniform(edges[0] - 0.1 * span, edges[-1] + 0.1 * span, 5000),
+            edges,
+            np.nextafter(edges, np.inf),
+            np.nextafter(edges, -np.inf),
+            [fess.dataset._NOT_A_PAIR, 0.0],
+        ])
+        assert np.array_equal(bins.index_of(h), self.digitize_reference(bins, h))
+        block = h[:5000].reshape(50, 100)
+        assert np.array_equal(bins.index_of(block), self.digitize_reference(bins, block))
+
+    @pytest.mark.parametrize("n_bins", [2.5, 3.0, True, 0, -1, "3"])
+    def test_equal_width_takes_a_positive_integer_bin_count(self, n_bins):
+        with pytest.raises(ValidationError, match="n_bins must be a positive integer"):
+            LagBins.equal_width(100.0, n_bins)
+
     def test_default_bins_span_half_max(self, monkeypatch):
         ds = make_dataset(np.eye(2), xy=[[0.0, 0.0], [100.0, 0.0]])
         bins = default_lag_bins(ds, n_bins=10)
@@ -149,6 +174,21 @@ class TestLagBins:
         assert dmax == 0.0
         with pytest.raises(ValidationError, match="all locations coincide"):
             default_lag_bins(ds)
+
+    def test_hull_max_distance_memory_is_bounded(self):
+        # every site on a circle is a hull vertex; the hull's distances are
+        # compared in row blocks, not as dense 3000 x 3000 arrays (72 MB each)
+        t = np.linspace(0.0, 2.0 * math.pi, 3000, endpoint=False)
+        xy = 500.0 * np.column_stack([np.cos(t), np.sin(t)])
+        ds = make_dataset(np.zeros((len(xy), 2)), xy=xy)
+        tracemalloc.start()
+        try:
+            dmax = fess.variogram._max_site_distance(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        assert dmax == np.max(pairwise_distances(xy))
 
 
 class TestModelFamilies:
@@ -280,6 +320,26 @@ class TestEmpiricalVariogram:
         ev = empirical_trace_variogram(ds, bins)
         ec = empirical_trace_covariogram(ds, bins)
         assert ev.sigma0 == ec.sigma0
+
+    def test_sigma0_is_the_mean_squared_norm_of_the_centred_curves(self):
+        rng = derived_rng(25)
+        cases = [random_dataset(rng, 40, 9), tied_dataset(rng, 31, 4), tied_dataset(rng, 60, 22)]
+        for ds in cases:
+            dev = ds.curves - ds.curves.mean(axis=0)
+            expected = np.sum(np.sort((dev**2) @ ds.grid.quad_weights)) / ds.n_curves
+            bins = default_lag_bins(ds)
+            for estimator in (empirical_trace_variogram, empirical_trace_covariogram):
+                assert estimator(ds, bins).sigma0 == pytest.approx(expected, rel=1e-12, abs=0.0)
+        # one curve repeated at every site: the centred curves are exactly 0
+        curve = rng.integers(-500, 500, 7) / 64.0
+        ds = make_dataset(np.tile(curve, (13, 1)), xy=rng.uniform(0.0, 100.0, (13, 2)))
+        assert empirical_trace_variogram(ds, default_lag_bins(ds)).sigma0 == 0.0
+
+    @pytest.mark.parametrize("threads", [True, False, 2.0, 0])
+    def test_thread_count_must_be_a_positive_integer(self, threads):
+        ds = random_dataset(derived_rng(26), 10, 3)
+        with pytest.raises(ValidationError, match="threads must be a positive integer"):
+            empirical_trace_variogram(ds, default_lag_bins(ds), threads=threads)
 
     def test_gamma_nonnegative(self):
         rng = derived_rng(23)
