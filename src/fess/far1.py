@@ -16,6 +16,7 @@ parametric model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -27,6 +28,7 @@ from .dataset import (
     SpatialFunctionalDataset,
     _as_xy,
     _frozen_array,
+    _non_negative_int,
     _positive_int,
     pairwise_distances,
 )
@@ -119,9 +121,8 @@ class Far1Spec:
 
 def far1_trace_cov(spec: Far1Spec, h: int) -> float:
     """Exact trace-covariogram of the process at integer lag ``h >= 0``."""
-    if h != int(h) or h < 0:
-        raise ValidationError("lag must be a non-negative integer")
-    return float(np.sum(spec.lambdas ** int(h) * spec.stationary_weights))
+    h = _non_negative_int(h, "lag")
+    return float(np.sum(spec.lambdas**h * spec.stationary_weights))
 
 
 def _corr_mass(lam: float, n: int) -> float:
@@ -277,24 +278,46 @@ def gauss_field_simulate(
     1e-10 diagonal jitter is added once if the matrix is numerically
     singular, and failure after that raises. ``locs`` is an ``(n, 2)``
     array or a sequence of :class:`PlanarCoord`.
+
+    The factor depends only on ``spec.model`` and the sites, not on the
+    seed, so the last one computed is kept and reused while calls pass an
+    equal model and bitwise-equal sites in the same order: a repeated
+    call costs one normal draw and one matrix product, and its curves are
+    the ones a fresh factorization gives. The kept factor (n x n floats:
+    1.3 MB at n = 400, 200 MB at n = 5000) stays alive after the call
+    until a call with other sites or another model replaces it. A failed
+    factorization is not kept.
     """
     xy = _as_xy(locs)
-    dist = pairwise_distances(xy)
-    corr = model_trace_cov(spec.model, dist) / (spec.model.sill + spec.model.nugget)
-    try:
-        factor = np.linalg.cholesky(corr)
-    except np.linalg.LinAlgError:
-        try:
-            factor = np.linalg.cholesky(corr + 1e-10 * np.eye(corr.shape[0]))
-        except np.linalg.LinAlgError:
-            raise EstimationError(
-                "correlation matrix is not positive definite, even after jitter"
-            ) from None
+    factor = _correlation_factor(spec.model, xy.tobytes())
     rng = derived_rng(seed)
     k = spec.weights.size
-    z = rng.standard_normal((corr.shape[0], k))
+    z = rng.standard_normal((factor.shape[0], k))
     fields = factor @ z
     curves = (fields * np.sqrt(spec.weights)) @ basis_matrix(
         spec.basis, k, spec.grid.points
     )
     return SpatialFunctionalDataset(spec.grid, xy, curves)
+
+
+@functools.lru_cache(maxsize=1)
+def _correlation_factor(model: TraceCovModel, sites: bytes) -> np.ndarray:
+    """Read-only lower Cholesky factor of the sites' correlation under ``model``.
+
+    ``sites`` is the bytes of the ``(n, 2)`` float site array, so the one
+    memoized factor is keyed by the exact model and the exact sites.
+    """
+    corr = model_trace_cov(model, pairwise_distances(np.frombuffer(sites).reshape(-1, 2)))
+    corr /= model.sill + model.nugget
+    try:
+        factor = np.linalg.cholesky(corr)
+    except np.linalg.LinAlgError:
+        corr[np.diag_indices_from(corr)] += 1e-10
+        try:
+            factor = np.linalg.cholesky(corr)
+        except np.linalg.LinAlgError:
+            raise EstimationError(
+                "correlation matrix is not positive definite, even after jitter"
+            ) from None
+    factor.flags.writeable = False
+    return factor

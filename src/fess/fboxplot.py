@@ -21,12 +21,11 @@ batch size.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import SpatialFunctionalDataset, _frozen_array
+from .dataset import SpatialFunctionalDataset, _frozen_array, _non_negative_int
 from .errors import ValidationError
 from .rng import _entropy, _stream
 
@@ -282,9 +281,8 @@ def subsample_experiment(
     band). Replicates are scored in batches of ``_BATCH_ELEMENTS`` values,
     bit for bit as ``fidelity_metrics`` scores each one.
     """
-    for name, value in (("size", size), ("reps", reps)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    size = _non_negative_int(size, "size")
+    reps = _non_negative_int(reps, "reps")
     n, m = full.curves.shape
     if not 2 <= size <= n:
         raise ValidationError(f"subsample size must lie in [2, {n}], got {size}")
@@ -314,8 +312,8 @@ def subsample_experiment(
     stack = np.array([r.as_tuple() for r in replicates])
     means = FidelityMetrics(*(float(v) for v in stack.mean(axis=0)))
     return SubsampleExperiment(
-        size=int(size),
-        reps=int(reps),
+        size=size,
+        reps=reps,
         seed=seed,
         replicates=tuple(replicates),
         means=means,

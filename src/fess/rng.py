@@ -8,10 +8,9 @@ be generated in any order, or in parallel, with identical results.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
+from .dataset import _integer_at_least
 from .errors import ValidationError
 
 
@@ -22,7 +21,7 @@ def derived_rng(seed: int, *keys: int) -> np.random.Generator:
 
 def _entropy(*values) -> list[int]:
     """``values`` as ints, each checked to be a non-negative integer."""
-    if any(not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 0 for v in values):
+    if not all(_integer_at_least(v, 0) for v in values):
         raise ValidationError(f"seed and keys must be non-negative integers, got {list(values)!r}")
     return [int(v) for v in values]
 

@@ -1,7 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import fess
 from fess import (
+    EstimationError,
     EvalGrid,
     Far1Spec,
     GaussFieldSpec,
@@ -15,8 +20,11 @@ from fess import (
     far1_trace_cov,
     gauss_field_simulate,
     marginal_ess,
+    model_trace_cov,
+    pairwise_distances,
     trapz_inner,
 )
+from fess.dataset import _as_xy
 from fess.far1 import basis_matrix
 from fess.rng import derived_rng
 
@@ -78,6 +86,16 @@ class TestTraceCov:
         spec = Far1Spec([0.5], [1.0], tiny_grid())
         with pytest.raises(ValidationError):
             far1_trace_cov(spec, -1)
+
+    @pytest.mark.parametrize("h", [float("inf"), float("nan"), True, 2.0, "2"])
+    def test_lag_must_be_a_non_negative_integer(self, h):
+        spec = Far1Spec([0.5], [1.0], tiny_grid())
+        with pytest.raises(ValidationError, match="lag must be a non-negative integer"):
+            far1_trace_cov(spec, h)
+
+    def test_numpy_integer_lags_are_lags(self):
+        spec = Far1Spec([0.5, 0.25], [1.0, 0.5], tiny_grid())
+        assert far1_trace_cov(spec, np.uint8(3)) == far1_trace_cov(spec, 3)
 
 
 class TestMarginalEss:
@@ -318,3 +336,145 @@ class TestGaussField:
             GaussFieldSpec(model, np.array([0.0, 0.0]), grid)
         with pytest.raises(ValidationError):
             GaussFieldSpec(model, np.array([-1.0, 2.0]), grid)
+
+
+class TestFactorMemo:
+    """``gauss_field_simulate`` keeps the last correlation factor and reuses it
+    only for an equal model at bitwise-equal sites."""
+
+    grid = EvalGrid(np.linspace(0.0, 1.0, 11))
+    model = TraceCovModel("exponential", 1.0, 80.0, 0.2)
+
+    def spec(self, model=None):
+        return GaussFieldSpec(model or self.model, np.array([0.5, 0.3, 0.2]), self.grid)
+
+    @staticmethod
+    def cold(spec, xy, seed):
+        fess.far1._correlation_factor.cache_clear()
+        return gauss_field_simulate(spec, xy, seed).curves
+
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        fess.far1._correlation_factor.cache_clear()
+        return calls
+
+    def test_equal_sites_and_model_factorize_once(self, factorizations):
+        xy = derived_rng(80).uniform(0.0, 300.0, size=(25, 2))
+        first = gauss_field_simulate(self.spec(), xy, seed=1).curves
+        # an equal model and equal sites given another way hit the memo
+        again = self.spec(TraceCovModel("exponential", 1.0, 80.0, 0.2))
+        locs = [PlanarCoord(float(x), float(y)) for x, y in xy]
+        second = gauss_field_simulate(again, locs, seed=2).curves
+        repeat = gauss_field_simulate(self.spec(), xy.copy(), seed=1).curves
+        assert repeat.tobytes() == first.tobytes()
+        assert len(factorizations) == 1
+        assert self.cold(self.spec(), xy, 2).tobytes() == second.tobytes()
+
+    def test_curves_match_the_model_and_sites_they_were_given(self, factorizations):
+        xy = derived_rng(81).uniform(0.0, 300.0, size=(20, 2))
+        last_bit = xy.copy()
+        last_bit[7, 1] = np.nextafter(last_bit[7, 1], np.inf)
+        swapped = xy.copy()
+        swapped[[3, 11]] = swapped[[11, 3]]
+        changes = [
+            (TraceCovModel("spherical", 1.0, 80.0, 0.2), xy),
+            (TraceCovModel("exponential", 1.5, 80.0, 0.2), xy),
+            (TraceCovModel("exponential", 1.0, 81.0, 0.2), xy),
+            (TraceCovModel("exponential", 1.0, 80.0, 0.0), xy),
+            (self.model, last_bit),
+            (self.model, swapped),
+        ]
+        for model, sites in changes:
+            gauss_field_simulate(self.spec(), xy, seed=3)  # the memo holds the base case
+            before = len(factorizations)
+            warm = gauss_field_simulate(self.spec(model), sites, seed=3).curves
+            assert len(factorizations) == before + 1
+            assert warm.tobytes() == self.cold(self.spec(model), sites, 3).tobytes()
+
+    def test_curves_are_the_dense_cholesky_draw(self):
+        xy = np.vstack([derived_rng(82).uniform(0.0, 300.0, size=(15, 2))] * 2)  # jitter
+        spec = self.spec(TraceCovModel("gaussian", 2.0, 60.0, 0.3))
+        corr = model_trace_cov(spec.model, pairwise_distances(xy)) / 2.3
+        try:
+            factor = np.linalg.cholesky(corr)
+        except np.linalg.LinAlgError:
+            factor = np.linalg.cholesky(corr + 1e-10 * np.eye(len(xy)))
+        z = derived_rng(5).standard_normal((len(xy), 3))
+        basis = basis_matrix("fourier", 3, self.grid.points)
+        ref = ((factor @ z) * np.sqrt(spec.weights)) @ basis
+        for _ in range(2):
+            assert gauss_field_simulate(spec, xy, seed=5).curves.tobytes() == ref.tobytes()
+
+    def test_mutating_the_callers_sites_changes_the_next_result(self):
+        xy = derived_rng(83).uniform(0.0, 300.0, size=(20, 2))
+        gauss_field_simulate(self.spec(), xy, seed=4)
+        xy[5] += 40.0
+        warm = gauss_field_simulate(self.spec(), xy, seed=4).curves
+        assert warm.tobytes() == self.cold(self.spec(), xy, 4).tobytes()
+
+    def test_cached_factor_is_read_only(self):
+        xy = derived_rng(84).uniform(0.0, 300.0, size=(10, 2))
+        self.cold(self.spec(), xy, 1)
+        factor = fess.far1._correlation_factor(self.model, _as_xy(xy).tobytes())
+        assert fess.far1._correlation_factor.cache_info().hits == 1
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0, 0] = 2.0
+
+    def test_jitter_path_is_memoized(self, factorizations):
+        locs = [PlanarCoord(0.0, 0.0), PlanarCoord(0.0, 0.0), PlanarCoord(5.0, 0.0)]
+        first = gauss_field_simulate(self.spec(), locs, seed=2).curves
+        assert len(factorizations) == 2  # singular, then with the jitter
+        assert gauss_field_simulate(self.spec(), locs, seed=2).curves.tobytes() == first.tobytes()
+        assert len(factorizations) == 2
+
+    def test_failed_factorization_raises_on_every_call(self, monkeypatch):
+        xy = derived_rng(85).uniform(0.0, 300.0, size=(10, 2))
+        expected = self.cold(self.spec(), xy, 6)
+        fess.far1._correlation_factor.cache_clear()
+        calls = []
+
+        def failing(a):
+            calls.append(1)
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        for attempt in (1, 2):
+            with pytest.raises(EstimationError, match="not positive definite, even after jitter"):
+                gauss_field_simulate(self.spec(), xy, seed=6)
+            assert len(calls) == 2 * attempt
+        monkeypatch.undo()
+        assert gauss_field_simulate(self.spec(), xy, seed=6).curves.tobytes() == expected.tobytes()
+
+    def test_threads_alternating_two_site_sets_match_serial_results(self):
+        rng = derived_rng(86)
+        sites = [rng.uniform(0.0, 300.0, size=(40, 2)), rng.uniform(0.0, 300.0, size=(30, 2))]
+        jobs = [(sites[(t + r) % 2], 100 * t + r) for t in range(4) for r in range(12)]
+        serial = [self.cold(self.spec(), xy, seed).tobytes() for xy, seed in jobs]
+        results = {}
+
+        def work(t):
+            for r in range(12):
+                xy, seed = jobs[12 * t + r]
+                results[12 * t + r] = gauss_field_simulate(self.spec(), xy, seed).curves.tobytes()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results.get(i) for i in range(len(jobs))] == serial

@@ -236,6 +236,16 @@ class TestSubsampleExperiment:
             {"reps": True},
             {"seed": 1.9},
             {"seed": False},
+            {"size": 5.0},
+            {"size": float("inf")},
+            {"size": float("nan")},
+            {"size": -3},
+            {"reps": 3.0},
+            {"reps": float("inf")},
+            {"reps": float("nan")},
+            {"seed": 1.0},
+            {"seed": float("inf")},
+            {"seed": float("nan")},
         ],
     )
     def test_non_integer_arguments_rejected(self, kwargs):
@@ -265,7 +275,10 @@ def test_replicate_draws_are_derived_rng_draws(monkeypatch, seed):
         assert np.array_equal(np.concatenate(drawn), np.concatenate(ref))
 
 
-@pytest.mark.parametrize("keys", [(1.9,), (True,), (3, 2.0), (3, False), (-1,), (3, -2)])
+@pytest.mark.parametrize(
+    "keys",
+    [(1.9,), (True,), (3, 2.0), (3, False), (-1,), (3, -2), (float("inf"),), (3, float("nan"))],
+)
 def test_derived_rng_takes_non_negative_integers_only(keys):
     with pytest.raises(ValidationError, match="non-negative integers"):
         derived_rng(*keys)
