@@ -278,40 +278,35 @@ def _pair_spans(n: int, m: int) -> list[tuple[int, int]]:
 
 
 def _site_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances between the sites ``a`` (rows) and ``b`` (columns)."""
-    return _paired_distances(a[:, None], b[None, :])
-
-
-def _paired_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances between the sites ``a[..., :]`` and ``b[..., :]``, broadcast.
+    """Distances between the sites ``a`` (rows) and ``b`` (columns).
 
     ``sqrt(dx*dx + dy*dy)`` in place: symmetric in the two sites, and under
     half the time of ``np.hypot``, whose guards against overflow planar
     distances in km do not need.
     """
-    dx = a[..., 0] - b[..., 0]
-    dy = a[..., 1] - b[..., 1]
+    dx = a[:, 0][:, None] - b[:, 0][None, :]
+    dy = a[:, 1][:, None] - b[:, 1][None, :]
     dx *= dx
     dy *= dy
     dx += dy
     return np.sqrt(dx, out=dx)
 
 
-def _integer_at_least(value, least: int) -> bool:
-    """Whether ``value`` is an integer (a bool is not) of at least ``least``."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _positive_int(value, name: str) -> int:
     """``value`` as an int, if it is an integer of at least 1."""
-    if not _integer_at_least(value, 1):
+    if not _is_integer(value) or value < 1:
         raise ValidationError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 
 
 def _non_negative_int(value, name: str) -> int:
     """``value`` as an int, if it is an integer of at least 0."""
-    if not _integer_at_least(value, 0):
+    if not _is_integer(value) or value < 0:
         raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
     return int(value)
 

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import SpatialFunctionalDataset, _frozen_array, _non_negative_int
+from .dataset import SpatialFunctionalDataset, _frozen_array, _is_integer, _positive_int
 from .errors import ValidationError
 from .rng import _entropy, _stream
 
@@ -281,13 +281,12 @@ def subsample_experiment(
     band). Replicates are scored in batches of ``_BATCH_ELEMENTS`` values,
     bit for bit as ``fidelity_metrics`` scores each one.
     """
-    size = _non_negative_int(size, "size")
-    reps = _non_negative_int(reps, "reps")
+    if not _is_integer(size):
+        raise ValidationError(f"size must be an integer, got {size!r}")
+    reps = _positive_int(reps, "reps")
     n, m = full.curves.shape
     if not 2 <= size <= n:
         raise ValidationError(f"subsample size must lie in [2, {n}], got {size}")
-    if reps < 1:
-        raise ValidationError("need at least one replicate")
     (seed,) = _entropy(seed)  # checked once; each replicate adds its index
     full_summary = functional_boxplot(full)
     # Dense column ranks of the full sample sort and tie within any subsample
@@ -312,7 +311,7 @@ def subsample_experiment(
     stack = np.array([r.as_tuple() for r in replicates])
     means = FidelityMetrics(*(float(v) for v in stack.mean(axis=0)))
     return SubsampleExperiment(
-        size=size,
+        size=int(size),
         reps=reps,
         seed=seed,
         replicates=tuple(replicates),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import _integer_at_least
+from .dataset import _is_integer
 from .errors import ValidationError
 
 
@@ -21,7 +21,7 @@ def derived_rng(seed: int, *keys: int) -> np.random.Generator:
 
 def _entropy(*values) -> list[int]:
     """``values`` as ints, each checked to be a non-negative integer."""
-    if not all(_integer_at_least(v, 0) for v in values):
+    if not all(_is_integer(v) and v >= 0 for v in values):
         raise ValidationError(f"seed and keys must be non-negative integers, got {list(values)!r}")
     return [int(v) for v in values]
 

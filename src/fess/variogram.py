@@ -20,43 +20,27 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import (
+    _PAIR_BLOCK_ELEMENTS,
     SpatialFunctionalDataset,
     _column_means,
     _frozen_array,
     _pair_map,
-    _paired_distances,
     _parse_cell,
     _positive_int,
     _read_csv_rows,
+    _site_distances,
     _sorted_sum,
     _write_csv,
     _write_json,
 )
 from .errors import EstimationError, ValidationError
 
-
-def _spherical(u: np.ndarray) -> np.ndarray:
-    """``where(u <= 1, 1 - 1.5 u + 0.5 u**3, 0)``, written into ``u``."""
-    cube = np.power(u, 3)
-    cube *= 0.5
-    inside = u <= 1.0
-    u *= 1.5
-    np.subtract(1.0, u, out=u)
-    u += cube
-    u[~inside] = 0.0
-    return u
-
-
 # Correlation of each family as a function of ``u = h / range``: the one
 # definition that the model, the fit objective and the simulator share.
-# Each writes its result into ``u``, a float array its caller made for the
-# call, so an n x n evaluation holds one n x n array (two for the
-# spherical cube) where ``np.exp(-u)`` would hold three; the values are
-# those of ``exp(-u)`` and ``exp(-u**2)`` bit for bit.
 _CORR = {
-    "exponential": lambda u: np.exp(np.negative(u, out=u), out=u),
-    "spherical": _spherical,
-    "gaussian": lambda u: np.exp(np.negative(np.square(u, out=u), out=u), out=u),
+    "exponential": lambda u: np.exp(-u),
+    "spherical": lambda u: np.where(u <= 1.0, 1.0 - 1.5 * u + 0.5 * u**3, 0.0),
+    "gaussian": lambda u: np.exp(-(u**2)),
 }
 FAMILIES = tuple(_CORR)
 
@@ -163,46 +147,16 @@ class LagBins:
         return slots
 
 
-# Rounding error bound, relative to |left| + |right|, of the cross product
-# left - right of two vectors of rounded coordinate differences (Shewchuk
-# 1997, "ccwerrboundA"); a larger result has the exact result's sign.
-_CROSS_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
-
-
-def _cross_sign(a, b, c, d) -> int:
-    """Exact sign (-1, 0 or 1) of the cross product ``(b - a) x (d - c)``.
-
-    Computed in floating point when that is larger than its error bound,
-    else in integers, so that hull and caliper steps never turn the wrong
-    way on nearly collinear sites.
-    """
-    ux, uy, vx, vy = b[0] - a[0], b[1] - a[1], d[0] - c[0], d[1] - c[1]
-    left, right = ux * vy, uy * vx
-    if abs(left - right) > _CROSS_ERR * (abs(left) + abs(right)):
-        return 1 if left > right else -1
-    if (ux == 0 or vy == 0) and (uy == 0 or vx == 0):
-        return 0  # both products are exactly 0: sites on one row or column of a lattice
-    # each coordinate is num / den with den a power of 2: scaled by the
-    # largest den, all are integers
-    ratios = [v.as_integer_ratio() for p in (a, b, c, d) for v in p]
-    scale = max(den for _, den in ratios)
-    ax, ay, bx, by, cx, cy, dx, dy = (num * (scale // den) for num, den in ratios)
-    det = (bx - ax) * (dy - cy) - (by - ay) * (dx - cx)
-    return (det > 0) - (det < 0)
-
-
 def _max_site_distance(dataset: SpatialFunctionalDataset) -> float:
     """Largest distance between two sites (0 for a single site).
 
-    The farthest pair of a planar set is an antipodal pair of vertices of
-    its convex hull, so only those pairs are compared, with the expression
-    of the pair blocks: the result is the pair maximum bit for bit. Sites
-    strictly inside the octagon of extreme points (least and greatest x,
-    y, x + y and x - y; Akl and Toussaint 1978) are not hull vertices and
-    are dropped first; a monotone chain (Andrew 1979) takes the hull of
-    the rest, collinear sets and single sites included, and rotating
-    calipers (Shamos 1978) walk its h vertices in O(h) steps. Both turn
-    on exact signs of cross products.
+    The farthest pair of a planar set are vertices of its convex hull, so
+    only hull vertices are compared, with the expression of the pair
+    blocks: the result is the pair maximum bit for bit. Sites strictly
+    inside the octagon of extreme points (least and greatest x, y, x + y
+    and x - y; Akl and Toussaint 1978) are not hull vertices and are
+    dropped first; a monotone chain (Andrew 1979) takes the hull of the
+    rest, collinear sets and single sites included.
     """
     x, y = dataset.xy.T
     octagon = dataset.xy[
@@ -221,29 +175,22 @@ def _max_site_distance(dataset: SpatialFunctionalDataset) -> float:
     def half_hull(points):
         chain = []
         for p in points:
-            while len(chain) >= 2 and _cross_sign(chain[-2], chain[-1], chain[-2], p) <= 0:
+            while len(chain) >= 2 and (
+                (chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])
+            ) <= 0:
                 chain.pop()
             chain.append(p)
         return chain[:-1]
 
-    # counter-clockwise, without collinear vertices
-    hull = half_hull(sites) + half_hull(sites[::-1]) or sites  # 1 site: empty chain
-    h = len(hull)
-    # for each edge i -> i + 1, pair i with every j that the far caliper
-    # passes while the edge j -> j + 1 turns back against it; j only
-    # advances, so there are at most 2h pairs
-    first, second = [0], [0]
-    i, j = 0, min(1, h - 1)
-    while i < j:
-        while True:
-            first.append(i)
-            second.append(j)
-            if _cross_sign(hull[j], hull[(j + 1) % h], hull[i], hull[i + 1]) >= 0:
-                break
-            j = (j + 1) % h
-        i += 1
-    vertices = np.array(hull)
-    return float(np.max(_paired_distances(vertices[first], vertices[second])))
+    chain = half_hull(sites) + half_hull(sites[::-1])
+    hull = np.array(chain or sites)  # a single site has an empty chain
+    # row blocks of about _PAIR_BLOCK_ELEMENTS distances, so a hull of many
+    # vertices (sites on a circle) never forms its dense distance matrix
+    k = max(1, _PAIR_BLOCK_ELEMENTS // len(hull))
+    return float(max(
+        np.max(_site_distances(hull[i:i + k], hull)) for i in range(0, len(hull), k)
+    ))
 
 
 def default_lag_bins(dataset: SpatialFunctionalDataset, n_bins: int = 15) -> LagBins:
@@ -306,11 +253,8 @@ def model_trace_cov(model: TraceCovModel, h):
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr < 0):
         raise ValidationError("distances must be non-negative")
-    c = _CORR[model.family](np.asarray(h_arr / model.range_km))
-    c *= model.sill
-    # the nugget only where h == 0: adding 0.0 elsewhere changes no value of c,
-    # which is never -0.0
-    np.add(c, model.nugget, out=c, where=h_arr == 0.0)
+    c = model.sill * _CORR[model.family](h_arr / model.range_km)
+    c = c + np.where(h_arr == 0.0, model.nugget, 0.0)
     return float(c) if np.isscalar(h) or h_arr.ndim == 0 else c
 
 

@@ -225,6 +225,10 @@ class TestSubsampleExperiment:
             subsample_experiment(full, size=1, reps=2, seed=0)
         with pytest.raises(ValidationError):
             subsample_experiment(full, size=11, reps=2, seed=0)
+        with pytest.raises(ValidationError, match=r"must lie in \[2, 10\], got -3"):
+            subsample_experiment(full, size=-3, reps=2, seed=0)
+        with pytest.raises(ValidationError, match="reps must be a positive integer"):
+            subsample_experiment(full, size=5, reps=0, seed=0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -239,7 +243,6 @@ class TestSubsampleExperiment:
             {"size": 5.0},
             {"size": float("inf")},
             {"size": float("nan")},
-            {"size": -3},
             {"reps": 3.0},
             {"reps": float("inf")},
             {"reps": float("nan")},

