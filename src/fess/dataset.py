@@ -12,6 +12,7 @@ read-only), so they are safe to share between threads.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import numbers
@@ -19,6 +20,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,6 +250,33 @@ _MIN_BLOCKS_PER_WORKER = 16
 _NOT_A_PAIR = -1.0
 
 
+class _SiteRecord(NamedTuple):
+    """What the pair stages need of a site set, whatever its curves."""
+
+    order: np.ndarray  # rows sorted by x, then y, equal sites in row order
+    tied: np.ndarray  # positions in ``order`` of sites equal to a neighbour
+    groups: np.ndarray  # the run of equal sites of each, numbered in order
+    diameter: float  # the largest distance between two sites
+
+
+@functools.lru_cache(maxsize=1)
+def _site_record(sites: bytes) -> _SiteRecord:
+    """The :class:`_SiteRecord` of the ``(n, 2)`` float site array ``sites``.
+
+    Keyed by the array's bytes, so the one kept record is that of the last
+    site set, in its row order; its arrays are read-only and O(n).
+    """
+    xy = np.frombuffer(sites).reshape(-1, 2)
+    order = np.lexsort((xy[:, 1], xy[:, 0]))
+    x, y = xy[order].T
+    same = (x[1:] == x[:-1]) & (y[1:] == y[:-1])
+    tied = np.flatnonzero(np.append(same, False) | np.insert(same, 0, False))
+    groups = np.cumsum(np.insert(~same, 0, True))[tied]
+    for a in (order, tied, groups):
+        a.flags.writeable = False
+    return _SiteRecord(order, tied, groups, _max_site_distance(xy))
+
+
 def _canonical_order(dataset: "SpatialFunctionalDataset") -> np.ndarray:
     """Row order that depends only on the rows' contents.
 
@@ -255,10 +284,63 @@ def _canonical_order(dataset: "SpatialFunctionalDataset") -> np.ndarray:
     duplicate sites are ordered too; rows equal in every key are
     interchangeable. Pair stages that run over rows in this order and
     reduce in a fixed block order give results that are bitwise invariant
-    under row relabelling.
+    under row relabelling. The site order comes from the kept
+    :func:`_site_record`; the curves are sorted only where sites tie, which
+    gives the permutation of one ``np.lexsort`` over all the keys.
     """
-    keys = np.vstack([dataset.curves.T[::-1], dataset.xy.T[::-1]])
-    return np.lexsort(keys)
+    sites = _site_record(dataset.xy.tobytes())
+    if not sites.tied.size:
+        return sites.order
+    order = sites.order.copy()
+    rows = order[sites.tied]
+    order[sites.tied] = rows[np.lexsort((*dataset.curves[rows].T[::-1], sites.groups))]
+    return order
+
+
+def _max_site_distance(xy: np.ndarray) -> float:
+    """Largest distance between two of the sites ``xy`` (0 for a single site).
+
+    The farthest pair of a planar set are vertices of its convex hull, so
+    only hull vertices are compared, with the expression of the pair
+    blocks: the result is the pair maximum bit for bit. Sites strictly
+    inside the octagon of extreme points (least and greatest x, y, x + y
+    and x - y; Akl and Toussaint 1978) are not hull vertices and are
+    dropped first; a monotone chain (Andrew 1979) takes the hull of the
+    rest, collinear sets and single sites included.
+    """
+    x, y = xy.T
+    octagon = xy[
+        [np.argmax(x), np.argmax(x + y), np.argmax(y), np.argmin(x - y),
+         np.argmin(x), np.argmin(x + y), np.argmin(y), np.argmax(x - y)]
+    ]
+    # counter-clockwise edges; a site is strictly inside when it is strictly
+    # left of every edge of positive length
+    start = octagon[:, :, None]
+    edge = np.roll(octagon, -1, axis=0)[:, :, None] - start
+    left = edge[:, 0] * (y - start[:, 1]) - edge[:, 1] * (x - start[:, 0]) > 0
+    inside = np.all(left | ~np.any(edge, axis=1), axis=0)
+    # the octagon's own vertices stay when every edge is a point
+    sites = np.unique(np.vstack([octagon, xy[~inside]]), axis=0).tolist()
+
+    def half_hull(points):
+        chain = []
+        for p in points:
+            while len(chain) >= 2 and (
+                (chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])
+            ) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain[:-1]
+
+    chain = half_hull(sites) + half_hull(sites[::-1])
+    hull = np.array(chain or sites)  # a single site has an empty chain
+    # row blocks of about _PAIR_BLOCK_ELEMENTS distances, so a hull of many
+    # vertices (sites on a circle) never forms its dense distance matrix
+    k = max(1, _PAIR_BLOCK_ELEMENTS // len(hull))
+    return float(max(
+        np.max(_site_distances(hull[i:i + k], hull)) for i in range(0, len(hull), k)
+    ))
 
 
 def _pair_spans(n: int, m: int) -> list[tuple[int, int]]:
@@ -329,14 +411,25 @@ def _worker_count(threads: int | None, n_blocks: int) -> int:
     return max(1, min(int(threads), n_blocks // _MIN_BLOCKS_PER_WORKER))
 
 
-def _pair_map(fn, dataset: "SpatialFunctionalDataset", rows=None, threads=None) -> list:
-    """``fn(d, X[i0:i1], X[i0:])`` for every canonical pair block, in block order.
+def _block_distances(xy: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """Distances of pair block ``(i0, i1)`` of the sites ``xy``: ``d[k, c]``
+    between sites ``i0 + k`` and ``i0 + c``, ``_NOT_A_PAIR`` where ``c <= k``."""
+    d = _site_distances(xy[i0:i1], xy[i0:])
+    d[np.tril_indices(i1 - i0)] = _NOT_A_PAIR
+    return d
 
-    ``X`` is ``rows`` (default: the curves) in :func:`_canonical_order`, the
-    one row order of every pair stage. ``d[k, c]`` is the distance between
-    rows ``i0 + k`` and ``i0 + c``; entries with ``c <= k`` are not pairs and
-    hold ``_NOT_A_PAIR``. The blocks are the :func:`_pair_spans` of the
-    dataset's n rows and m grid levels, whatever the width of ``rows``.
+
+def _pair_map(fn, dataset: "SpatialFunctionalDataset", rows=None, threads=None) -> list:
+    """``fn(k, distances, X[i0:i1], X[i0:])`` for every canonical pair block, in block order.
+
+    ``k`` numbers the block ``(i0, i1)`` among the :func:`_pair_spans` of
+    the dataset's n rows and m grid levels, whatever the width of
+    ``rows``. ``X`` is ``rows`` (default: the curves) in
+    :func:`_canonical_order`, the one row order of every pair stage.
+    ``distances()`` computes the block's :func:`_block_distances`; a stage
+    that keeps what it needs of them from an earlier pass over the same
+    sites need not call it, so the distances of a block are formed only
+    when asked for.
 
     With ``threads`` workers (default: the usable cores; see
     :func:`_worker_count`) each worker runs one contiguous run of blocks,
@@ -349,19 +442,17 @@ def _pair_map(fn, dataset: "SpatialFunctionalDataset", rows=None, threads=None) 
     order = _canonical_order(dataset)
     xy = dataset.xy[order]
     X = (dataset.curves if rows is None else rows)[order]
-    spans = _pair_spans(dataset.n_curves, dataset.n_levels)
-    workers = _worker_count(threads, len(spans))
+    blocks = list(enumerate(_pair_spans(dataset.n_curves, dataset.n_levels)))
+    workers = _worker_count(threads, len(blocks))
 
     def run(chunk):
-        out = []
-        for i0, i1 in chunk:
-            d = _site_distances(xy[i0:i1], xy[i0:])
-            d[np.tril_indices(i1 - i0)] = _NOT_A_PAIR
-            out.append(fn(d, X[i0:i1], X[i0:]))
-        return out
+        return [
+            fn(k, functools.partial(_block_distances, xy, i0, i1), X[i0:i1], X[i0:])
+            for k, (i0, i1) in chunk
+        ]
 
     chunks = [
-        spans[k * len(spans) // workers:(k + 1) * len(spans) // workers]
+        blocks[k * len(blocks) // workers:(k + 1) * len(blocks) // workers]
         for k in range(workers)
     ]
     if workers == 1:

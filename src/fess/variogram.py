@@ -12,6 +12,7 @@ variogram by least squares.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,15 +21,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import (
-    _PAIR_BLOCK_ELEMENTS,
     SpatialFunctionalDataset,
     _column_means,
     _frozen_array,
     _pair_map,
+    _pair_spans,
     _parse_cell,
     _positive_int,
     _read_csv_rows,
-    _site_distances,
+    _site_record,
     _sorted_sum,
     _write_csv,
     _write_json,
@@ -114,8 +115,11 @@ class LagBins:
         return cls(np.linspace(0.0, max_lag, _positive_int(n_bins, "n_bins") + 1))
 
     def index_of(self, h: np.ndarray) -> np.ndarray:
-        """Bin index per distance, -1 for out-of-range distances."""
-        idx = self._slots(np.asarray(h, dtype=float)) - 1
+        """Bin index per distance, -1 for out-of-range distances; NaN is rejected."""
+        h = np.asarray(h, dtype=float)
+        if np.any(np.isnan(h)):
+            raise ValidationError("distances must not be NaN")
+        idx = self._slots(h) - 1
         idx[idx == len(self)] = -1
         return idx
 
@@ -147,55 +151,13 @@ class LagBins:
         return slots
 
 
-def _max_site_distance(dataset: SpatialFunctionalDataset) -> float:
-    """Largest distance between two sites (0 for a single site).
-
-    The farthest pair of a planar set are vertices of its convex hull, so
-    only hull vertices are compared, with the expression of the pair
-    blocks: the result is the pair maximum bit for bit. Sites strictly
-    inside the octagon of extreme points (least and greatest x, y, x + y
-    and x - y; Akl and Toussaint 1978) are not hull vertices and are
-    dropped first; a monotone chain (Andrew 1979) takes the hull of the
-    rest, collinear sets and single sites included.
-    """
-    x, y = dataset.xy.T
-    octagon = dataset.xy[
-        [np.argmax(x), np.argmax(x + y), np.argmax(y), np.argmin(x - y),
-         np.argmin(x), np.argmin(x + y), np.argmin(y), np.argmax(x - y)]
-    ]
-    # counter-clockwise edges; a site is strictly inside when it is strictly
-    # left of every edge of positive length
-    start = octagon[:, :, None]
-    edge = np.roll(octagon, -1, axis=0)[:, :, None] - start
-    left = edge[:, 0] * (y - start[:, 1]) - edge[:, 1] * (x - start[:, 0]) > 0
-    inside = np.all(left | ~np.any(edge, axis=1), axis=0)
-    # the octagon's own vertices stay when every edge is a point
-    sites = np.unique(np.vstack([octagon, dataset.xy[~inside]]), axis=0).tolist()
-
-    def half_hull(points):
-        chain = []
-        for p in points:
-            while len(chain) >= 2 and (
-                (chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
-                - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])
-            ) <= 0:
-                chain.pop()
-            chain.append(p)
-        return chain[:-1]
-
-    chain = half_hull(sites) + half_hull(sites[::-1])
-    hull = np.array(chain or sites)  # a single site has an empty chain
-    # row blocks of about _PAIR_BLOCK_ELEMENTS distances, so a hull of many
-    # vertices (sites on a circle) never forms its dense distance matrix
-    k = max(1, _PAIR_BLOCK_ELEMENTS // len(hull))
-    return float(max(
-        np.max(_site_distances(hull[i:i + k], hull)) for i in range(0, len(hull), k)
-    ))
-
-
 def default_lag_bins(dataset: SpatialFunctionalDataset, n_bins: int = 15) -> LagBins:
-    """Equal-width bins spanning (0, half the largest distance between sites]."""
-    dmax = _max_site_distance(dataset)
+    """Equal-width bins spanning (0, half the largest distance between sites].
+
+    The largest distance is the kept :func:`fess.dataset._site_record`'s, so
+    repeated calls at the same sites compute it once.
+    """
+    dmax = _site_record(dataset.xy.tobytes()).diameter
     if dmax <= 0:
         raise ValidationError("all locations coincide; no positive lags to bin")
     return LagBins.equal_width(dmax / 2.0, n_bins)
@@ -248,11 +210,12 @@ class TraceCovModel:
 def model_trace_cov(model: TraceCovModel, h):
     """Trace-covariogram of ``model`` at distance(s) ``h >= 0`` (km).
 
-    The nugget contributes only at ``h == 0`` exactly.
+    The nugget contributes only at ``h == 0`` exactly. A negative or NaN
+    distance is rejected.
     """
     h_arr = np.asarray(h, dtype=float)
-    if np.any(h_arr < 0):
-        raise ValidationError("distances must be non-negative")
+    if not np.all(h_arr >= 0):
+        raise ValidationError("distances must be non-negative (and not NaN)")
     c = model.sill * _CORR[model.family](h_arr / model.range_km)
     c = c + np.where(h_arr == 0.0, model.nugget, 0.0)
     return float(c) if np.isscalar(h) or h_arr.ndim == 0 else c
@@ -338,6 +301,37 @@ class EmpiricalVariogram:
         return cls(centers, gamma, counts, sigma0=None)
 
 
+class _PairSlots:
+    """Bin slots of one site set's pair blocks under one set of bin edges.
+
+    ``slots[k]`` holds :meth:`LagBins._slots` of the distances of pair
+    block k, flattened, in the smallest unsigned type holding every slot
+    (one byte an entry up to 254 bins, so the blocks of n sites take about
+    n**2 / 2 bytes). ``totals`` holds the per-bin pair counts and distance
+    sums, each added in block order. A pass that finds ``totals`` unset
+    bins every block's distances and stores both, ``totals`` last; passes
+    that fill one table at once store equal arrays. Stored arrays are
+    read-only.
+    """
+
+    def __init__(self, n_blocks: int):
+        self.slots = [None] * n_blocks
+        self.totals = None
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_slots(sites: bytes, edges: bytes, spans: tuple) -> _PairSlots:
+    """The kept slot table of the pair blocks ``spans`` (see
+    :func:`fess.dataset._pair_spans`) of the site array with bytes
+    ``sites`` under the bin edges with bytes ``edges``.
+
+    Keyed by the exact sites in their row order, the exact edges and the
+    block layout, so the one kept table is the last one asked for; it is
+    empty until the first pass over those blocks fills it.
+    """
+    return _PairSlots(len(spans))
+
+
 def _binned_pair_stats(
     dataset: SpatialFunctionalDataset, bins: LagBins, from_gram, divisor, threads
 ) -> EmpiricalVariogram:
@@ -356,6 +350,14 @@ def _binned_pair_stats(
     on the data, so results are bitwise invariant under row relabelling
     and do not depend on ``threads``. ``sigma0`` is the mean of the
     kernel's squared norms, the i = j terms.
+
+    The bin of each pair depends only on the sites and the bins, so the
+    first pass over a site set stores each block's bin slots and the
+    per-bin pair counts and distance sums in the kept :func:`_pair_slots`
+    table, and a later pass
+    at bitwise-equal sites, bins and block layout reads them instead of
+    computing the block's distances: its pairs are binned as a fresh
+    pass bins them, so its results are the same bit for bit.
     """
     if dataset.n_curves < 2:
         raise ValidationError("empirical estimation needs at least 2 curves")
@@ -364,26 +366,39 @@ def _binned_pair_stats(
     dev = dataset.curves - _column_means(dataset.curves)[None, :]
     # each row: a centred curve, then its squared W-norm
     rows = np.column_stack([dev, np.einsum("km,km->k", dev * w, dev)])
+    spans = tuple(_pair_spans(dataset.n_curves, dataset.n_levels))
+    table = _pair_slots(dataset.xy.tobytes(), bins.edges.tobytes(), spans)
+    cold = table.totals is None
+    dtype = np.min_scalar_type(n_bins + 1)
 
-    def block_stats(d, head, tail):
+    def block_stats(k, distances, head, tail):
         g = np.einsum("km,cm->kc", head[:, :-1] * w, tail[:, :-1])
-        values = from_gram(g, head[:, -1:], tail[:, -1])
+        values = from_gram(g, head[:, -1:], tail[:, -1]).ravel()
         # slots 0 and n_bins + 1 collect the pairs outside the bins and the
         # entries that are not pairs, and are dropped
-        slots = bins._slots(d).ravel()
-        return (
+        if not cold:
+            return np.bincount(table.slots[k], weights=values, minlength=n_bins + 2)[1:-1], None
+        d = distances().ravel()
+        slots = bins._slots(d)
+        table.slots[k] = _frozen_array(slots, dtype)
+        return np.bincount(slots, weights=values, minlength=n_bins + 2)[1:-1], (
             np.bincount(slots, minlength=n_bins + 2)[1:-1],
-            np.bincount(slots, weights=values.ravel(), minlength=n_bins + 2)[1:-1],
-            np.bincount(slots, weights=d.ravel(), minlength=n_bins + 2)[1:-1],
+            np.bincount(slots, weights=d, minlength=n_bins + 2)[1:-1],
         )
 
-    counts = np.zeros(n_bins, dtype=np.int64)
+    results = _pair_map(block_stats, dataset, rows, threads)
+    if cold:
+        counts = np.zeros(n_bins, dtype=np.int64)
+        hsums = np.zeros(n_bins)
+        for _, (c, h) in results:
+            counts += c
+            hsums += h
+        counts.flags.writeable = hsums.flags.writeable = False
+        table.totals = (counts, hsums)
+    counts, hsums = table.totals
     sums = np.zeros(n_bins)
-    hsums = np.zeros(n_bins)
-    for c, v, h in _pair_map(block_stats, dataset, rows, threads):
-        counts += c
+    for v, _ in results:
         sums += v
-        hsums += h
     occ = counts > 0
     if not np.any(occ):
         occupancy = ", ".join(

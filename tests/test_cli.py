@@ -489,6 +489,38 @@ class TestDeterminism:
             )
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_warm_memo_outputs_are_byte_identical(self, dataset_csv, tmp_path, monkeypatch):
+        # variogram then ess in one interpreter: the second session bins no
+        # distances, the third starts from empty memos again
+        binned = []
+        slots = fess.variogram.LagBins._slots
+
+        def counted(bins, h):
+            binned.append(1)
+            return slots(bins, h)
+
+        monkeypatch.setattr(fess.variogram.LagBins, "_slots", counted)
+        fams = [a for f in ("exponential", "spherical", "gaussian") for a in ("--family", f)]
+
+        def session(tag):
+            files = {}
+            for name, argv in (("variogram", ["variogram"]), ("ess", ["ess"] + fams)):
+                out = tmp_path / tag / name
+                assert main(argv + ["--input", str(dataset_csv), "--out-dir", str(out)]) == 0
+                files.update({f"{name}/{p.name}": p.read_bytes() for p in out.iterdir()})
+            return files
+
+        sessions = []
+        for tag in ("cold", "warm", "cleared"):
+            if tag != "warm":
+                fess.variogram._pair_slots.cache_clear()
+                fess.dataset._site_record.cache_clear()
+            binned.clear()
+            sessions.append(session(tag))
+            assert bool(binned) == (tag != "warm"), tag
+        assert len(sessions[0]) == 10
+        assert sessions[0] == sessions[1] == sessions[2]
+
 
 def _full_argv(command, dataset_csv, tmp_path):
     """An argv for ``command`` that sets every option it takes."""

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,11 +15,14 @@ from fess import (
     EstimationError,
     EvalGrid,
     GaussFieldSpec,
+    LagBins,
     TraceCovModel,
     ValidationError,
     ess_functional,
     ess_plugin,
     ess_scalar,
+    empirical_trace_covariogram,
+    empirical_trace_variogram,
     gauss_field_simulate,
     model_trace_cov,
     pairwise_distances,
@@ -26,7 +31,7 @@ from fess import (
 )
 from fess.rng import derived_rng
 
-from conftest import make_dataset, tied_dataset
+from conftest import make_dataset, random_dataset, tied_dataset
 
 
 class TestEssScalar:
@@ -289,7 +294,8 @@ class TestEssPlugin:
 
     def test_pair_stages_never_form_an_n_by_n_array(self):
         # one n x n float64 array is 32 MB at n = 2000; the streamed pair
-        # stages need O(n m) memory
+        # stages need O(n m) memory, plus the kept one-byte bin slot of
+        # every pair (about n**2 / 2 bytes, 2 MB here)
         rng = derived_rng(42)
         n = 2000
         ds = make_dataset(
@@ -304,6 +310,178 @@ class TestEssPlugin:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+class TestPairSlotMemo:
+    """The variogram pass keeps the last site set's bin slots and reuses them
+    only at bitwise-equal sites, bin edges and block layout."""
+
+    families = ["exponential", "spherical", "gaussian"]
+
+    @pytest.fixture
+    def binned(self, monkeypatch):
+        calls = []
+        slots = LagBins._slots
+
+        def counted(bins, h):
+            calls.append(h.size)
+            return slots(bins, h)
+
+        monkeypatch.setattr(LagBins, "_slots", counted)
+        fess.variogram._pair_slots.cache_clear()
+        return calls
+
+    @classmethod
+    def outputs(cls, ds, bins, cold=False):
+        """Both estimators and the plug-in ESS (3 families, zero and free
+        nugget) at ``bins``; with ``cold``, the memo is cleared before each."""
+        out = []
+        for estimator in (empirical_trace_variogram, empirical_trace_covariogram):
+            if cold:
+                fess.variogram._pair_slots.cache_clear()
+            ev = estimator(ds, bins)
+            out.append((ev.centers.tobytes(), ev.gamma.tobytes(), ev.counts.tobytes(), ev.sigma0))
+        for nugget in ("zero", "free"):
+            if cold:
+                fess.variogram._pair_slots.cache_clear()
+            reports = fess.ess._plugin_ess(ds, cls.families, bins, nugget)
+            out += [(r.ess, r.model, r.warnings) for r in reports]
+        return out
+
+    @staticmethod
+    def table(ds, bins):
+        spans = tuple(fess.dataset._pair_spans(ds.n_curves, ds.n_levels))
+        return fess.variogram._pair_slots(ds.xy.tobytes(), bins.edges.tobytes(), spans)
+
+    def test_equal_sites_and_bins_bin_once(self, binned, monkeypatch):
+        n, m = 50, 5
+        monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 4 * n * m)
+        blocks = len(fess.dataset._pair_spans(n, m))
+        assert blocks >= 5
+        rng = derived_rng(60)
+        xy = rng.uniform(0.0, 300.0, size=(n, 2))
+        grid = EvalGrid(np.linspace(0.0, 1.0, m))
+        ds = SpatialFunctionalDataset(grid, xy, rng.standard_normal((n, m)))
+        bins = fess.default_lag_bins(ds)
+        first = self.outputs(ds, bins)
+        assert len(binned) == blocks  # the first pass bins each block once
+        # other curves at equal sites given another way; equal edges in new bins
+        locs = [PlanarCoord(float(x), float(y)) for x, y in xy]
+        other = SpatialFunctionalDataset(grid, locs, rng.standard_normal((n, m)))
+        again = fess.default_lag_bins(other)
+        assert again is not bins
+        warm = self.outputs(other, again)
+        assert self.outputs(ds, bins) == first
+        assert len(binned) == blocks
+        assert warm == self.outputs(other, bins, cold=True)
+
+    def test_each_part_of_the_key_misses(self, binned, monkeypatch):
+        n, m = 40, 4
+        monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 4 * n * m)
+        spans = fess.dataset._pair_spans
+        # the grid size enters through the block layout
+        assert spans(n, m) != spans(n, m + 1)
+        rng = derived_rng(61)
+        xy = rng.uniform(0.0, 300.0, size=(n, 2))
+        curves = rng.standard_normal((n, m + 1))
+        last_bit = xy.copy()
+        last_bit[7, 1] = np.nextafter(last_bit[7, 1], np.inf)
+        swapped = xy.copy()
+        swapped[[3, 11]] = swapped[[11, 3]]
+        grid = EvalGrid(np.linspace(0.0, 1.0, m))
+        base = SpatialFunctionalDataset(grid, xy, curves[:, :m])
+        bins = LagBins.equal_width(150.0, 10)
+        changes = {
+            "last bit of one site": (SpatialFunctionalDataset(grid, last_bit, curves[:, :m]), bins, 4),
+            "site order": (SpatialFunctionalDataset(grid, swapped, curves[:, :m]), bins, 4),
+            "edges": (base, LagBins(np.append(bins.edges[:-1], 151.0)), 4),
+            "grid size": (
+                SpatialFunctionalDataset(EvalGrid(np.linspace(0.0, 1.0, m + 1)), xy, curves),
+                bins, 4,
+            ),
+            "block elements": (base, bins, 2),
+        }
+        for name, (ds, b, factor) in changes.items():
+            empirical_trace_variogram(base, bins)  # the memo holds the base case
+            monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", factor * n * m)
+            before = len(binned)
+            warm = self.outputs(ds, b)
+            assert len(binned) == before + len(spans(ds.n_curves, ds.n_levels)), name
+            assert warm == self.outputs(ds, b, cold=True), name
+            monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 4 * n * m)
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    def test_warm_results_equal_cold_results(self, tied):
+        n, m = 60, 5
+        rng = derived_rng(62)
+        xy = (tied_dataset if tied else random_dataset)(rng, n, m).xy
+        k = n // 3
+        orders = set()
+        for draw in range(3):
+            curves = rng.standard_normal((n, m))
+            if tied:  # rows i and i + 2k are equal in every value
+                curves[2 * k:] = curves[:k]
+            ds = make_dataset(curves, xy=xy)
+            orders.add(fess.dataset._canonical_order(ds).tobytes())
+            bins = fess.default_lag_bins(ds)
+            assert self.outputs(ds, bins) == self.outputs(ds, bins, cold=True)
+        # tied sites are ordered by their curves, so the one table serves
+        # several row orders
+        assert len(orders) == (3 if tied else 1)
+
+    def test_kept_tables_are_read_only(self):
+        ds = tied_dataset(derived_rng(63), 30, 4)
+        bins = fess.default_lag_bins(ds)
+        fess.variogram._pair_slots.cache_clear()
+        empirical_trace_variogram(ds, bins)
+        table = self.table(ds, bins)
+        assert fess.variogram._pair_slots.cache_info().hits == 1
+        assert table.slots[0].dtype == np.uint8
+        record = fess.dataset._site_record(ds.xy.tobytes())
+        for a in table.slots + list(table.totals) + [record.order, record.tied, record.groups]:
+            assert a.size and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+    @pytest.mark.parametrize("n_bins,dtype", [(254, np.uint8), (255, np.uint16), (300, np.uint16)])
+    def test_more_than_254_bins_widen_the_slots(self, n_bins, dtype):
+        rng = derived_rng(64)
+        ds = make_dataset(rng.standard_normal((80, 3)), xy=rng.uniform(0.0, 100.0, size=(80, 2)))
+        # the farthest pair lies on the last edge, in the last bin
+        bins = LagBins.equal_width(float(np.max(pairwise_distances(ds.xy))), n_bins)
+        cold = self.outputs(ds, bins, cold=True)
+        assert self.table(ds, bins).slots[0].dtype == dtype
+        assert self.outputs(ds, bins) == cold
+        assert empirical_trace_variogram(ds, bins).counts[-1] > 0
+
+    def test_threads_alternating_two_site_sets_match_serial_results(self):
+        rng = derived_rng(65)
+        sites = [rng.uniform(0.0, 300.0, size=(40, 2)), rng.uniform(0.0, 300.0, size=(30, 2))]
+        jobs = []
+        for t in range(4):
+            for r in range(6):
+                xy = sites[(t + r) % 2]
+                jobs.append(make_dataset(rng.standard_normal((len(xy), 4)), xy=xy))
+        bins = LagBins.equal_width(150.0, 12)
+        serial = [self.outputs(ds, bins, cold=True) for ds in jobs]
+        results = {}
+
+        def work(t):
+            for r in range(6):
+                results[6 * t + r] = self.outputs(jobs[6 * t + r], bins)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results.get(i) for i in range(len(jobs))] == serial
 
 
 class TestEssReportValidation:

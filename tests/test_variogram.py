@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,19 @@ class TestLagBins:
         bins = LagBins([0.0, 1.0, 2.0])
         h = np.array([0.0, 0.5, 1.0, 2.0, 2.5])
         assert list(bins.index_of(h)) == [0, 0, 1, 1, -1]
+
+    @pytest.mark.parametrize(
+        "edges", [np.linspace(0.0, 10.0, 6), [0.0, 1.0, 3.0, 4.5]], ids=["equal", "unequal"]
+    )
+    def test_nan_distance_rejected(self, edges):
+        bins = LagBins(edges)
+        assert (bins._width is None) == (len(edges) == 4)
+        # no cast warning or bare IndexError first, whichever path bins it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h in (np.array([np.nan]), np.array([[1.0, np.nan]]), np.nan):
+                with pytest.raises(ValidationError, match="NaN"):
+                    bins.index_of(h)
 
     @staticmethod
     def digitize_reference(bins, h):
@@ -168,7 +182,7 @@ class TestLagBins:
             xy = np.asarray(xy, dtype=float)
             ds = make_dataset(rng.standard_normal((len(xy), 3)), xy=xy)
             passes.clear()
-            dmax = fess.variogram._max_site_distance(ds)
+            dmax = fess.dataset._max_site_distance(ds.xy)
             assert dmax == np.max(pairwise_distances(ds.xy)), name
             assert not passes, name
         assert dmax == 0.0
@@ -183,7 +197,7 @@ class TestLagBins:
         ds = make_dataset(np.zeros((len(xy), 2)), xy=xy)
         tracemalloc.start()
         try:
-            dmax = fess.variogram._max_site_distance(ds)
+            dmax = fess.dataset._max_site_distance(ds.xy)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -222,6 +236,13 @@ class TestModelFamilies:
         for f in (model_trace_cov, model_trace_variogram):
             with pytest.raises(ValidationError, match="non-negative"):
                 f(m, np.array([1.0, -1e-9]))
+
+    def test_nan_distance_rejected(self):
+        m = TraceCovModel("exponential", 2.0, 5.0, nugget=0.3)
+        for f in (model_trace_cov, model_trace_variogram):
+            for h in (math.nan, np.array([1.0, np.nan])):
+                with pytest.raises(ValidationError, match="NaN"):
+                    f(m, h)
 
     def test_exponential_variogram_reaches_sill(self):
         m = TraceCovModel("exponential", 1.0, 2.0)

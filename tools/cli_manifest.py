@@ -6,9 +6,13 @@ Every command runs in a fresh interpreter with ``PYTHONPATH=SRC_DIR``, on
 seeded inputs built here with numpy only. For each command the manifest
 records the exit code, stdout and stderr (the session's temporary
 directory replaced by ``<TMP>``) and the sha256 of every file it wrote.
-Two source trees whose manifests are identical give byte-identical CLI
-results on this session, so a refactor can be checked against its base
-commit with ``diff``.
+The ``<input>/in_process`` entries instead run ``variogram``, ``ess`` and
+``ess`` again on one input through ``fess.cli.main`` in one interpreter,
+so the later steps reuse what the earlier ones kept in memory; their files
+are recorded under the step that wrote them, and the exit code is the
+first non-zero step's. Two source trees whose manifests are identical give
+byte-identical CLI results on this session, so a refactor can be checked
+against its base commit with ``diff``.
 """
 
 from __future__ import annotations
@@ -25,6 +29,16 @@ import numpy as np
 
 PLACEHOLDER = "<TMP>"
 FAMILIES = ("exponential", "spherical", "gaussian")
+INPUTS = ("field", "duplicated", "constant", "iid", "large")
+
+# Runs each argv of the JSON list in sys.argv[1] through fess.cli.main in
+# this one interpreter and exits with the first non-zero exit code.
+IN_PROCESS = """
+import json, sys
+from fess.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+sys.exit(next((c for c in codes if c), 0))
+"""
 
 
 def write_field_csv(
@@ -127,6 +141,37 @@ def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
     return runs
 
 
+def in_process_steps(tmp: Path, tag: str) -> list[tuple[str, list[str]]]:
+    """``(step, argv)`` of the one-interpreter session on input ``tag``."""
+    data = ["--input", str(tmp / f"{tag}.csv")]
+    fams = [a for f in FAMILIES for a in ("--family", f)]
+    return [
+        ("variogram", ["variogram"] + data),
+        ("ess", ["ess"] + data + fams),
+        ("ess_again", ["ess"] + data + fams),
+    ]
+
+
+def file_hashes(out: Path) -> dict[str, str]:
+    """sha256 of each file in the directory ``out`` (none if it is missing)."""
+    if not out.is_dir():
+        return {}
+    return {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted(p for p in out.iterdir() if p.is_file())
+    }
+
+
+def entry(argv: str, proc: subprocess.CompletedProcess, files: dict, tmp: Path) -> dict:
+    return {
+        "argv": argv.replace(str(tmp), PLACEHOLDER),
+        "exit": proc.returncode,
+        "stdout": proc.stdout.replace(str(tmp), PLACEHOLDER),
+        "stderr": proc.stderr.replace(str(tmp), PLACEHOLDER),
+        "files": files,
+    }
+
+
 def run_session(src: Path, tmp: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), FESS_LOG="WARNING")
     probe = subprocess.run(
@@ -149,17 +194,23 @@ def run_session(src: Path, tmp: Path) -> dict:
             [sys.executable, "-m", "fess.cli"] + argv,
             cwd=tmp, env=env, capture_output=True, text=True,
         )
-        files = {}
-        if out.is_dir():
-            for f in sorted(p for p in out.iterdir() if p.is_file()):
-                files[f.name] = hashlib.sha256(f.read_bytes()).hexdigest()
-        manifest[name] = {
-            "argv": " ".join(argv).replace(str(tmp), PLACEHOLDER),
-            "exit": proc.returncode,
-            "stdout": proc.stdout.replace(str(tmp), PLACEHOLDER),
-            "stderr": proc.stderr.replace(str(tmp), PLACEHOLDER),
-            "files": files,
+        manifest[name] = entry(" ".join(argv), proc, file_hashes(out), tmp)
+    for tag in INPUTS:
+        out = tmp / "out" / tag / "in_process"
+        steps = in_process_steps(tmp, tag)
+        argvs = [argv + ["--out-dir", str(out / step)] for step, argv in steps]
+        proc = subprocess.run(
+            [sys.executable, "-c", IN_PROCESS, json.dumps(argvs)],
+            cwd=tmp, env=env, capture_output=True, text=True,
+        )
+        files = {
+            f"{step}/{name}": digest
+            for step, _ in steps
+            for name, digest in file_hashes(out / step).items()
         }
+        manifest[f"{tag}/in_process"] = entry(
+            " ; ".join(" ".join(argv) for argv in argvs), proc, files, tmp
+        )
     return manifest
 
 
