@@ -173,8 +173,7 @@ def _plugin_ess(
     fits = [fit_model(ev, family, nugget) for family in families]
     models = [fit.model for fit in fits]
 
-    def block_sums(k, distances, head, tail):
-        d = distances()
+    def block_sums(k, d, head, tail):
         d = d[d != _NOT_A_PAIR]
         coincident = int(np.count_nonzero(d == 0.0))
         return [
@@ -208,10 +207,10 @@ def ess_plugin(
     the functional ESS under the fitted model. The report embeds the
     fitted model; fit warnings propagate.
     Every pair stage streams over row blocks and runs on the usable cores;
-    the report does not depend on their number. Besides O(n m) for the
-    streamed blocks, memory holds the kept bin slots of the last site set
-    and bins, about n**2 / 2 bytes (13 MB at n = 5000), so a repeated
-    estimate at the same sites bins no distances (see
-    :func:`fess.variogram._binned_pair_stats`).
+    the report does not depend on their number. A one-shot estimate
+    needs O(n m) memory for the streamed blocks; from the second estimate
+    at the same sites and bins, memory also holds their kept bin slots,
+    about n**2 / 2 bytes (13 MB at n = 5000), so later estimates there
+    bin no distances (see :func:`fess.variogram._binned_pair_stats`).
     """
     return _plugin_ess(dataset, [family], bins, nugget)[0]

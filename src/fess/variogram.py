@@ -308,15 +308,23 @@ class _PairSlots:
     block k, flattened, in the smallest unsigned type holding every slot
     (one byte an entry up to 254 bins, so the blocks of n sites take about
     n**2 / 2 bytes). ``totals`` holds the per-bin pair counts and distance
-    sums, each added in block order. A pass that finds ``totals`` unset
-    bins every block's distances and stores both, ``totals`` last; passes
-    that fill one table at once store equal arrays. Stored arrays are
-    read-only.
+    sums, each added in block order. The first pass at a key only marks
+    the table ``seen``, so a one-shot estimate keeps nothing; a later pass
+    that finds ``totals`` unset bins every block's distances and stores
+    both, ``totals`` last, if the slots fit in ``_MAX_KEPT_SLOT_BYTES``;
+    passes that fill one table at once store equal arrays. Stored arrays
+    are read-only.
     """
 
     def __init__(self, n_blocks: int):
+        self.seen = False
         self.slots = [None] * n_blocks
         self.totals = None
+
+
+# Largest slot table kept between passes: with one byte a pair, that of
+# about 23 000 sites.
+_MAX_KEPT_SLOT_BYTES = 1 << 28
 
 
 @functools.lru_cache(maxsize=1)
@@ -327,7 +335,7 @@ def _pair_slots(sites: bytes, edges: bytes, spans: tuple) -> _PairSlots:
 
     Keyed by the exact sites in their row order, the exact edges and the
     block layout, so the one kept table is the last one asked for; it is
-    empty until the first pass over those blocks fills it.
+    empty until the second pass over those blocks fills it.
     """
     return _PairSlots(len(spans))
 
@@ -352,12 +360,11 @@ def _binned_pair_stats(
     kernel's squared norms, the i = j terms.
 
     The bin of each pair depends only on the sites and the bins, so the
-    first pass over a site set stores each block's bin slots and the
-    per-bin pair counts and distance sums in the kept :func:`_pair_slots`
-    table, and a later pass
-    at bitwise-equal sites, bins and block layout reads them instead of
-    computing the block's distances: its pairs are binned as a fresh
-    pass bins them, so its results are the same bit for bit.
+    second pass at bitwise-equal sites, bins and block layout stores each
+    block's bin slots and the per-bin pair counts and distance sums in
+    the kept :func:`_pair_slots` table, and later passes read them
+    instead of computing the blocks' distances: their pairs are binned as
+    a fresh pass bins them, so their results are the same bit for bit.
     """
     if dataset.n_curves < 2:
         raise ValidationError("empirical estimation needs at least 2 curves")
@@ -366,36 +373,43 @@ def _binned_pair_stats(
     dev = dataset.curves - _column_means(dataset.curves)[None, :]
     # each row: a centred curve, then its squared W-norm
     rows = np.column_stack([dev, np.einsum("km,km->k", dev * w, dev)])
-    spans = tuple(_pair_spans(dataset.n_curves, dataset.n_levels))
+    n = dataset.n_curves
+    spans = tuple(_pair_spans(n, dataset.n_levels))
     table = _pair_slots(dataset.xy.tobytes(), bins.edges.tobytes(), spans)
-    cold = table.totals is None
+    warm = table.totals is not None
     dtype = np.min_scalar_type(n_bins + 1)
+    size = sum((i1 - i0) * (n - i0) for i0, i1 in spans) * dtype.itemsize
+    fill = table.seen and not warm and size <= _MAX_KEPT_SLOT_BYTES
+    table.seen = True
 
-    def block_stats(k, distances, head, tail):
+    def block_stats(k, d, head, tail):
         g = np.einsum("km,cm->kc", head[:, :-1] * w, tail[:, :-1])
         values = from_gram(g, head[:, -1:], tail[:, -1]).ravel()
         # slots 0 and n_bins + 1 collect the pairs outside the bins and the
         # entries that are not pairs, and are dropped
-        if not cold:
+        if warm:
             return np.bincount(table.slots[k], weights=values, minlength=n_bins + 2)[1:-1], None
-        d = distances().ravel()
+        d = d.ravel()
         slots = bins._slots(d)
-        table.slots[k] = _frozen_array(slots, dtype)
+        if fill:
+            table.slots[k] = _frozen_array(slots, dtype)
         return np.bincount(slots, weights=values, minlength=n_bins + 2)[1:-1], (
             np.bincount(slots, minlength=n_bins + 2)[1:-1],
             np.bincount(slots, weights=d, minlength=n_bins + 2)[1:-1],
         )
 
-    results = _pair_map(block_stats, dataset, rows, threads)
-    if cold:
+    results = _pair_map(block_stats, dataset, rows, threads, distances=not warm)
+    if warm:
+        counts, hsums = table.totals
+    else:
         counts = np.zeros(n_bins, dtype=np.int64)
         hsums = np.zeros(n_bins)
         for _, (c, h) in results:
             counts += c
             hsums += h
-        counts.flags.writeable = hsums.flags.writeable = False
-        table.totals = (counts, hsums)
-    counts, hsums = table.totals
+        if fill:
+            counts.flags.writeable = hsums.flags.writeable = False
+            table.totals = (counts, hsums)
     sums = np.zeros(n_bins)
     for v, _ in results:
         sums += v

@@ -294,8 +294,8 @@ class TestEssPlugin:
 
     def test_pair_stages_never_form_an_n_by_n_array(self):
         # one n x n float64 array is 32 MB at n = 2000; the streamed pair
-        # stages need O(n m) memory, plus the kept one-byte bin slot of
-        # every pair (about n**2 / 2 bytes, 2 MB here)
+        # stages need O(n m) memory, and a one-shot estimate keeps no bin
+        # slots (a repeated one would keep about n**2 / 2 bytes, 2 MB here)
         rng = derived_rng(42)
         n = 2000
         ds = make_dataset(
@@ -313,8 +313,9 @@ class TestEssPlugin:
 
 
 class TestPairSlotMemo:
-    """The variogram pass keeps the last site set's bin slots and reuses them
-    only at bitwise-equal sites, bin edges and block layout."""
+    """From the second pass at the same sites, the variogram pass keeps the
+    last site set's bin slots and reuses them only at bitwise-equal sites,
+    bin edges and block layout."""
 
     families = ["exponential", "spherical", "gaussian"]
 
@@ -363,8 +364,13 @@ class TestPairSlotMemo:
         grid = EvalGrid(np.linspace(0.0, 1.0, m))
         ds = SpatialFunctionalDataset(grid, xy, rng.standard_normal((n, m)))
         bins = fess.default_lag_bins(ds)
+        empirical_trace_variogram(ds, bins)
+        # a one-shot pass keeps no slots
+        assert len(binned) == blocks
+        assert self.table(ds, bins).totals is None
+        assert not any(s is not None for s in self.table(ds, bins).slots)
         first = self.outputs(ds, bins)
-        assert len(binned) == blocks  # the first pass bins each block once
+        assert len(binned) == 2 * blocks  # the second pass bins and keeps
         # other curves at equal sites given another way; equal edges in new bins
         locs = [PlanarCoord(float(x), float(y)) for x, y in xy]
         other = SpatialFunctionalDataset(grid, locs, rng.standard_normal((n, m)))
@@ -372,7 +378,7 @@ class TestPairSlotMemo:
         assert again is not bins
         warm = self.outputs(other, again)
         assert self.outputs(ds, bins) == first
-        assert len(binned) == blocks
+        assert len(binned) == 2 * blocks
         assert warm == self.outputs(other, bins, cold=True)
 
     def test_each_part_of_the_key_misses(self, binned, monkeypatch):
@@ -402,11 +408,13 @@ class TestPairSlotMemo:
             "block elements": (base, bins, 2),
         }
         for name, (ds, b, factor) in changes.items():
-            empirical_trace_variogram(base, bins)  # the memo holds the base case
+            for _ in range(2):  # the memo holds the filled base table
+                empirical_trace_variogram(base, bins)
             monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", factor * n * m)
             before = len(binned)
+            # a miss bins on the first two passes, then keeps the slots
             warm = self.outputs(ds, b)
-            assert len(binned) == before + len(spans(ds.n_curves, ds.n_levels)), name
+            assert len(binned) == before + 2 * len(spans(ds.n_curves, ds.n_levels)), name
             assert warm == self.outputs(ds, b, cold=True), name
             monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 4 * n * m)
 
@@ -433,9 +441,10 @@ class TestPairSlotMemo:
         ds = tied_dataset(derived_rng(63), 30, 4)
         bins = fess.default_lag_bins(ds)
         fess.variogram._pair_slots.cache_clear()
-        empirical_trace_variogram(ds, bins)
+        for _ in range(2):
+            empirical_trace_variogram(ds, bins)
         table = self.table(ds, bins)
-        assert fess.variogram._pair_slots.cache_info().hits == 1
+        assert fess.variogram._pair_slots.cache_info().hits == 2
         assert table.slots[0].dtype == np.uint8
         record = fess.dataset._site_record(ds.xy.tobytes())
         for a in table.slots + list(table.totals) + [record.order, record.tied, record.groups]:
@@ -450,9 +459,28 @@ class TestPairSlotMemo:
         # the farthest pair lies on the last edge, in the last bin
         bins = LagBins.equal_width(float(np.max(pairwise_distances(ds.xy))), n_bins)
         cold = self.outputs(ds, bins, cold=True)
-        assert self.table(ds, bins).slots[0].dtype == dtype
         assert self.outputs(ds, bins) == cold
+        assert self.table(ds, bins).slots[0].dtype == dtype
         assert empirical_trace_variogram(ds, bins).counts[-1] > 0
+
+    def test_tables_over_the_size_bound_are_not_kept(self, binned, monkeypatch):
+        n = 40
+        ds = random_dataset(derived_rng(66), n, 3)
+        bins = fess.default_lag_bins(ds)
+        spans = fess.dataset._pair_spans(n, 3)
+        size = sum((i1 - i0) * (n - i0) for i0, i1 in spans)  # one byte a slot
+        monkeypatch.setattr(fess.variogram, "_MAX_KEPT_SLOT_BYTES", size - 1)
+        passes = [empirical_trace_variogram(ds, bins) for _ in range(3)]
+        assert len(binned) == 3 * len(spans)
+        assert self.table(ds, bins).totals is None
+        monkeypatch.setattr(fess.variogram, "_MAX_KEPT_SLOT_BYTES", size)
+        passes += [empirical_trace_variogram(ds, bins) for _ in range(2)]
+        assert len(binned) == 4 * len(spans)
+        assert self.table(ds, bins).totals is not None
+        assert len({
+            (ev.centers.tobytes(), ev.gamma.tobytes(), ev.counts.tobytes(), ev.sigma0)
+            for ev in passes
+        }) == 1
 
     def test_threads_alternating_two_site_sets_match_serial_results(self):
         rng = derived_rng(65)

@@ -143,13 +143,20 @@ class TestLagBins:
 
     def test_hull_max_distance_is_the_pair_maximum(self, monkeypatch):
         passes = []
-        pair_map = fess.dataset._pair_map
 
-        def counted(*args, **kwargs):
-            passes.append(1)
-            return pair_map(*args, **kwargs)
+        def counted(f):
+            def wrapper(*args, **kwargs):
+                passes.append(f.__name__)
+                return f(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(fess.variogram, "_pair_map", counted)
+        # the hull maximum lives in fess.dataset, default_lag_bins in
+        # fess.variogram: neither may fall back to the distances of every pair
+        for module, name in [
+            (fess.dataset, "_pair_map"), (fess.dataset, "_block_distances"),
+            (fess.variogram, "_pair_map"),
+        ]:
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
         rng = derived_rng(22)
         lattice = np.array([(i, j) for i in range(9) for j in range(7)], dtype=float)
         dup = rng.uniform(-500.0, 500.0, size=(40, 2))
@@ -184,6 +191,7 @@ class TestLagBins:
             passes.clear()
             dmax = fess.dataset._max_site_distance(ds.xy)
             assert dmax == np.max(pairwise_distances(ds.xy)), name
+            assert fess.dataset._site_record(ds.xy.tobytes()).diameter == dmax, name
             assert not passes, name
         assert dmax == 0.0
         with pytest.raises(ValidationError, match="all locations coincide"):
