@@ -11,6 +11,7 @@ read-only), so they are safe to share between threads.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
@@ -415,7 +416,10 @@ def _block_distances(xy: np.ndarray, i0: int, i1: int) -> np.ndarray:
     """Distances of pair block ``(i0, i1)`` of the sites ``xy``: ``d[k, c]``
     between sites ``i0 + k`` and ``i0 + c``, ``_NOT_A_PAIR`` where ``c <= k``."""
     d = _site_distances(xy[i0:i1], xy[i0:])
-    d[np.tril_indices(i1 - i0)] = _NOT_A_PAIR
+    # row k's non-pairs are its first k + 1 entries: one slice each, so no
+    # index arrays of the block's lower triangle are built
+    for k in range(i1 - i0):
+        d[k, :k + 1] = _NOT_A_PAIR
     return d
 
 
@@ -426,9 +430,10 @@ def _pair_map(
 
     ``k`` numbers the block ``(i0, i1)`` among the :func:`_pair_spans` of
     the dataset's n rows and m grid levels, whatever the width of
-    ``rows``. ``X`` is ``rows`` (default: the curves) in
-    :func:`_canonical_order`, the one row order of every pair stage.
-    ``d`` is the block's :func:`_block_distances`, or None without
+    ``rows``. ``X`` is ``rows`` in :func:`_canonical_order`, the one row
+    order of every pair stage; without ``rows`` the stage reads only
+    distances, no row matrix is formed and ``fn`` gets None for both
+    slices. ``d`` is the block's :func:`_block_distances`, or None without
     ``distances``: a stage that kept what it needs of them from an
     earlier pass over the same sites does not form them.
 
@@ -442,7 +447,7 @@ def _pair_map(
     """
     order = _canonical_order(dataset)
     xy = dataset.xy[order]
-    X = (dataset.curves if rows is None else rows)[order]
+    X = None if rows is None else rows[order]
     blocks = list(enumerate(_pair_spans(dataset.n_curves, dataset.n_levels)))
     workers = _worker_count(threads, len(blocks))
 
@@ -453,7 +458,8 @@ def _pair_map(
         out = []
         for k, (i0, i1) in chunk:
             d = _block_distances(xy, i0, i1) if distances else None
-            out.append(fn(k, d, X[i0:i1], X[i0:]))
+            head, tail = (None, None) if X is None else (X[i0:i1], X[i0:])
+            out.append(fn(k, d, head, tail))
         return out
 
     chunks = [
@@ -540,10 +546,21 @@ class CsvSchema:
 
 
 def _parse_cell(text: str, row: int, column: str) -> float:
-    if text is None or text.strip() == "":
+    """The finite number in one CSV cell, else a ``ValidationError`` naming it.
+
+    A cell holds a decimal or exponent number with optional surrounding
+    whitespace: the syntax ``np.loadtxt`` reads, so that both routes of
+    :func:`load_wide_csv` take the same cells.
+    """
+    cell = "" if text is None else text.strip()
+    if not cell:
         raise ValidationError(f"row {row}, column '{column}': missing value")
     try:
-        value = float(text)
+        # float() alone also takes digit-group underscores and non-ASCII
+        # digits, which np.loadtxt refuses
+        if "_" in cell or not cell.isascii():
+            raise ValueError(cell)
+        value = float(cell)
     except ValueError:
         raise ValidationError(
             f"row {row}, column '{column}': cannot parse {text!r}"
@@ -553,19 +570,30 @@ def _parse_cell(text: str, row: int, column: str) -> float:
     return value
 
 
-def _read_csv_rows(path: Path) -> list[list[str]]:
-    """The non-empty rows of the UTF-8 CSV file at ``path``.
+@contextlib.contextmanager
+def _csv_text(path: Path):
+    """The UTF-8 CSV file at ``path``, opened for ``csv.reader``.
 
     A leading byte-order mark (as spreadsheet "CSV UTF-8" exports write)
-    is skipped.
+    is skipped. Bytes that are not UTF-8 and rows that ``csv.reader``
+    refuses (a cell over its field size limit) raise ``ValidationError``
+    naming the file.
     """
     if not path.exists():
         raise ValidationError(f"input file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            return [r for r in csv.reader(fh) if r]
+            yield fh
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _read_csv_rows(path: Path) -> list[list[str]]:
+    """The non-empty rows of the UTF-8 CSV file at ``path`` (see :func:`_csv_text`)."""
+    with _csv_text(path) as fh:
+        return [r for r in csv.reader(fh) if r]
 
 
 def _csv_cell(v) -> str:
@@ -589,22 +617,12 @@ def _write_json(payload, path) -> None:
         fh.write("\n")
 
 
-def load_wide_csv(path, schema: CsvSchema | None = None) -> SpatialFunctionalDataset:
-    """Load a wide-format CSV into a dataset.
-
-    Expected layout: a header row naming two coordinate columns followed
-    by the value columns, whose numeric labels define the grid, then one
-    record per curve. Geographic coordinates are projected with the
-    sinusoidal projection about the file's circular mean longitude unless
-    the schema says otherwise. A header starting ``x,y`` is auto-detected as
-    already-planar coordinates.
-    """
-    path = Path(path)
-    rows = _read_csv_rows(path)
-    if not rows:
-        raise ValidationError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-
+def _wide_layout(
+    path: Path, header: list[str], schema: CsvSchema | None
+) -> tuple[CsvSchema, EvalGrid, list[int]]:
+    """The schema of a wide CSV with ``header`` (default: detected from it),
+    its grid and the header positions read: longitude, latitude, then the
+    value columns in schema order."""
     if schema is None:
         if "x" in header and "y" in header and "lon" not in header:
             schema = CsvSchema(lon_column="x", lat_column="y", planar=True)
@@ -634,30 +652,92 @@ def load_wide_csv(path, schema: CsvSchema | None = None) -> SpatialFunctionalDat
         raise ValidationError(
             f"{path}: value column labels must be numeric grid levels"
         ) from None
-    grid = EvalGrid(levels)
-    value_idx = [header.index(v) for v in value_names]
+    return schema, EvalGrid(levels), [i_lon, i_lat] + [header.index(v) for v in value_names]
 
-    warnings: list[str] = []
-    coords: list[tuple[float, float]] = []
-    curves: list[list[float]] = []
-    wrapped = 0
-    for r, row in enumerate(rows[1:], start=1):
+
+def _first_bad_cell(
+    path: Path, header: list[str], columns: list[int], reason
+) -> ValidationError:
+    """The ``ValidationError`` naming the first bad cell of the wide CSV at
+    ``path``: rows in file order, and in a row its length, then the cells
+    of ``columns`` in that order; with no bad cell, one carrying ``reason``.
+
+    The diagnostic route of :func:`load_wide_csv`, taken only after its
+    one-call read failed (``reason``) or read a non-finite value: the
+    numbers always come from that read.
+    """
+    for r, row in enumerate(_read_csv_rows(path)[1:], start=1):
         if len(row) != len(header):
-            raise ValidationError(
+            return ValidationError(
                 f"row {r}: expected {len(header)} cells, found {len(row)}"
             )
-        cx = _parse_cell(row[i_lon], r, schema.lon_column)
-        cy = _parse_cell(row[i_lat], r, schema.lat_column)
-        if not schema.planar and 180.0 < cx <= 360.0:
-            # 0..360 longitude convention, common in ocean reanalysis exports
-            cx -= 360.0
-            wrapped += 1
-        coords.append((cx, cy))
-        curves.append([_parse_cell(row[k], r, header[k]) for k in value_idx])
-    if not coords:
-        raise ValidationError(f"{path}: no data rows")
-    if wrapped:
-        warnings.append(f"wrapped {wrapped} longitudes from (180, 360] to [-180, 180]")
+        try:
+            for k in columns:
+                _parse_cell(row[k], r, header[k])
+        except ValidationError as exc:
+            return exc
+    return ValidationError(f"{path}: {reason}")
+
+
+def load_wide_csv(path, schema: CsvSchema | None = None) -> SpatialFunctionalDataset:
+    """Load a wide-format CSV into a dataset.
+
+    Expected layout: a header row naming two coordinate columns followed
+    by the value columns, whose numeric labels define the grid, then one
+    record per curve. Geographic coordinates are projected with the
+    sinusoidal projection about the file's circular mean longitude unless
+    the schema says otherwise. A header starting ``x,y`` is auto-detected as
+    already-planar coordinates.
+
+    The header is the first non-empty row; every cell below it is read in
+    one ``np.loadtxt`` call. Columns that the schema does not read are
+    skipped unparsed, so they may hold text. A file the call cannot read,
+    or that holds a non-finite value, is scanned cell by cell for the
+    first bad cell, which the ``ValidationError`` names.
+    """
+    path = Path(path)
+    with _csv_text(path) as fh:
+        # readline rather than iteration, which would disable tell()
+        lines = iter(fh.readline, "")
+        header = next(filter(None, csv.reader(lines)), None)
+        if header is None:
+            raise ValidationError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        schema, grid, columns = _wide_layout(path, header, schema)
+        body = fh.tell()
+        # csv.reader skips blank lines, as loadtxt does; loadtxt also
+        # warns when nothing else follows
+        if not any(line.strip("\r\n") for line in lines):
+            raise ValidationError(f"{path}: no data rows")
+        fh.seek(body)
+        try:
+            values = np.loadtxt(
+                fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                converters={
+                    k: (lambda cell: 0.0)
+                    for k in range(len(header)) if k not in columns
+                },
+            )
+            if values.shape[1] != len(header):
+                raise ValueError(
+                    f"read {values.shape[1]} cells a row, expected {len(header)}"
+                )
+            if not np.all(np.isfinite(values[:, columns])):
+                raise ValueError("non-finite value")
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise _first_bad_cell(path, header, columns, exc) from None
+
+    warnings: list[str] = []
+    x = values[:, columns[0]].copy()
+    y = values[:, columns[1]]
+    if not schema.planar:
+        # 0..360 longitude convention, common in ocean reanalysis exports
+        wrap = (180.0 < x) & (x <= 360.0)
+        x[wrap] -= 360.0
+        wrapped = int(np.count_nonzero(wrap))
+        if wrapped:
+            warnings.append(f"wrapped {wrapped} longitudes from (180, 360] to [-180, 180]")
+    coords = list(zip(x.tolist(), y.tolist()))
 
     seen: dict[tuple[float, float], int] = {}
     for r, c in enumerate(coords, start=1):
@@ -672,7 +752,7 @@ def load_wide_csv(path, schema: CsvSchema | None = None) -> SpatialFunctionalDat
     if not schema.planar:
         lon0 = schema.lon0
         if lon0 is None:
-            lam = np.radians([c[0] for c in coords])
+            lam = np.radians(x)
             lon0 = math.degrees(
                 math.atan2(math.fsum(np.sin(lam)), math.fsum(np.cos(lam)))
             )
@@ -683,7 +763,9 @@ def load_wide_csv(path, schema: CsvSchema | None = None) -> SpatialFunctionalDat
                 raise ValidationError(f"row {r}: {exc}") from None
             coords[r - 1] = (p.x, p.y)
 
-    matrix = np.asarray(curves, dtype=float)
+    # take() copies in C order, as a list of rows did: pair sums and the
+    # column means reduce in memory order, so the layout fixes their bits
+    matrix = values.take(columns[2:], axis=1)
     if schema.center_levels:
         matrix = matrix - _column_means(matrix)[None, :]
     return SpatialFunctionalDataset(

@@ -352,6 +352,48 @@ class TestMalformedInput:
         assert rc == 2
         assert "bad_schema.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "schema,header,cells",
+        [
+            (None, "lon,lat,10,20", ["1.0", "2.0"]),
+            # the unused 'note' column holds text
+            ({"value_columns": ["10", "20"]}, "lon,lat,10,note,20", ["1.0", "calm", "2.0"]),
+        ],
+        ids=["default", "subset"],
+    )
+    @pytest.mark.parametrize("change", [-1, 1, "every row"], ids=["short", "long", "all-long"])
+    def test_data_csv_row_length_exits_2(self, schema, header, cells, change, tmp_path, capsys):
+        width = len(header.split(","))
+        rows = [[f"{-150 + k}", f"{36 + k}"] + cells for k in range(6)]
+        for r, row in enumerate(rows, start=1):
+            if change == "every row" or r == 3:
+                row[:] = row[:change] if change == -1 else row + ["7.0"]
+        data = tmp_path / "rows.csv"
+        data.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+        argv = ["ess", "--input", str(data)]
+        if schema is not None:
+            (tmp_path / "schema.json").write_text(json.dumps(schema))
+            argv += ["--schema", str(tmp_path / "schema.json")]
+        assert main(argv) == 2
+        r, found = (1, width + 1) if change == "every row" else (3, width + change)
+        assert f"row {r}: expected {width} cells, found {found}" in capsys.readouterr().err
+
+    def test_cell_over_the_csv_field_limit_exits_2(self, tmp_path, capsys):
+        # csv.reader refuses cells over 131072 characters
+        note = "x" * 200_000
+        emp = tmp_path / "long_emp.csv"
+        emp.write_text(f"h,gamma,count\n10,1,8\n20,{note},8\n")
+        assert main(["fit", "--input", str(emp), "--out-dir", str(tmp_path / "fit")]) == 2
+        assert "long_emp.csv: field larger than field limit" in capsys.readouterr().err
+        # the loader reads such a cell where the schema leaves it unread, but
+        # its diagnostic scan of a bad file meets csv.reader's limit
+        (tmp_path / "schema.json").write_text('{"value_columns": ["10", "20"]}')
+        data = tmp_path / "long_note.csv"
+        data.write_text(f"lon,lat,10,20,note\n-145,40,1.0,x,{note}\n-144,41,3.0,4.0,a\n")
+        argv = ["ess", "--input", str(data), "--schema", str(tmp_path / "schema.json")]
+        assert main(argv) == 2
+        assert "long_note.csv: field larger than field limit" in capsys.readouterr().err
+
     def test_non_utf8_data_csv_names_file(self, tmp_path, capsys):
         data = tmp_path / "latin1.csv"
         data.write_bytes(b"lon,lat,10,20\n-150,40,1.0,\xff\n-149,41,2.0,3.0\n")

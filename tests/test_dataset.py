@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,18 @@ class TestPairwiseDistances:
         for bad in (0, -1):
             with pytest.raises(ValidationError, match="threads"):
                 _worker_count(bad, 10)
+
+    def test_block_distances_mark_the_lower_triangle(self):
+        from fess.dataset import _NOT_A_PAIR, _block_distances, _pair_spans
+
+        rng = derived_rng(9)
+        xy = rng.uniform(-50.0, 50.0, size=(300, 2))
+        for i0, i1 in _pair_spans(300, 22) + [(0, 1), (5, 9), (298, 299)]:
+            d = _block_distances(xy, i0, i1)
+            # the reference marks the not-a-pair entries through an index array
+            ref = pairwise_distances(xy)[i0:i1, i0:]
+            ref[np.tril_indices(i1 - i0)] = _NOT_A_PAIR
+            assert d.tobytes() == ref.tobytes()
 
     def test_triangle_inequality(self):
         rng = derived_rng(8)
@@ -352,6 +365,182 @@ class TestLoadWideCsv:
         assert np.array_equal(back.curves, ds.curves)
         assert np.array_equal(back.xy, ds.xy)
         assert back.lon0 is None
+
+
+def _wide_text(rows, header="lon,lat,10,20", newline="\n"):
+    return newline.join([header] + [",".join(r) for r in rows]) + newline
+
+
+_GOOD_ROWS = [["-145.0", "40.0", "1.0", "2.0"], ["-144.0", "40.5", "3.0", "4.0"],
+              ["-146.0", "39.5", "5.0", "6.0"]]
+
+
+class TestWideCsvReader:
+    """``load_wide_csv`` reads every number in one ``np.loadtxt`` call; a cell
+    by cell scan runs only to name the first bad cell after that read fails."""
+
+    def load(self, tmp_path, text, schema=None, name="data.csv"):
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        return load_wide_csv(path, schema)
+
+    def assert_same(self, a, b):
+        for name in ("xy", "curves"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            # C order, as the reductions over the curves assume
+            assert getattr(a, name).flags.c_contiguous
+        assert a.grid.points.tobytes() == b.grid.points.tobytes()
+        assert (a.lon0, a.warnings) == (b.lon0, b.warnings)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # quoted cells, with spaces inside and after the quotes
+            'lon,lat,10,20\n"-145.0",40.0," 1.0 ","2.0" \n-144.0,"40.5",3.0,4.0\n'
+            '-146.0,39.5,5.0," 6.0"\n',
+            _wide_text(_GOOD_ROWS, newline="\r\n"),
+            # blank lines before the header, between the rows and at the end
+            "\n" + _wide_text(_GOOD_ROWS).replace("2.0\n", "2.0\n\n\r\n") + "\n\n",
+        ],
+        ids=["quoted", "crlf", "blank-lines"],
+    )
+    def test_layouts_read_as_the_plain_file(self, tmp_path, text):
+        plain = self.load(tmp_path, _wide_text(_GOOD_ROWS))
+        self.assert_same(self.load(tmp_path, text, name="layout.csv"), plain)
+
+    def test_unused_columns_may_hold_text(self, tmp_path):
+        text = (
+            "station,lon,lat,10,note,20\n"
+            'Alpha,-145.0,40.0,1.0,"calm, clear",2.0\n'
+            '"Beta ""B""",-144.0,40.5,3.0,,4.0\n'
+            'Gamma,-146.0,39.5,5.0,"two\nlines",6.0\n'
+        )
+        ds = self.load(tmp_path, text, CsvSchema(value_columns=["10", "20"]), "text.csv")
+        self.assert_same(ds, self.load(tmp_path, _wide_text(_GOOD_ROWS)))
+        # longer than the cells csv.reader takes
+        long_note = text.replace("calm, clear", "x" * 200_000)
+        ds = self.load(tmp_path, long_note, CsvSchema(value_columns=["10", "20"]), "long.csv")
+        self.assert_same(ds, self.load(tmp_path, _wide_text(_GOOD_ROWS)))
+
+    def test_longitudes_wrap_from_above_180_up_to_360(self, tmp_path):
+        wrapped = self.load(tmp_path, "lon,lat,1,2\n180.0,0,0,1\n180.5,0,0,1\n360,1,0,1\n",
+                            name="east.csv")
+        plain = self.load(tmp_path, "lon,lat,1,2\n180.0,0,0,1\n-179.5,0,0,1\n0,1,0,1\n")
+        assert wrapped.warnings == ("wrapped 2 longitudes from (180, 360] to [-180, 180]",)
+        assert plain.warnings == ()
+        assert (wrapped.xy.tobytes(), wrapped.lon0) == (plain.xy.tobytes(), plain.lon0)
+
+    @pytest.mark.parametrize(
+        "text", ["lon,lat,10,20\n", "lon,lat,10,20", "\nlon,lat,10,20\r\n\r\n\n"]
+    )
+    def test_header_only_has_no_data_rows(self, tmp_path, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.loadtxt warns on an empty body
+            with pytest.raises(ValidationError, match="no data rows"):
+                self.load(tmp_path, text)
+
+    @pytest.mark.parametrize("cell", ["nan", "-NaN", "inf", "-Infinity", "1e400", '"1e400"'])
+    @pytest.mark.parametrize("column", ["lon", "lat", "10", "20"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell, column):
+        rows = [list(r) for r in _GOOD_ROWS]
+        rows[1][["lon", "lat", "10", "20"].index(column)] = cell
+        with pytest.raises(
+            ValidationError, match=rf"^row 2, column '{column}': non-finite value$"
+        ):
+            self.load(tmp_path, _wide_text(rows))
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({(1, 3): "x", (2, 2): "nan"}, "row 1, column '20': cannot parse 'x'"),
+            ({(1, 3): "nan", (2, 0): "x"}, "row 1, column '20': non-finite value"),
+            ({(1, 0): "", (1, 2): "x"}, "row 1, column 'lon': missing value"),
+            ({(2, 1): "1e400", (3, 3): "x"}, "row 2, column 'lat': non-finite value"),
+            ({(1, 4): "7", (2, 2): "x"}, "row 1: expected 4 cells, found 5"),
+            ({(1, 4): "7", (2, 4): "7", (3, 4): "7"}, "row 1: expected 4 cells, found 5"),
+            ({(2, 2): "x", (3, 4): "7"}, "row 2, column '10': cannot parse 'x'"),
+        ],
+    )
+    def test_first_bad_cell_in_row_order_is_named(self, tmp_path, bad, message):
+        rows = [list(r) for r in _GOOD_ROWS]
+        for (r, k), cell in bad.items():
+            if k < 4:
+                rows[r - 1][k] = cell
+            else:
+                rows[r - 1].append(cell)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            self.load(tmp_path, _wide_text(rows))
+
+    def test_cells_are_scanned_only_after_a_failed_read(self, tmp_path, monkeypatch):
+        import fess.dataset
+
+        calls = []
+        parse = fess.dataset._parse_cell
+
+        def counted(*args):
+            calls.append(args)
+            return parse(*args)
+
+        monkeypatch.setattr(fess.dataset, "_parse_cell", counted)
+        self.load(tmp_path, _wide_text(_GOOD_ROWS))
+        self.load(tmp_path, "x,y,1,2\n0.0,0.0,1.0,2.0\n", name="planar.csv")
+        assert calls == []
+        rows = [list(r) for r in _GOOD_ROWS]
+        rows[1][2] = "x"
+        with pytest.raises(ValidationError, match="row 2, column '10': cannot parse"):
+            self.load(tmp_path, _wide_text(rows), name="bad.csv")
+        assert calls[-1] == ("x", 2, "10")
+
+    def test_values_are_float_of_the_text_bitwise(self, tmp_path):
+        rng = derived_rng(31)
+        # uniform bit patterns reach every exponent, subnormals included
+        bits = rng.integers(0, 2**64, size=3000, dtype=np.uint64).view(np.float64)
+        doubles = np.concatenate([
+            bits[np.isfinite(bits)],
+            rng.uniform(-1.0, 1.0, 200) * 2.0**-1060,  # subnormal
+            [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0],
+        ])
+        texts = [repr(float(v)) for v in doubles]
+        texts += [f"{v:.16e}" for v in doubles[:500]]  # 17-digit mantissas
+        # 17- to 19-digit mantissas that are no double's shortest repr
+        texts += [f"{m}e{e}" for m, e in zip(rng.integers(10**16, 9 * 10**18, 500),
+                                             rng.integers(-342, 290, 500))]
+        texts += ["-0.0", "0e-999", "1e-400", "-4.9e-324", "2.4703282292062328e-324"]
+        m = 8
+        texts += ["0.5"] * (-len(texts) % (m + 2))
+        cells = np.array(texts, dtype=object).reshape(-1, m + 2)
+        header = ",".join(["x", "y"] + [str(k) for k in range(m)])
+        path = tmp_path / "doubles.csv"
+        path.write_text(_wide_text(cells.tolist(), header=header), encoding="utf-8")
+        ds = load_wide_csv(path)
+        expected = np.array([[float(t) for t in row] for row in cells.tolist()])
+        assert ds.xy.tobytes() == np.ascontiguousarray(expected[:, :2]).tobytes()
+        assert ds.curves.tobytes() == np.ascontiguousarray(expected[:, 2:]).tobytes()
+        assert ds.xy.flags.c_contiguous and ds.curves.flags.c_contiguous
+
+    @pytest.mark.parametrize("cell", ["1_000", "1_0e5", "١", "１.5", "2٠"])
+    def test_digits_only_float_takes_are_refused_by_both_readers(self, tmp_path, cell):
+        # float() alone takes digit-group underscores and non-ASCII digits
+        assert math.isfinite(float(cell))
+        rows = [list(r) for r in _GOOD_ROWS]
+        rows[0][3] = cell
+        with pytest.raises(ValidationError, match=r"^row 1, column '20': cannot parse"):
+            self.load(tmp_path, _wide_text(rows))
+        emp = tmp_path / "emp.csv"
+        emp.write_text(f"h,gamma,count\n10,1,8\n{cell},2,8\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"^row 2, column 'h': cannot parse"):
+            EmpiricalVariogram.from_csv(emp)
+
+    @pytest.mark.parametrize("cell", [" 2.0\t", " 2.0", "2.0 ", "\x1c2.0\x1f"])
+    def test_surrounding_whitespace_is_read_by_both_readers(self, tmp_path, cell):
+        rows = [list(r) for r in _GOOD_ROWS]
+        rows[0][3] = cell
+        self.assert_same(self.load(tmp_path, _wide_text(rows), name="spaced.csv"),
+                         self.load(tmp_path, _wide_text(_GOOD_ROWS)))
+        emp = tmp_path / "emp.csv"
+        emp.write_text(f"h,gamma,count\n10,{cell},8\n", encoding="utf-8")
+        assert EmpiricalVariogram.from_csv(emp).gamma.tolist() == [2.0]
 
 
 _BOM = "\ufeff"

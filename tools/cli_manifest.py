@@ -30,6 +30,7 @@ import numpy as np
 PLACEHOLDER = "<TMP>"
 FAMILIES = ("exponential", "spherical", "gaussian")
 INPUTS = ("field", "duplicated", "constant", "iid", "large")
+LEVELS = [str(10 * (i + 1)) for i in range(6)]
 
 # Runs each argv of the JSON list in sys.argv[1] through fess.cli.main in
 # this one interpreter and exits with the first non-zero exit code.
@@ -68,16 +69,44 @@ def write_field_csv(
         curves = base * np.sin(lons / 3.0 + lats)[:, None] + 0.3 * np.cumsum(
             rng.standard_normal((n, 6)), axis=1
         )
-    lines = [",".join(["lon", "lat"] + [str(10 * (i + 1)) for i in range(6)])]
+    lines = [",".join(["lon", "lat"] + LEVELS)]
     for lon, lat, row in zip(lons, lats, curves):
         lines.append(",".join([f"{lon:.8f}", f"{lat:.8f}"] + [f"{v:.10f}" for v in row]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_edge_csv(path: Path, seed: int, n: int) -> None:
+    """The correlated lon/lat CSV of ``write_field_csv`` in the layouts the
+    loader must read alike: a byte-order mark, CRLF line ends, blank lines,
+    quoted and space-padded cells, every other longitude in the 0..360
+    convention, the first site repeated in the last row, and a text column
+    that a schema reading the ``LEVELS`` columns leaves unread.
+    """
+    write_field_csv(path, seed, n)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    out = ["\ufeff" + header + ",station", ""]
+    for k, line in enumerate(rows):
+        cells = line.split(",")
+        if k % 2:
+            cells[0] = f"{float(cells[0]) + 360.0:.8f}"
+        if k == len(rows) - 1:
+            cells[:2] = rows[0].split(",")[:2]
+        if k % 3 == 0:
+            cells = [f'"{c}"' for c in cells]
+        elif k % 7 == 0:
+            cells[2] = f" {cells[2]} "
+        cells.append(f'"buoy {k}, line ""{k % 4}"""')
+        out.append(",".join(cells))
+        if k % 10 == 9:
+            out.append("")
+    path.write_bytes(("\r\n".join(out) + "\r\n").encode("utf-8"))
+
+
 def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
     """``(name, argv, writes_to_out_dir)`` for each command, in run order."""
-    field, dup, iid, large = (
-        str(tmp / f) for f in ("field.csv", "duplicated.csv", "iid.csv", "large.csv")
+    field, dup, iid, large, edge, edge_schema = (
+        str(tmp / f) for f in ("field.csv", "duplicated.csv", "iid.csv", "large.csv",
+                               "edge.csv", "edge_schema.json")
     )
     fams = [a for f in FAMILIES for a in ("--family", f)]
     runs = []
@@ -121,6 +150,13 @@ def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
         ("iid/ess3_stdout", ["ess", "--input", iid, "--bins", "40"] + fams, False),
         ("iid/ess3_free_stdout", ["ess", "--input", iid, "--bins", "40", "--nugget", "free"]
          + fams, False),
+    ]
+    # the loader's edge paths (see write_edge_csv); the wrapped longitudes
+    # and the repeated site are logged on stderr
+    edge_args = ["--input", edge, "--schema", edge_schema]
+    runs += [
+        ("edge/variogram", ["variogram"] + edge_args, True),
+        ("edge/ess3", ["ess"] + edge_args + fams, True),
     ]
     # the variogram pair stage on worker threads: a base tree that runs it
     # serially checks it byte for byte. The large CSV spans 69 pair blocks,
@@ -185,6 +221,8 @@ def run_session(src: Path, tmp: Path) -> dict:
     write_field_csv(tmp / "constant.csv", seed=3030, n=30, kind="constant")
     write_field_csv(tmp / "iid.csv", seed=4002, n=45, repeat_shift=1e-4, kind="iid")
     write_field_csv(tmp / "large.csv", seed=5050, n=2400)
+    write_edge_csv(tmp / "edge.csv", seed=6060, n=40)
+    (tmp / "edge_schema.json").write_text(json.dumps({"value_columns": LEVELS}))
     manifest = {}
     for name, argv, to_dir in session(tmp):
         out = tmp / "out" / name
