@@ -31,7 +31,9 @@ EARTH_RADIUS_KM = 6371.0088
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+    # a C-ordered copy whatever the input's layout: the pair stages and the
+    # column means reduce in memory order, so the layout would fix their bits
+    out = np.array(values, dtype=dtype, order="C")
     out.flags.writeable = False
     return out
 
@@ -133,6 +135,22 @@ def project_sinusoidal(p: GeoCoord, lon0: float) -> PlanarCoord:
         EARTH_RADIUS_KM * lam * math.cos(phi),
         EARTH_RADIUS_KM * phi,
     )
+
+
+def _sinusoidal_xy(lon: np.ndarray, lat: np.ndarray, lon0: float) -> np.ndarray:
+    """The ``(n, 2)`` planar km of :func:`project_sinusoidal` at the sites
+    ``lon``, ``lat``, bit for bit; the sites are not checked."""
+    # fmod is exact, and so is moving its result of (-360, 360) into
+    # [-180, 180) (Sterbenz's lemma): the offset of project_sinusoidal
+    dlon = np.fmod(lon - float(lon0), 360.0)
+    dlon[dlon >= 180.0] -= 360.0
+    dlon[dlon < -180.0] += 360.0
+    lam = np.radians(dlon)
+    phi = np.radians(lat)
+    # math.cos, as project_sinusoidal: numpy's cos may be a SIMD routine
+    # whose last bits depend on the CPU
+    cos_phi = np.fromiter(map(math.cos, phi.tolist()), float, phi.size)
+    return np.column_stack([EARTH_RADIUS_KM * lam * cos_phi, EARTH_RADIUS_KM * phi])
 
 
 def _as_xy(locs) -> np.ndarray:
@@ -238,12 +256,12 @@ def pairwise_distances(locs) -> np.ndarray:
 # 0.03-0.1 s slower per pass.
 _PAIR_BLOCK_ELEMENTS = 2**20
 
-# Fewest pair blocks per worker thread. Starting and feeding threads costs
-# more than it saves on small passes: with m = 22 on 2 cores, 2 threads
-# ran the variogram of n = 400-600 sites (3-5 blocks) 0.95x as fast as 1
-# thread, n = 1000-1400 (12-23 blocks) 1.0-1.6x from run to run, and
-# n = 1700-5000 (33-262 blocks) 1.6-1.7x as fast; the ESS sum gained
-# 1.2-1.5x from n = 1700 on.
+# Fewest pair blocks (or subsample batches) per worker thread. Starting
+# and feeding threads costs more than it saves on small passes: with
+# m = 22 on 2 cores, 2 threads ran the variogram of n = 400-600 sites
+# (3-5 blocks) 0.95x as fast as 1 thread, n = 1000-1400 (12-23 blocks)
+# 1.0-1.6x from run to run, and n = 1700-5000 (33-262 blocks) 1.6-1.7x as
+# fast; the ESS sum gained 1.2-1.5x from n = 1700 on.
 _MIN_BLOCKS_PER_WORKER = 16
 
 # Marks block entries that are not pairs (the diagonal and below it).
@@ -412,6 +430,29 @@ def _worker_count(threads: int | None, n_blocks: int) -> int:
     return max(1, min(int(threads), n_blocks // _MIN_BLOCKS_PER_WORKER))
 
 
+def _chunk_map(run, items: list, threads: int | None) -> list:
+    """``run(chunk)`` for contiguous runs of ``items``, one run per worker,
+    with the lists it returns joined in item order.
+
+    The workers are ``_worker_count(threads, len(items))`` threads; with
+    one, ``run`` gets all the items on the calling thread. Results come
+    back in item order whatever the thread count, so callers that reduce
+    them in that order give outputs that do not depend on ``threads``.
+    ``run`` must be safe to call from several threads at once.
+    """
+    workers = _worker_count(threads, len(items))
+    chunks = [
+        items[k * len(items) // workers:(k + 1) * len(items) // workers]
+        for k in range(workers)
+    ]
+    if workers == 1:
+        results = map(run, chunks)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, chunks))
+    return [r for chunk in results for r in chunk]
+
+
 def _block_distances(xy: np.ndarray, i0: int, i1: int) -> np.ndarray:
     """Distances of pair block ``(i0, i1)`` of the sites ``xy``: ``d[k, c]``
     between sites ``i0 + k`` and ``i0 + c``, ``_NOT_A_PAIR`` where ``c <= k``."""
@@ -437,19 +478,16 @@ def _pair_map(
     ``distances``: a stage that kept what it needs of them from an
     earlier pass over the same sites does not form them.
 
-    With ``threads`` workers (default: the usable cores; see
-    :func:`_worker_count`) each worker runs one contiguous run of blocks,
-    building each block from its span, so only one block per worker is
-    alive at a time. Results come back in block order whatever the thread
-    count; callers reduce them in that order, so their outputs do not
-    depend on ``threads``. ``fn`` must be safe to call from several
-    threads at once.
+    The blocks run on :func:`_chunk_map`'s ``threads`` workers (default:
+    the usable cores), each worker building each block of its run from
+    its span, so only one block per worker is alive at a time. Results
+    come back in block order whatever the thread count. ``fn`` must be
+    safe to call from several threads at once.
     """
     order = _canonical_order(dataset)
     xy = dataset.xy[order]
     X = None if rows is None else rows[order]
     blocks = list(enumerate(_pair_spans(dataset.n_curves, dataset.n_levels)))
-    workers = _worker_count(threads, len(blocks))
 
     def run(chunk):
         # a block's distances are freed only once the next block's exist;
@@ -462,16 +500,7 @@ def _pair_map(
             out.append(fn(k, d, head, tail))
         return out
 
-    chunks = [
-        blocks[k * len(blocks) // workers:(k + 1) * len(blocks) // workers]
-        for k in range(workers)
-    ]
-    if workers == 1:
-        results = map(run, chunks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, chunks))
-    return [r for chunk in results for r in chunk]
+    return _chunk_map(run, blocks, threads)
 
 
 def trapz_inner(a, b, grid: EvalGrid) -> float:
@@ -749,28 +778,30 @@ def load_wide_csv(path, schema: CsvSchema | None = None) -> SpatialFunctionalDat
             seen[c] = r
 
     lon0 = None
-    if not schema.planar:
+    if schema.planar:
+        xy = np.column_stack([x, y])
+    else:
+        outside = ~((-180.0 <= x) & (x <= 180.0) & (-90.0 <= y) & (y <= 90.0))
+        if outside.any():
+            r = int(np.argmax(outside))
+            try:
+                GeoCoord(float(x[r]), float(y[r]))
+            except ValidationError as exc:
+                raise ValidationError(f"row {r + 1}: {exc}") from None
         lon0 = schema.lon0
         if lon0 is None:
             lam = np.radians(x)
             lon0 = math.degrees(
                 math.atan2(math.fsum(np.sin(lam)), math.fsum(np.cos(lam)))
             )
-        for r, (cx, cy) in enumerate(coords, start=1):
-            try:
-                p = project_sinusoidal(GeoCoord(cx, cy), lon0)
-            except ValidationError as exc:
-                raise ValidationError(f"row {r}: {exc}") from None
-            coords[r - 1] = (p.x, p.y)
+        xy = _sinusoidal_xy(x, y, lon0)
 
     # take() copies in C order, as a list of rows did: pair sums and the
     # column means reduce in memory order, so the layout fixes their bits
     matrix = values.take(columns[2:], axis=1)
     if schema.center_levels:
         matrix = matrix - _column_means(matrix)[None, :]
-    return SpatialFunctionalDataset(
-        grid, np.array(coords), matrix, warnings=tuple(warnings), lon0=lon0
-    )
+    return SpatialFunctionalDataset(grid, xy, matrix, warnings=tuple(warnings), lon0=lon0)
 
 
 def write_wide_csv(dataset: SpatialFunctionalDataset, path) -> None:

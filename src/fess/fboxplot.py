@@ -14,8 +14,8 @@ discrepancies (mean and sup), and the central inclusion proportion.
 The subsample experiment scores its replicates in fixed-size batches,
 ranked by the full sample's dense column ranks, through one stacked pass
 of the depth, central-band and metric code that ``functional_boxplot``
-and ``fidelity_metrics`` run on one sample: no result depends on the
-batch size.
+and ``fidelity_metrics`` run on one sample, with the batches spread over
+worker threads: no result depends on the batch size or the thread count.
 """
 
 from __future__ import annotations
@@ -25,7 +25,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import SpatialFunctionalDataset, _frozen_array, _is_integer, _positive_int
+from .dataset import (
+    SpatialFunctionalDataset,
+    _check_threads,
+    _chunk_map,
+    _frozen_array,
+    _is_integer,
+    _positive_int,
+)
 from .errors import ValidationError
 from .rng import _entropy, _stream
 
@@ -54,7 +61,9 @@ def _band_depths(K: np.ndarray) -> np.ndarray:
     # reuses the same heap memory instead of fresh pages.
     dtype = np.int32 if n * (n - 1) < 2**31 else np.int64
     order = np.argsort(K, axis=-1, kind="stable")
-    ranked = np.take_along_axis(K, order, axis=-1)
+    # the sorted rows; a sort is cheaper than gathering them by ``order``,
+    # and only which neighbours are equal is read of them
+    ranked = np.sort(K, axis=-1)
     pos = np.arange(n, dtype=dtype)
     # In each sorted row, the values equal to the one at position p
     # occupy positions first[p]..last[p]: ``below = first`` values lie
@@ -81,7 +90,10 @@ def _band_depths(K: np.ndarray) -> np.ndarray:
     below //= 2
     missed += below
     np.subtract(total_pairs, missed, out=missed)
-    np.put_along_axis(above, order, missed, axis=-1)
+    # back to the curves' positions: one flat scatter, with each row's
+    # offset added to its positions, costs a third of put_along_axis
+    order += np.arange(0, order.size, n).reshape(*order.shape[:-1], 1)
+    above.reshape(-1)[order.reshape(-1)] = missed.reshape(-1)
     return above.sum(axis=-2, dtype=np.int64) / (total_pairs * m)
 
 
@@ -269,7 +281,8 @@ class SubsampleExperiment:
 
 
 def subsample_experiment(
-    full: SpatialFunctionalDataset, size: int, reps: int, seed: int
+    full: SpatialFunctionalDataset, size: int, reps: int, seed: int,
+    threads: int | None = None,
 ) -> SubsampleExperiment:
     """Draw ``reps`` uniform without-replacement subsamples and score them.
 
@@ -279,11 +292,16 @@ def subsample_experiment(
     discrepancy between the full median and the subsample medians,
     averaged over replicates (the half-width of a median uncertainty
     band). Replicates are scored in batches of ``_BATCH_ELEMENTS`` values,
-    bit for bit as ``fidelity_metrics`` scores each one.
+    bit for bit as ``fidelity_metrics`` scores each one. The batches run
+    on ``threads`` workers (default: the usable cores; see
+    :func:`fess.dataset._worker_count`), each taking one contiguous run
+    of them; the results are assembled in replicate order, so no output
+    depends on the batch size or the thread count.
     """
     if not _is_integer(size):
         raise ValidationError(f"size must be an integer, got {size!r}")
     reps = _positive_int(reps, "reps")
+    _check_threads(threads)
     n, m = full.curves.shape
     if not 2 <= size <= n:
         raise ValidationError(f"subsample size must lie in [2, {n}], got {size}")
@@ -298,23 +316,23 @@ def subsample_experiment(
     ranks = np.empty(order.shape, dtype=np.min_scalar_type(n - 1))
     np.put_along_axis(ranks, order, np.cumsum(steps, axis=-1), axis=-1)
     batch = max(1, _BATCH_ELEMENTS // (size * m))
-    replicates: list[FidelityMetrics] = []
-    mads = []
-    for first in range(0, reps, batch):
-        draws = range(first, min(first + batch, reps))
-        idx = np.stack([_stream([seed, r]).choice(n, size, replace=False) for r in draws])
-        X = full.subset(idx.ravel()).curves.reshape(*idx.shape, m)
-        depths = _band_depths(ranks[:, idx].transpose(1, 0, 2))
-        rows, mad = _fidelity_rows(full, full_summary, X, depths)
-        replicates += [FidelityMetrics(*(float(v) for v in row)) for row in rows]
-        mads.append(mad)
-    stack = np.array([r.as_tuple() for r in replicates])
-    means = FidelityMetrics(*(float(v) for v in stack.mean(axis=0)))
+
+    def run(firsts):
+        out = []
+        for first in firsts:
+            draws = range(first, min(first + batch, reps))
+            idx = np.stack([_stream([seed, r]).choice(n, size, replace=False) for r in draws])
+            depths = _band_depths(ranks[:, idx].transpose(1, 0, 2))
+            out.append(_fidelity_rows(full, full_summary, full.curves[idx], depths))
+        return out
+
+    scored = _chunk_map(run, list(range(0, reps, batch)), threads)
+    rows = np.concatenate([r for r, _ in scored])
     return SubsampleExperiment(
         size=int(size),
         reps=reps,
         seed=seed,
-        replicates=tuple(replicates),
-        means=means,
-        median_band_halfwidth=float(np.mean(np.concatenate(mads))),
+        replicates=tuple(FidelityMetrics(*row) for row in rows.tolist()),
+        means=FidelityMetrics(*rows.mean(axis=0).tolist()),
+        median_band_halfwidth=float(np.mean(np.concatenate([mad for _, mad in scored]))),
     )

@@ -501,8 +501,8 @@ class TestBoxplotCommands:
 
 class TestDeterminism:
     def test_byte_identical_reruns_and_thread_counts(self, dataset_csv, tmp_path, monkeypatch):
-        # subsample does not read --threads (criterion 10 covers thread
-        # counts); the last run scores its 4 replicates one batch each
+        # the last run scores its 40 replicates one batch each, on 2 of its
+        # 8 threads (16 batches or more per worker)
         fidelity_rows = fess.fboxplot._fidelity_rows
         batches = []
 
@@ -519,10 +519,10 @@ class TestDeterminism:
             out = tmp_path / tag
             rc = main(
                 ["subsample", "--input", str(dataset_csv), "--out-dir", str(out),
-                 "--size", "15", "--reps", "4", "--seed", "99", "--threads", threads]
+                 "--size", "15", "--reps", "40", "--seed", "99", "--threads", threads]
             )
             assert rc == 0
-            assert len(batches) == (1 if batch_elements is None else 4)
+            assert len(batches) == (1 if batch_elements is None else 40)
             outputs.append(
                 (
                     read_bytes(out / "subsample_metrics.csv"),
@@ -587,10 +587,9 @@ def _full_argv(command, dataset_csv, tmp_path):
     }[command] + ["--out-dir", str(tmp_path / "out")]
 
 
-# The benchmark's reference session passes --threads to boxplot and
-# subsample, which do not use it; the flag stays there until that session
-# drops it.
-_UNREAD_ALLOWED = {"boxplot": {"threads"}, "subsample": {"threads"}}
+# The benchmark's reference session passes --threads to boxplot, which
+# does not use it; the flag stays there until that session drops it.
+_UNREAD_ALLOWED = {"boxplot": {"threads"}}
 
 
 @pytest.mark.parametrize(

@@ -19,8 +19,8 @@ from fess import (
     trapz_inner,
     write_wide_csv,
 )
-from fess.dataset import EARTH_RADIUS_KM, _write_csv
-from fess.variogram import EmpiricalVariogram
+from fess.dataset import EARTH_RADIUS_KM, _sinusoidal_xy, _write_csv
+from fess.variogram import EmpiricalVariogram, default_lag_bins, empirical_trace_variogram
 from fess.rng import derived_rng
 
 from conftest import make_dataset
@@ -82,6 +82,33 @@ class TestProjection:
         # 179 W seen from a central meridian at 179 E is 2 degrees east
         p = project_sinusoidal(GeoCoord(-179.0, 0.0), lon0=179.0)
         assert p.x == pytest.approx(2.0 * EARTH_RADIUS_KM * math.pi / 180.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "lon0", [-145.0, 0.0, 179.0, 180.0, -180.0, -179.5, 12.25, 359.75, -725.3, 1e4]
+    )
+    def test_array_projection_is_project_sinusoidal_bitwise(self, lon0):
+        # every site through the scalar projection is the reference; the
+        # offsets include +-180 exactly and wraps of either sign
+        rng = derived_rng(44)
+        lon = np.concatenate([
+            rng.uniform(-180.0, 180.0, 20_000),
+            [-180.0, 180.0, 0.0, -0.0, 90.0, -90.0],
+            np.remainder(np.array([lon0 + 180.0, lon0 - 180.0, lon0]) + 180.0, 360.0) - 180.0,
+        ])
+        lat = np.concatenate([
+            rng.uniform(-90.0, 90.0, 20_000), [90.0, -90.0, 0.0, -0.0, 45.0, -45.0, 1.0, 2.0, 3.0],
+        ])
+        ref = [project_sinusoidal(GeoCoord(a, b), lon0) for a, b in zip(lon.tolist(), lat.tolist())]
+        xy = _sinusoidal_xy(lon, lat, lon0)
+        assert xy.tobytes() == np.array([(p.x, p.y) for p in ref]).tobytes()
+
+    def test_array_projection_maps_half_turn_offsets_to_minus_180(self):
+        # math.remainder gives +180 for an offset of 180 or -540 and -180
+        # for -180 or 540; the projection takes -180 for all four
+        lon = np.array([180.0, -180.0, 180.0, -180.0])
+        for lon0 in (0.0, 360.0, -360.0):
+            xy = _sinusoidal_xy(lon, np.zeros(4), lon0)
+            assert np.all(xy[:, 0] == -EARTH_RADIUS_KM * math.pi)
 
     def test_injective_on_study_box(self):
         rng = derived_rng(42)
@@ -242,6 +269,25 @@ class TestDataset:
         with pytest.raises(ValidationError):
             pairwise_distances(xy)
 
+    def test_layout_of_the_given_arrays_does_not_change_results(self):
+        # the constructor copies in C order, so Fortran-ordered curves and
+        # sites give the same bits in every pair stage and column mean
+        rng = derived_rng(13)
+        xy = rng.uniform(0.0, 1500.0, size=(300, 2))
+        curves = rng.standard_normal((300, 22)) + np.linspace(0.0, 3.0, 22)
+        grid = EvalGrid(np.linspace(0.0, 1.0, 22))
+        c_order = SpatialFunctionalDataset(grid, xy, curves)
+        f_order = SpatialFunctionalDataset(grid, np.asfortranarray(xy), np.asfortranarray(curves))
+        assert f_order.curves.flags.c_contiguous and f_order.xy.flags.c_contiguous
+        bins = default_lag_bins(c_order)
+        a = empirical_trace_variogram(c_order, bins)
+        b = empirical_trace_variogram(f_order, bins)
+        assert (a.gamma.tobytes(), a.sigma0) == (b.gamma.tobytes(), b.sigma0)
+        for family in ("exponential", "spherical", "gaussian"):
+            a = ess_plugin(c_order, family)
+            b = ess_plugin(f_order, family)
+            assert (a.ess, a.model, a.warnings) == (b.ess, b.model, b.warnings)
+
     def test_xy_is_a_copy(self):
         xy = np.array([[0.0, 0.0], [3.0, 4.0]])
         ds = SpatialFunctionalDataset(EvalGrid([0.0, 1.0]), xy, np.zeros((2, 2)))
@@ -342,6 +388,53 @@ class TestLoadWideCsv:
         )
         with pytest.raises(ValidationError, match="row 2"):
             load_wide_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (["-145,40", "-144,-90.5", "-181,40"], "row 2: latitude -90.5 outside [-90, 90]"),
+            (["-145,40", "-181,40", "-144,95"], "row 2: longitude -181.0 outside [-180, 180]"),
+            (["360.5,91", "-144,95"], "row 1: longitude 360.5 outside [-180, 180]"),
+            (["-145,90", "-145,-90", "180,0", "-180,0", "360,0", "200,1e3"],
+             "row 6: latitude 1000.0 outside [-90, 90]"),
+        ],
+    )
+    def test_first_site_out_of_range_names_its_row(self, tmp_path, rows, message):
+        # rows in file order, and in a row its longitude, then its latitude
+        body = "".join(f"{r},0,0\n" for r in rows)
+        path = self.write(tmp_path, "lon,lat,1,2\n" + body)
+        with pytest.raises(ValidationError) as info:
+            load_wide_csv(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("lon0", [None, 179.5, -179.5, 180.0, 540.0])
+    def test_sites_are_the_scalar_projection_bitwise(self, tmp_path, lon0):
+        # 0..360 longitudes around the antimeridian, repeated sites warned
+        # in row order against their first row
+        rng = derived_rng(45)
+        lon = np.round(rng.uniform(170.0, 190.0, 200), 3)
+        lat = np.round(rng.uniform(-60.0, 60.0, 200), 3)
+        for site in (lon, lat):
+            site[[50, 120]] = site[3]
+            site[121] = site[50]
+        lon[7] = 180.0
+        body = "".join(f"{a!r},{b!r},0,1\n" for a, b in zip(lon.tolist(), lat.tolist()))
+        path = self.write(tmp_path, "lon,lat,1,2\n" + body)
+        ds = load_wide_csv(path, CsvSchema(lon0=lon0))
+        wrapped = np.where(lon > 180.0, lon - 360.0, lon)
+        center = ds.lon0 if lon0 is None else lon0
+        ref = [
+            project_sinusoidal(GeoCoord(a, b), center)
+            for a, b in zip(wrapped.tolist(), lat.tolist())
+        ]
+        assert ds.xy.tobytes() == np.array([(p.x, p.y) for p in ref]).tobytes()
+        site = lambda r: (float(wrapped[r]), float(lat[r]))
+        assert ds.warnings[1:] == (
+            f"duplicate location {site(3)} at rows 4 and 51 (both kept)",
+            f"duplicate location {site(3)} at rows 4 and 121 (both kept)",
+            f"duplicate location {site(3)} at rows 4 and 122 (both kept)",
+        )
+        assert ds.warnings[0].startswith("wrapped ")
 
     def test_schema_from_json_rejects_unknown_keys(self, tmp_path):
         sidecar = tmp_path / "schema.json"

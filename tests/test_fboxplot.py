@@ -1,4 +1,6 @@
+import functools
 import itertools
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,6 @@ import pytest
 
 import fess.fboxplot
 from fess import (
-    SpatialFunctionalDataset,
     ValidationError,
     fidelity_metrics,
     functional_boxplot,
@@ -218,6 +219,12 @@ class TestSubsampleExperiment:
             mads.append(np.mean(np.abs(med_full - med_sub)))
         assert exp.median_band_halfwidth == pytest.approx(np.mean(mads), rel=1e-14)
 
+    @pytest.mark.parametrize("threads", [0, -1, 2.0, True, "2", float("nan")])
+    def test_bad_threads_rejected(self, threads):
+        full = random_dataset(derived_rng(68), 10, 4)
+        with pytest.raises(ValidationError, match="threads must be a positive integer"):
+            subsample_experiment(full, size=5, reps=2, seed=0, threads=threads)
+
     def test_size_bounds(self):
         rng = derived_rng(68)
         full = random_dataset(rng, 10, 4)
@@ -260,22 +267,23 @@ class TestSubsampleExperiment:
 
 @pytest.mark.parametrize("seed", [0, 5, 2024, np.uint64(2**63 + 11)])
 def test_replicate_draws_are_derived_rng_draws(monkeypatch, seed):
-    # subsample_experiment checks the seed once and draws replicate r as
-    # derived_rng(seed, r) would, index for index
-    drawn = []
-    subset = SpatialFunctionalDataset.subset
+    # subsample_experiment checks the seed once and scores replicate r on
+    # the curves derived_rng(seed, r) draws, index for index (the random
+    # curves are all distinct, so equal curves mean equal indices)
+    scored = []
+    fidelity_rows = fess.fboxplot._fidelity_rows
 
-    def recording(self, idx):
-        drawn.append(np.array(idx))
-        return subset(self, idx)
+    def recording(full, summary, X, depths):
+        scored.append(np.array(X))
+        return fidelity_rows(full, summary, X, depths)
 
-    monkeypatch.setattr(SpatialFunctionalDataset, "subset", recording)
+    monkeypatch.setattr(fess.fboxplot, "_fidelity_rows", recording)
     full = random_dataset(derived_rng(69), 40, 4)
     for size, reps in ((2, 30), (9, 7), (40, 3)):
-        drawn.clear()
+        scored.clear()
         subsample_experiment(full, size=size, reps=reps, seed=seed)
         ref = [derived_rng(seed, r).choice(40, size, replace=False) for r in range(reps)]
-        assert np.array_equal(np.concatenate(drawn), np.concatenate(ref))
+        assert np.array_equal(np.concatenate(scored), full.curves[np.stack(ref)])
 
 
 @pytest.mark.parametrize(
@@ -302,11 +310,34 @@ BATCH_DATASETS = {
 }
 
 
-def run_in_batches(monkeypatch, full, size, reps, seed, per_batch):
+def run_in_batches(monkeypatch, full, size, reps, seed, per_batch, threads=None):
     monkeypatch.setattr(
         fess.fboxplot, "_BATCH_ELEMENTS", per_batch * size * full.curves.shape[1]
     )
-    return subsample_experiment(full, size=size, reps=reps, seed=seed)
+    return subsample_experiment(full, size=size, reps=reps, seed=seed, threads=threads)
+
+
+@functools.cache
+def per_replicate_definition(which, size, reps, seed):
+    """Each replicate's ``fidelity_metrics`` tuple, and the mean absolute
+    median discrepancy over the replicates, scored one replicate at a time."""
+    full = BATCH_DATASETS[which]()
+    n = full.n_curves
+    med_full = full.curves[functional_boxplot(full).median_index]
+    ref, mads = [], []
+    for r in range(reps):
+        sub = full.subset(derived_rng(seed, r).choice(n, size=size, replace=False))
+        ref.append(fidelity_metrics(full, sub).as_tuple())
+        med_sub = sub.curves[functional_boxplot(sub).median_index]
+        mads.append(np.mean(np.abs(med_full - med_sub)))
+    return ref, np.mean(mads)
+
+
+def assert_per_replicate_definition(exp, which, size, reps, seed):
+    ref, mad = per_replicate_definition(which, size, reps, seed)
+    assert [m.as_tuple() for m in exp.replicates] == ref
+    assert exp.means.as_tuple() == tuple(np.array(ref).mean(axis=0))
+    assert exp.median_band_halfwidth == mad
 
 
 class TestSubsampleBatches:
@@ -317,19 +348,32 @@ class TestSubsampleBatches:
     @pytest.mark.parametrize("at_n", [False, True])
     def test_batches_equal_per_replicate_definition(self, monkeypatch, per_batch, which, at_n):
         full = BATCH_DATASETS[which]()
-        n = full.n_curves
-        size, reps, seed = (n if at_n else 2), 9, 31
+        size, reps, seed = (full.n_curves if at_n else 2), 9, 31
         exp = run_in_batches(monkeypatch, full, size, reps, seed, per_batch)
-        med_full = full.curves[functional_boxplot(full).median_index]
-        ref, mads = [], []
-        for r in range(reps):
-            sub = full.subset(derived_rng(seed, r).choice(n, size=size, replace=False))
-            ref.append(fidelity_metrics(full, sub).as_tuple())
-            med_sub = sub.curves[functional_boxplot(sub).median_index]
-            mads.append(np.mean(np.abs(med_full - med_sub)))
-        assert [m.as_tuple() for m in exp.replicates] == ref
-        assert exp.means.as_tuple() == tuple(np.array(ref).mean(axis=0))
-        assert exp.median_band_halfwidth == np.mean(mads)
+        assert_per_replicate_definition(exp, which, size, reps, seed)
+
+    @pytest.mark.parametrize("per_batch", [1, 2, 7])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    @pytest.mark.parametrize("which", ["tied", "signed_zero"])
+    def test_threads_equal_per_replicate_definition(self, monkeypatch, threads, per_batch, which):
+        # 224 replicates make 32 batches of 7, enough for 2 workers, and
+        # 224 batches of 1, enough for 8
+        full = BATCH_DATASETS[which]()
+        size, reps, seed = 5, 2 * fess.dataset._MIN_BLOCKS_PER_WORKER * 7, 32
+        workers = fess.dataset._worker_count(threads, -(-reps // per_batch))
+        assert workers >= min(threads, 2)
+        scored_on = set()
+        fidelity_rows = fess.fboxplot._fidelity_rows
+
+        def recording(*args):
+            scored_on.add(threading.get_ident())
+            return fidelity_rows(*args)
+
+        monkeypatch.setattr(fess.fboxplot, "_fidelity_rows", recording)
+        exp = run_in_batches(monkeypatch, full, size, reps, seed, per_batch, threads)
+        # one worker scores on the calling thread, several on the pool's
+        assert (threading.get_ident() in scored_on) == (workers == 1)
+        assert_per_replicate_definition(exp, which, size, reps, seed)
 
     @pytest.mark.parametrize("which", ["tied", "signed_zero"])
     def test_stacked_depths_equal_mbd_of_each_sample(self, which):
@@ -360,7 +404,8 @@ class TestSubsampleBatches:
         full = random_dataset(derived_rng(74), 600, 22)
         tracemalloc.start()
         try:
-            subsample_experiment(full, size=106, reps=1000, seed=2024)
+            # 72 batches on 2 workers, each with one batch alive at a time
+            subsample_experiment(full, size=106, reps=1000, seed=2024, threads=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

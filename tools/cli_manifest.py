@@ -171,9 +171,16 @@ def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
     # subsample replicates scored in batches: 400 of the large CSV's 2400
     # curves on 6 levels make 13 replicates a batch, so 60 replicates span
     # 5 batches and the last one is partial. The small subsample entries
-    # fit in one batch.
+    # fit in one batch. With 16 batches or more per worker, 416 replicates
+    # (32 batches) run on 2 workers and 832 (64 batches) on 4 of 8
+    # threads; a base tree that scores them serially checks them byte for
+    # byte.
     runs.append(("large/subsample", ["subsample", "--input", large, "--size", "400",
                                      "--reps", "60", "--seed", "17"], True))
+    for threads, reps in (("2", "416"), ("8", "832")):
+        runs.append((f"large/subsample_t{threads}",
+                     ["subsample", "--input", large, "--size", "400", "--reps", reps,
+                      "--seed", "17", "--threads", threads], True))
     return runs
 
 
