@@ -225,15 +225,28 @@ class SpatialFunctionalDataset:
         return self.curves.shape[1]
 
     def subset(self, indices) -> "SpatialFunctionalDataset":
-        """New dataset keeping the given rows (order as given)."""
+        """New dataset keeping the given rows (order as given).
+
+        The rows were checked when this dataset was built, so they are
+        gathered and frozen without being checked again: a subset costs
+        about what indexing its rows does.
+        """
         idx = np.asarray(indices, dtype=int)
         if idx.ndim != 1 or idx.size < 1:
             raise ValidationError("subset needs a non-empty index vector")
-        if np.any(idx < 0) or np.any(idx >= self.n_curves):
+        if idx.min() < 0 or idx.max() >= self.n_curves:
             raise ValidationError("subset index out of range")
-        return SpatialFunctionalDataset(
-            self.grid, self.xy[idx], self.curves[idx], lon0=self.lon0
-        )
+        out = object.__new__(SpatialFunctionalDataset)
+        # take gathers rows of a C-ordered array into a fresh C-ordered one,
+        # at a fraction of the cost of fancy indexing on narrow rows
+        rows = {"xy": self.xy.take(idx, axis=0), "curves": self.curves.take(idx, axis=0)}
+        for name, value in rows.items():
+            value.flags.writeable = False
+            object.__setattr__(out, name, value)
+        for name in ("grid", "lon0"):
+            object.__setattr__(out, name, getattr(self, name))
+        object.__setattr__(out, "warnings", ())
+        return out
 
 
 def pairwise_distances(locs) -> np.ndarray:
@@ -261,7 +274,10 @@ _PAIR_BLOCK_ELEMENTS = 2**20
 # m = 22 on 2 cores, 2 threads ran the variogram of n = 400-600 sites
 # (3-5 blocks) 0.95x as fast as 1 thread, n = 1000-1400 (12-23 blocks)
 # 1.0-1.6x from run to run, and n = 1700-5000 (33-262 blocks) 1.6-1.7x as
-# fast; the ESS sum gained 1.2-1.5x from n = 1700 on.
+# fast; the ESS sum gained 1.2-1.5x from n = 1700 on. Subsample batches
+# (about 2**15 values each, 106 curves on 22 levels), measured only on 2
+# cores: 2 workers ran 8 and 16 batches 1.03x as fast as 1 (forced past
+# this cap), 32 batches 1.2x and 72 batches 1.15-1.4x.
 _MIN_BLOCKS_PER_WORKER = 16
 
 # Marks block entries that are not pairs (the diagonal and below it).

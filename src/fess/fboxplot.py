@@ -322,8 +322,9 @@ def subsample_experiment(
         for first in firsts:
             draws = range(first, min(first + batch, reps))
             idx = np.stack([_stream([seed, r]).choice(n, size, replace=False) for r in draws])
+            X = full.subset(idx.ravel()).curves.reshape(*idx.shape, m)
             depths = _band_depths(ranks[:, idx].transpose(1, 0, 2))
-            out.append(_fidelity_rows(full, full_summary, full.curves[idx], depths))
+            out.append(_fidelity_rows(full, full_summary, X, depths))
         return out
 
     scored = _chunk_map(run, list(range(0, reps, batch)), threads)

@@ -236,6 +236,28 @@ class TestDataset:
         with pytest.raises(ValidationError):
             ds.subset([7])
 
+    def test_subset_is_the_dataset_of_its_rows(self):
+        # subset gathers the rows without checking them again; it must
+        # still give what building a dataset of those rows gives
+        rng = derived_rng(13)
+        ds = SpatialFunctionalDataset(
+            EvalGrid(np.arange(4.0)), rng.uniform(0.0, 50.0, size=(6, 2)),
+            np.asfortranarray(rng.standard_normal((6, 4))),
+            warnings=("a repeated site",), lon0=-160.0,
+        )
+        for idx in ([5, 0, 5, 2], [3], np.arange(6)[::-1], np.array([[1, 4]]).ravel()):
+            sub = ds.subset(idx)
+            built = SpatialFunctionalDataset(ds.grid, ds.xy[idx], ds.curves[idx], lon0=-160.0)
+            for name in ("xy", "curves"):
+                got, want = getattr(sub, name), getattr(built, name)
+                assert got.tobytes() == want.tobytes() and got.shape == want.shape
+                assert got.flags.c_contiguous and not got.flags.writeable
+            assert sub.grid is ds.grid and sub.lon0 == -160.0 and sub.warnings == ()
+        assert ds.subset([1, 2]).subset([1]).curves.tobytes() == ds.curves[2].tobytes()
+        for bad in ([6], [-1], [], [[0, 1]]):
+            with pytest.raises(ValidationError):
+                ds.subset(bad)
+
     @pytest.mark.parametrize("family", ["exponential", "spherical", "gaussian"])
     def test_array_and_planar_coords_agree(self, family):
         rng = derived_rng(12)

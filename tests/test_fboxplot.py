@@ -8,6 +8,7 @@ import pytest
 
 import fess.fboxplot
 from fess import (
+    SpatialFunctionalDataset,
     ValidationError,
     fidelity_metrics,
     functional_boxplot,
@@ -267,23 +268,22 @@ class TestSubsampleExperiment:
 
 @pytest.mark.parametrize("seed", [0, 5, 2024, np.uint64(2**63 + 11)])
 def test_replicate_draws_are_derived_rng_draws(monkeypatch, seed):
-    # subsample_experiment checks the seed once and scores replicate r on
-    # the curves derived_rng(seed, r) draws, index for index (the random
-    # curves are all distinct, so equal curves mean equal indices)
-    scored = []
-    fidelity_rows = fess.fboxplot._fidelity_rows
+    # subsample_experiment checks the seed once and draws replicate r as
+    # derived_rng(seed, r) would, index for index
+    drawn = []
+    subset = SpatialFunctionalDataset.subset
 
-    def recording(full, summary, X, depths):
-        scored.append(np.array(X))
-        return fidelity_rows(full, summary, X, depths)
+    def recording(self, idx):
+        drawn.append(np.array(idx))
+        return subset(self, idx)
 
-    monkeypatch.setattr(fess.fboxplot, "_fidelity_rows", recording)
+    monkeypatch.setattr(SpatialFunctionalDataset, "subset", recording)
     full = random_dataset(derived_rng(69), 40, 4)
     for size, reps in ((2, 30), (9, 7), (40, 3)):
-        scored.clear()
+        drawn.clear()
         subsample_experiment(full, size=size, reps=reps, seed=seed)
         ref = [derived_rng(seed, r).choice(40, size, replace=False) for r in range(reps)]
-        assert np.array_equal(np.concatenate(scored), full.curves[np.stack(ref)])
+        assert np.array_equal(np.concatenate(drawn), np.concatenate(ref))
 
 
 @pytest.mark.parametrize(
