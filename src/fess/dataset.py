@@ -121,34 +121,26 @@ def project_sinusoidal(p: GeoCoord, lon0: float) -> PlanarCoord:
     Equal-area projection about the central meridian ``lon0``:
     ``x = R (lon - lon0) cos(lat)``, ``y = R lat`` with angles in radians,
     ``lon - lon0`` wrapped into [-180, 180) degrees, and R the mean Earth
-    radius 6371.0088 km.
+    radius 6371.0088 km. The one-site case of :func:`_sinusoidal_xy`.
     """
-    # Wrap the offset into [-180, 180) so that sites on either side of the
-    # antimeridian stay neighbours. remainder is exact, so offsets already
-    # in range pass through unchanged.
-    dlon = math.remainder(p.lon - lon0, 360.0)
-    if dlon == 180.0:
-        dlon = -180.0
-    lam = math.radians(dlon)
-    phi = math.radians(p.lat)
-    return PlanarCoord(
-        EARTH_RADIUS_KM * lam * math.cos(phi),
-        EARTH_RADIUS_KM * phi,
-    )
+    x, y = _sinusoidal_xy(np.array([p.lon]), np.array([p.lat]), lon0)[0].tolist()
+    return PlanarCoord(x, y)
 
 
 def _sinusoidal_xy(lon: np.ndarray, lat: np.ndarray, lon0: float) -> np.ndarray:
     """The ``(n, 2)`` planar km of :func:`project_sinusoidal` at the sites
-    ``lon``, ``lat``, bit for bit; the sites are not checked."""
-    # fmod is exact, and so is moving its result of (-360, 360) into
-    # [-180, 180) (Sterbenz's lemma): the offset of project_sinusoidal
+    ``lon``, ``lat``; the sites are not checked."""
+    # Wrap the offset into [-180, 180) so that sites on either side of the
+    # antimeridian stay neighbours. fmod is exact, and so is moving its
+    # result of (-360, 360) into [-180, 180) (Sterbenz's lemma), so offsets
+    # already in range pass through unchanged.
     dlon = np.fmod(lon - float(lon0), 360.0)
     dlon[dlon >= 180.0] -= 360.0
     dlon[dlon < -180.0] += 360.0
     lam = np.radians(dlon)
     phi = np.radians(lat)
-    # math.cos, as project_sinusoidal: numpy's cos may be a SIMD routine
-    # whose last bits depend on the CPU
+    # math.cos: numpy's cos may be a SIMD routine whose last bits depend on
+    # the CPU
     cos_phi = np.fromiter(map(math.cos, phi.tolist()), float, phi.size)
     return np.column_stack([EARTH_RADIUS_KM * lam * cos_phi, EARTH_RADIUS_KM * phi])
 
@@ -286,12 +278,16 @@ _NOT_A_PAIR = -1.0
 
 
 class _SiteRecord(NamedTuple):
-    """What the pair stages need of a site set, whatever its curves."""
+    """What fess keeps of a site set, whatever its curves."""
 
     order: np.ndarray  # rows sorted by x, then y, equal sites in row order
     tied: np.ndarray  # positions in ``order`` of sites equal to a neighbour
     groups: np.ndarray  # the run of equal sites of each, numbered in order
     diameter: float  # the largest distance between two sites
+    # stage name -> (key, value): what a stage keeps of these sites for its
+    # later calls, valid for an equal key. Each entry is replaced whole, so a
+    # thread reads either an old entry or a new one, never a partial one.
+    kept: dict
 
 
 @functools.lru_cache(maxsize=1)
@@ -299,7 +295,8 @@ def _site_record(sites: bytes) -> _SiteRecord:
     """The :class:`_SiteRecord` of the ``(n, 2)`` float site array ``sites``.
 
     Keyed by the array's bytes, so the one kept record is that of the last
-    site set, in its row order; its arrays are read-only and O(n).
+    site set, in its row order: a call at other sites drops it, with all
+    that its stages kept. Its arrays are read-only and O(n).
     """
     xy = np.frombuffer(sites).reshape(-1, 2)
     order = np.lexsort((xy[:, 1], xy[:, 0]))
@@ -309,21 +306,21 @@ def _site_record(sites: bytes) -> _SiteRecord:
     groups = np.cumsum(np.insert(~same, 0, True))[tied]
     for a in (order, tied, groups):
         a.flags.writeable = False
-    return _SiteRecord(order, tied, groups, _max_site_distance(xy))
+    return _SiteRecord(order, tied, groups, _max_site_distance(xy), {})
 
 
-def _canonical_order(dataset: "SpatialFunctionalDataset") -> np.ndarray:
+def _canonical_order(dataset: "SpatialFunctionalDataset", sites: _SiteRecord) -> np.ndarray:
     """Row order that depends only on the rows' contents.
 
     Rows are sorted by x, then y, then the curve values in grid order, so
     duplicate sites are ordered too; rows equal in every key are
     interchangeable. Pair stages that run over rows in this order and
     reduce in a fixed block order give results that are bitwise invariant
-    under row relabelling. The site order comes from the kept
-    :func:`_site_record`; the curves are sorted only where sites tie, which
-    gives the permutation of one ``np.lexsort`` over all the keys.
+    under row relabelling. The site order comes from ``sites``, the
+    :func:`_site_record` of the dataset's sites; the curves are sorted only
+    where sites tie, which gives the permutation of one ``np.lexsort`` over
+    all the keys.
     """
-    sites = _site_record(dataset.xy.tobytes())
     if not sites.tied.size:
         return sites.order
     order = sites.order.copy()
@@ -354,8 +351,10 @@ def _max_site_distance(xy: np.ndarray) -> float:
     edge = np.roll(octagon, -1, axis=0)[:, :, None] - start
     left = edge[:, 0] * (y - start[:, 1]) - edge[:, 1] * (x - start[:, 0]) > 0
     inside = np.all(left | ~np.any(edge, axis=1), axis=0)
-    # the octagon's own vertices stay when every edge is a point
-    sites = np.unique(np.vstack([octagon, xy[~inside]]), axis=0).tolist()
+    # the octagon's own vertices stay when every edge is a point; sorted
+    # distinct sites as np.unique(axis=0) gives them, without the numpy.ma
+    # import (0.5 MB) that its first call makes
+    sites = sorted(set(map(tuple, np.vstack([octagon, xy[~inside]]).tolist())))
 
     def half_hull(points):
         chain = []
@@ -481,17 +480,19 @@ def _block_distances(xy: np.ndarray, i0: int, i1: int) -> np.ndarray:
 
 
 def _pair_map(
-    fn, dataset: "SpatialFunctionalDataset", rows=None, threads=None, distances=True
+    fn, dataset: "SpatialFunctionalDataset", sites: _SiteRecord, rows=None, threads=None,
+    distances=True,
 ) -> list:
     """``fn(k, d, X[i0:i1], X[i0:])`` for every canonical pair block, in block order.
 
     ``k`` numbers the block ``(i0, i1)`` among the :func:`_pair_spans` of
     the dataset's n rows and m grid levels, whatever the width of
-    ``rows``. ``X`` is ``rows`` in :func:`_canonical_order`, the one row
-    order of every pair stage; without ``rows`` the stage reads only
-    distances, no row matrix is formed and ``fn`` gets None for both
-    slices. ``d`` is the block's :func:`_block_distances`, or None without
-    ``distances``: a stage that kept what it needs of them from an
+    ``rows``. ``X`` is ``rows`` in :func:`_canonical_order` under
+    ``sites``, the caller's :func:`_site_record` of the dataset's sites:
+    the one row order of every pair stage. Without ``rows`` the stage
+    reads only distances, no row matrix is formed and ``fn`` gets None for
+    both slices. ``d`` is the block's :func:`_block_distances`, or None
+    without ``distances``: a stage that kept what it needs of them from an
     earlier pass over the same sites does not form them.
 
     The blocks run on :func:`_chunk_map`'s ``threads`` workers (default:
@@ -500,7 +501,7 @@ def _pair_map(
     come back in block order whatever the thread count. ``fn`` must be
     safe to call from several threads at once.
     """
-    order = _canonical_order(dataset)
+    order = _canonical_order(dataset, sites)
     xy = dataset.xy[order]
     X = None if rows is None else rows[order]
     blocks = list(enumerate(_pair_spans(dataset.n_curves, dataset.n_levels)))

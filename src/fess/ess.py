@@ -25,6 +25,7 @@ from .dataset import (
     SpatialFunctionalDataset,
     _check_threads,
     _pair_map,
+    _site_record,
     _sorted_sum,
     _write_json,
 )
@@ -183,7 +184,8 @@ def _plugin_ess(
         ]
 
     upper = [0.0] * len(fits)
-    for sums in _pair_map(block_sums, dataset, threads=threads):
+    sites = _site_record(dataset.xy.tobytes())
+    for sums in _pair_map(block_sums, dataset, sites, threads=threads):
         for k, value in enumerate(sums):
             upper[k] += value
     n = dataset.n_curves
@@ -209,8 +211,12 @@ def ess_plugin(
     Every pair stage streams over row blocks and runs on the usable cores;
     the report does not depend on their number. A one-shot estimate
     needs O(n m) memory for the streamed blocks; from the second estimate
-    at the same sites and bins, memory also holds their kept bin slots,
-    about n**2 / 2 bytes (13 MB at n = 5000), so later estimates there
-    bin no distances (see :func:`fess.variogram._binned_pair_stats`).
+    at the same sites and bins, memory also holds their bin slots, about
+    n**2 / 2 bytes (13 MB at n = 5000), so later estimates there bin no
+    distances (see :func:`fess.variogram._binned_pair_stats`). The slots
+    live in the one record kept for the last site set
+    (:func:`fess.dataset._site_record`), beside the factor of
+    :func:`fess.far1.gauss_field_simulate`; a call at other sites drops
+    both.
     """
     return _plugin_ess(dataset, [family], bins, nugget)[0]

@@ -16,7 +16,6 @@ parametric model.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -30,6 +29,7 @@ from .dataset import (
     _frozen_array,
     _non_negative_int,
     _positive_int,
+    _site_record,
     pairwise_distances,
 )
 from .errors import EstimationError, ValidationError
@@ -280,16 +280,22 @@ def gauss_field_simulate(
     array or a sequence of :class:`PlanarCoord`.
 
     The factor depends only on ``spec.model`` and the sites, not on the
-    seed, so the last one computed is kept and reused while calls pass an
-    equal model and bitwise-equal sites in the same order: a repeated
-    call costs one normal draw and one matrix product, and its curves are
-    the ones a fresh factorization gives. The kept factor (n x n floats:
-    1.3 MB at n = 400, 200 MB at n = 5000) stays alive after the call
-    until a call with other sites or another model replaces it. A failed
-    factorization is not kept.
+    seed, so it is kept under ``"factor"`` in the sites'
+    :func:`fess.dataset._site_record`'s ``kept``, keyed by the model, and
+    reused while calls pass an equal model and bitwise-equal sites in the
+    same order: a repeated call costs one normal draw and one matrix
+    product, and its curves are the ones a fresh factorization gives. The
+    kept factor (n x n floats: 1.3 MB at n = 400, 200 MB at n = 5000)
+    lives as long as the site record, until a call at other sites, to
+    this or any other stage, drops it, or a call with another model
+    replaces it. A failed factorization is not kept.
     """
     xy = _as_xy(locs)
-    factor = _correlation_factor(spec.model, xy.tobytes())
+    kept = _site_record(xy.tobytes()).kept
+    model, factor = kept.get("factor", (None, None))
+    if model != spec.model:
+        factor = _correlation_factor(spec.model, xy)
+        kept["factor"] = (spec.model, factor)
     rng = derived_rng(seed)
     k = spec.weights.size
     z = rng.standard_normal((factor.shape[0], k))
@@ -300,14 +306,10 @@ def gauss_field_simulate(
     return SpatialFunctionalDataset(spec.grid, xy, curves)
 
 
-@functools.lru_cache(maxsize=1)
-def _correlation_factor(model: TraceCovModel, sites: bytes) -> np.ndarray:
-    """Read-only lower Cholesky factor of the sites' correlation under ``model``.
-
-    ``sites`` is the bytes of the ``(n, 2)`` float site array, so the one
-    memoized factor is keyed by the exact model and the exact sites.
-    """
-    corr = model_trace_cov(model, pairwise_distances(np.frombuffer(sites).reshape(-1, 2)))
+def _correlation_factor(model: TraceCovModel, xy: np.ndarray) -> np.ndarray:
+    """Read-only lower Cholesky factor of the correlation of the sites
+    ``xy`` under ``model``."""
+    corr = model_trace_cov(model, pairwise_distances(xy))
     corr /= model.sill + model.nugget
     try:
         factor = np.linalg.cholesky(corr)

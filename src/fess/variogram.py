@@ -12,7 +12,6 @@ variogram by least squares.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -301,43 +300,9 @@ class EmpiricalVariogram:
         return cls(centers, gamma, counts, sigma0=None)
 
 
-class _PairSlots:
-    """Bin slots of one site set's pair blocks under one set of bin edges.
-
-    ``slots[k]`` holds :meth:`LagBins._slots` of the distances of pair
-    block k, flattened, in the smallest unsigned type holding every slot
-    (one byte an entry up to 254 bins, so the blocks of n sites take about
-    n**2 / 2 bytes). ``totals`` holds the per-bin pair counts and distance
-    sums, each added in block order. The first pass at a key only marks
-    the table ``seen``, so a one-shot estimate keeps nothing; a later pass
-    that finds ``totals`` unset bins every block's distances and stores
-    both, ``totals`` last, if the slots fit in ``_MAX_KEPT_SLOT_BYTES``;
-    passes that fill one table at once store equal arrays. Stored arrays
-    are read-only.
-    """
-
-    def __init__(self, n_blocks: int):
-        self.seen = False
-        self.slots = [None] * n_blocks
-        self.totals = None
-
-
 # Largest slot table kept between passes: with one byte a pair, that of
 # about 23 000 sites.
 _MAX_KEPT_SLOT_BYTES = 1 << 28
-
-
-@functools.lru_cache(maxsize=1)
-def _pair_slots(sites: bytes, edges: bytes, spans: tuple) -> _PairSlots:
-    """The kept slot table of the pair blocks ``spans`` (see
-    :func:`fess.dataset._pair_spans`) of the site array with bytes
-    ``sites`` under the bin edges with bytes ``edges``.
-
-    Keyed by the exact sites in their row order, the exact edges and the
-    block layout, so the one kept table is the last one asked for; it is
-    empty until the second pass over those blocks fills it.
-    """
-    return _PairSlots(len(spans))
 
 
 def _binned_pair_stats(
@@ -360,11 +325,18 @@ def _binned_pair_stats(
     kernel's squared norms, the i = j terms.
 
     The bin of each pair depends only on the sites and the bins, so the
-    second pass at bitwise-equal sites, bins and block layout stores each
-    block's bin slots and the per-bin pair counts and distance sums in
-    the kept :func:`_pair_slots` table, and later passes read them
-    instead of computing the blocks' distances: their pairs are binned as
-    a fresh pass bins them, so their results are the same bit for bit.
+    passes at one site set keep a slot table under ``"slots"`` in their
+    :func:`fess.dataset._site_record`'s ``kept``, keyed by the bin edges
+    and the block layout. The first pass at a key keeps only the key, so
+    a one-shot estimate keeps nothing. The second keeps each block's bin
+    slots (:meth:`LagBins._slots` of its distances, flattened, in the
+    smallest unsigned type holding every slot: one byte a pair up to 254
+    bins, about n**2 / 2 bytes for n sites) and the per-bin pair counts
+    and distance sums, each added in block order, all read-only, if the
+    slots fit in ``_MAX_KEPT_SLOT_BYTES``; it stores them once its blocks
+    are done. Later passes read them instead of computing the blocks'
+    distances: their pairs are binned as a fresh pass bins them, so their
+    results are the same bit for bit.
     """
     if dataset.n_curves < 2:
         raise ValidationError("empirical estimation needs at least 2 curves")
@@ -375,41 +347,44 @@ def _binned_pair_stats(
     rows = np.column_stack([dev, np.einsum("km,km->k", dev * w, dev)])
     n = dataset.n_curves
     spans = tuple(_pair_spans(n, dataset.n_levels))
-    table = _pair_slots(dataset.xy.tobytes(), bins.edges.tobytes(), spans)
-    warm = table.totals is not None
+    sites = _site_record(dataset.xy.tobytes())
+    key = (bins.edges.tobytes(), spans)
+    seen, table = sites.kept.get("slots", (None, None))
+    if seen != key:
+        sites.kept["slots"] = (key, None)
+        table = None
     dtype = np.min_scalar_type(n_bins + 1)
     size = sum((i1 - i0) * (n - i0) for i0, i1 in spans) * dtype.itemsize
-    fill = table.seen and not warm and size <= _MAX_KEPT_SLOT_BYTES
-    table.seen = True
+    fill = seen == key and table is None and size <= _MAX_KEPT_SLOT_BYTES
 
     def block_stats(k, d, head, tail):
         g = np.einsum("km,cm->kc", head[:, :-1] * w, tail[:, :-1])
         values = from_gram(g, head[:, -1:], tail[:, -1]).ravel()
         # slots 0 and n_bins + 1 collect the pairs outside the bins and the
         # entries that are not pairs, and are dropped
-        if warm:
-            return np.bincount(table.slots[k], weights=values, minlength=n_bins + 2)[1:-1], None
+        if table is not None:
+            return np.bincount(table[0][k], weights=values, minlength=n_bins + 2)[1:-1], None
         d = d.ravel()
         slots = bins._slots(d)
-        if fill:
-            table.slots[k] = _frozen_array(slots, dtype)
         return np.bincount(slots, weights=values, minlength=n_bins + 2)[1:-1], (
             np.bincount(slots, minlength=n_bins + 2)[1:-1],
             np.bincount(slots, weights=d, minlength=n_bins + 2)[1:-1],
+            _frozen_array(slots, dtype) if fill else None,
         )
 
-    results = _pair_map(block_stats, dataset, rows, threads, distances=not warm)
-    if warm:
-        counts, hsums = table.totals
+    results = _pair_map(block_stats, dataset, sites, rows, threads, distances=table is None)
+    if table is not None:
+        _, counts, hsums = table
     else:
         counts = np.zeros(n_bins, dtype=np.int64)
         hsums = np.zeros(n_bins)
-        for _, (c, h) in results:
+        for _, (c, h, _) in results:
             counts += c
             hsums += h
         if fill:
             counts.flags.writeable = hsums.flags.writeable = False
-            table.totals = (counts, hsums)
+            slots = tuple(s for _, (_, _, s) in results)
+            sites.kept["slots"] = (key, (slots, counts, hsums))
     sums = np.zeros(n_bins)
     for v, _ in results:
         sums += v
@@ -564,7 +539,9 @@ def fit_model(ev: EmpiricalVariogram, family: str, nugget: str = "zero") -> FitR
     lower by more than rounding. Deterministic. Returns the fitted model
     with the achieved objective value; a range at the lower or upper end
     of its box carries the warning "range pinned at lower bound" or
-    "range pinned at upper bound".
+    "range pinned at upper bound". Occupied bins centred at lag 0 exactly
+    (coincident sites alone) are left out, with a warning giving their
+    pair count; a negative center is rejected.
 
     Raises :class:`EstimationError` if the variogram is zero in every
     occupied bin (no covariance to fit).
@@ -572,12 +549,20 @@ def fit_model(ev: EmpiricalVariogram, family: str, nugget: str = "zero") -> FitR
     fam = _family(family)
     _check_nugget(nugget)
     occ = ev.occupied
+    if np.any(ev.centers[occ] < 0):
+        raise ValidationError("bin centers must not be negative for fitting")
+    # A bin of coincident pairs only sits at lag 0, where every model's
+    # trace-variogram is 0 whatever its parameters: it fits none of them.
+    at_zero = occ & (ev.centers == 0.0)
+    notes = ()
+    if np.any(at_zero):
+        occ = occ & ~at_zero
+        pairs = int(np.sum(ev.counts[at_zero]))
+        notes = (f"{pairs} coincident pairs at lag 0 left out of the fit",)
     if int(np.count_nonzero(occ)) < 3:
         raise ValidationError("fitting needs at least 3 occupied bins")
     h = ev.centers[occ]
     g = ev.gamma[occ]
-    if np.any(h <= 0):
-        raise ValidationError("bin centers must be positive for fitting")
 
     h_scale = float(np.max(h))
     g_scale = float(np.max(np.abs(g)))
@@ -594,20 +579,20 @@ def fit_model(ev: EmpiricalVariogram, family: str, nugget: str = "zero") -> FitR
         return FitResult(
             model,
             float(np.dot(resid, resid)),
-            ("flat empirical variogram: range pinned at lower bound",),
+            notes + ("flat empirical variogram: range pinned at lower bound",),
         )
 
-    zero = _fit_once(fam, h, g, h_scale, g_scale, free_nugget=False)
+    zero = _fit_once(fam, h, g, h_scale, g_scale, False, notes)
     if nugget == "zero":
         return zero
     # Keep the nugget only when freeing it improves the fit by more than
     # numerical noise relative to the data's total sum of squares.
-    free = _fit_once(fam, h, g, h_scale, g_scale, free_nugget=True)
+    free = _fit_once(fam, h, g, h_scale, g_scale, True, notes)
     tie_tol = 1e-9 * float(np.dot(g, g)) + 1e-300
     return zero if zero.sse <= free.sse + tie_tol else free
 
 
-def _fit_once(fam, h, g, h_scale, g_scale, free_nugget):
+def _fit_once(fam, h, g, h_scale, g_scale, free_nugget, warnings):
     # Fit in normalized units (lags / h_scale, values / g_scale) so the
     # tiny sills of real trace-variograms stay well-conditioned.
     hn = h / h_scale
@@ -634,12 +619,11 @@ def _fit_once(fam, h, g, h_scale, g_scale, free_nugget):
         fam, g_scale * sill, h_scale * math.exp(log_range), g_scale * nugget
     )
     sse *= g_scale**2
-    warnings = ()
     if log_range <= _LOG_RANGE_LO + 1e-9:
-        warnings = ("range pinned at lower bound",)
+        warnings += ("range pinned at lower bound",)
     elif log_range >= _LOG_RANGE_HI - 1e-9:
         # a near-linear variogram: only sill / range is identified
-        warnings = ("range pinned at upper bound",)
+        warnings += ("range pinned at upper bound",)
     return FitResult(model, sse, warnings)
 
 

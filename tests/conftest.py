@@ -39,3 +39,17 @@ def tied_dataset(rng, n, m, spread=100.0):
     xy[2 * k:3 * k] = xy[:k]
     curves[2 * k:3 * k] = curves[:k]
     return make_dataset(curves, xy=xy)
+
+
+def repeated_lattice_dataset(seed):
+    """Independent N(0, 1) curves on 6 levels at a 15 x 15 lattice of 100 km
+    spacing whose first 10 sites appear twice (235 curves).
+
+    The default first lag bin, [0, 66) km, holds only the 10 coincident
+    pairs, so its center is 0.
+    """
+    axis = np.arange(15) * 100.0
+    xy = np.array([(x, y) for x in axis for y in axis])
+    xy = np.vstack([xy, xy[:10]])
+    curves = np.random.default_rng(seed).standard_normal((len(xy), 6))
+    return SpatialFunctionalDataset(EvalGrid(np.linspace(0.0, 1.0, 6)), xy, curves)

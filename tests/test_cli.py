@@ -23,9 +23,12 @@ from fess import (
     ess_plugin,
     fit_model,
     load_wide_csv,
+    write_wide_csv,
 )
 from fess.cli import build_parser, main
 from fess.rng import derived_rng
+
+from conftest import repeated_lattice_dataset
 
 
 @pytest.fixture
@@ -161,6 +164,16 @@ class TestVariogramCommand:
                        "--family", "spherical"])
         assert rc == 0
         assert "spherical: flat empirical variogram: range pinned at lower bound" in caplog.text
+
+    def test_fit_leaves_a_lag_zero_row_out(self, tmp_path, caplog):
+        emp = tmp_path / "emp.csv"
+        emp.write_text("h,gamma,count\n0,0.4,3\n10,1,8\n20,2,8\n30,2.5,8\n")
+        with caplog.at_level(logging.WARNING, logger="fess"):
+            rc = main(["fit", "--input", str(emp), "--out-dir", str(tmp_path / "fit"),
+                       "--family", "exponential"])
+        assert rc == 0
+        assert "exponential: 3 coincident pairs at lag 0 left out of the fit" in caplog.text
+        assert (tmp_path / "fit" / "model_exponential.json").is_file()
 
     def test_fit_zero_variogram_exits_1(self, tmp_path, capsys):
         emp = tmp_path / "zero.csv"
@@ -317,6 +330,21 @@ class TestEssCommand:
         assert rc == 0
         rows = (out / "empirical_variogram.csv").read_text().strip().splitlines()
         assert len(rows) == 8  # header + 7 bins
+
+
+@pytest.mark.parametrize("command", ["variogram", "ess"])
+def test_coincident_sites_alone_in_the_first_bin_exit_0(command, tmp_path, caplog, capsys):
+    data = tmp_path / "lattice.csv"
+    write_wide_csv(repeated_lattice_dataset(seed=90), data)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="fess"):
+        rc = main([command, "--input", str(data), "--out-dir", str(out)])
+    assert rc == 0
+    assert "exponential: 10 coincident pairs at lag 0 left out of the fit" in caplog.text
+    if command == "ess":
+        assert json.loads((out / "ess_exponential.json").read_text())["ess"] > 0
+    else:
+        assert (out / "model_exponential.json").is_file()
 
 
 class TestMalformedInput:
@@ -533,7 +561,7 @@ class TestDeterminism:
 
     def test_warm_memo_outputs_are_byte_identical(self, dataset_csv, tmp_path, monkeypatch):
         # variogram then ess in one interpreter: the second session bins no
-        # distances, the third starts from empty memos again
+        # distances, the third starts from an empty site record again
         binned = []
         slots = fess.variogram.LagBins._slots
 
@@ -555,7 +583,6 @@ class TestDeterminism:
         sessions = []
         for tag in ("cold", "warm", "cleared"):
             if tag != "warm":
-                fess.variogram._pair_slots.cache_clear()
                 fess.dataset._site_record.cache_clear()
             binned.clear()
             sessions.append(session(tag))

@@ -86,21 +86,37 @@ class TestProjection:
     @pytest.mark.parametrize(
         "lon0", [-145.0, 0.0, 179.0, 180.0, -180.0, -179.5, 12.25, 359.75, -725.3, 1e4]
     )
-    def test_array_projection_is_project_sinusoidal_bitwise(self, lon0):
-        # every site through the scalar projection is the reference; the
-        # offsets include +-180 exactly and wraps of either sign
+    def test_projection_is_the_closed_form_bitwise(self, lon0):
+        # the reference is the formula per site with math.remainder and
+        # math.cos; the offsets include +-180 exactly, wraps of either sign,
+        # sites on both sides of the dateline and the poles
         rng = derived_rng(44)
         lon = np.concatenate([
             rng.uniform(-180.0, 180.0, 20_000),
-            [-180.0, 180.0, 0.0, -0.0, 90.0, -90.0],
+            [-180.0, 180.0, 0.0, -0.0, 90.0, -90.0, 179.99, -179.99],
             np.remainder(np.array([lon0 + 180.0, lon0 - 180.0, lon0]) + 180.0, 360.0) - 180.0,
         ])
         lat = np.concatenate([
-            rng.uniform(-90.0, 90.0, 20_000), [90.0, -90.0, 0.0, -0.0, 45.0, -45.0, 1.0, 2.0, 3.0],
+            rng.uniform(-90.0, 90.0, 20_000),
+            [90.0, -90.0, 0.0, -0.0, 45.0, -45.0, 90.0, -90.0, 1.0, 2.0, 3.0],
         ])
-        ref = [project_sinusoidal(GeoCoord(a, b), lon0) for a, b in zip(lon.tolist(), lat.tolist())]
-        xy = _sinusoidal_xy(lon, lat, lon0)
-        assert xy.tobytes() == np.array([(p.x, p.y) for p in ref]).tobytes()
+
+        def closed_form(lon, lat):
+            dlon = math.remainder(lon - lon0, 360.0)
+            if dlon == 180.0:
+                dlon = -180.0
+            lam, phi = math.radians(dlon), math.radians(lat)
+            return EARTH_RADIUS_KM * lam * math.cos(phi), EARTH_RADIUS_KM * phi
+
+        sites = list(zip(lon.tolist(), lat.tolist()))
+        ref = np.array([closed_form(a, b) for a, b in sites])
+        assert _sinusoidal_xy(lon, lat, lon0).tobytes() == ref.tobytes()
+        # the scalar projection on the special sites and a sample of the rest
+        for (a, b), (x, y) in list(zip(sites, ref.tolist()))[::97] + list(
+            zip(sites[20_000:], ref[20_000:].tolist())
+        ):
+            p = project_sinusoidal(GeoCoord(a, b), lon0)
+            assert (p.x, p.y) == (x, y) and math.copysign(1.0, p.x) == math.copysign(1.0, x)
 
     def test_array_projection_maps_half_turn_offsets_to_minus_180(self):
         # math.remainder gives +180 for an offset of 180 or -540 and -180

@@ -31,7 +31,7 @@ from fess import (
 )
 from fess.rng import derived_rng
 
-from conftest import make_dataset, random_dataset, tied_dataset
+from conftest import make_dataset, random_dataset, repeated_lattice_dataset, tied_dataset
 
 
 class TestEssScalar:
@@ -314,8 +314,8 @@ class TestEssPlugin:
 
 class TestPairSlotMemo:
     """From the second pass at the same sites, the variogram pass keeps the
-    last site set's bin slots and reuses them only at bitwise-equal sites,
-    bin edges and block layout."""
+    bin slots in the last site set's record and reuses them only at
+    bitwise-equal sites, bin edges and block layout."""
 
     families = ["exponential", "spherical", "gaussian"]
 
@@ -329,30 +329,35 @@ class TestPairSlotMemo:
             return slots(bins, h)
 
         monkeypatch.setattr(LagBins, "_slots", counted)
-        fess.variogram._pair_slots.cache_clear()
+        fess.dataset._site_record.cache_clear()
         return calls
 
     @classmethod
     def outputs(cls, ds, bins, cold=False):
         """Both estimators and the plug-in ESS (3 families, zero and free
-        nugget) at ``bins``; with ``cold``, the memo is cleared before each."""
+        nugget) at ``bins``; with ``cold``, the site record is cleared before each."""
         out = []
         for estimator in (empirical_trace_variogram, empirical_trace_covariogram):
             if cold:
-                fess.variogram._pair_slots.cache_clear()
+                fess.dataset._site_record.cache_clear()
             ev = estimator(ds, bins)
             out.append((ev.centers.tobytes(), ev.gamma.tobytes(), ev.counts.tobytes(), ev.sigma0))
         for nugget in ("zero", "free"):
             if cold:
-                fess.variogram._pair_slots.cache_clear()
+                fess.dataset._site_record.cache_clear()
             reports = fess.ess._plugin_ess(ds, cls.families, bins, nugget)
             out += [(r.ess, r.model, r.warnings) for r in reports]
         return out
 
     @staticmethod
     def table(ds, bins):
+        """The ``(slots, counts, hsums)`` kept for ``ds``'s sites at ``bins``,
+        None while only the key is kept."""
         spans = tuple(fess.dataset._pair_spans(ds.n_curves, ds.n_levels))
-        return fess.variogram._pair_slots(ds.xy.tobytes(), bins.edges.tobytes(), spans)
+        kept = fess.dataset._site_record(ds.xy.tobytes()).kept
+        key, table = kept["slots"]
+        assert key == (bins.edges.tobytes(), spans)
+        return table
 
     def test_equal_sites_and_bins_bin_once(self, binned, monkeypatch):
         n, m = 50, 5
@@ -367,8 +372,7 @@ class TestPairSlotMemo:
         empirical_trace_variogram(ds, bins)
         # a one-shot pass keeps no slots
         assert len(binned) == blocks
-        assert self.table(ds, bins).totals is None
-        assert not any(s is not None for s in self.table(ds, bins).slots)
+        assert self.table(ds, bins) is None
         first = self.outputs(ds, bins)
         assert len(binned) == 2 * blocks  # the second pass bins and keeps
         # other curves at equal sites given another way; equal edges in new bins
@@ -430,7 +434,8 @@ class TestPairSlotMemo:
             if tied:  # rows i and i + 2k are equal in every value
                 curves[2 * k:] = curves[:k]
             ds = make_dataset(curves, xy=xy)
-            orders.add(fess.dataset._canonical_order(ds).tobytes())
+            sites = fess.dataset._site_record(ds.xy.tobytes())
+            orders.add(fess.dataset._canonical_order(ds, sites).tobytes())
             bins = fess.default_lag_bins(ds)
             assert self.outputs(ds, bins) == self.outputs(ds, bins, cold=True)
         # tied sites are ordered by their curves, so the one table serves
@@ -440,14 +445,13 @@ class TestPairSlotMemo:
     def test_kept_tables_are_read_only(self):
         ds = tied_dataset(derived_rng(63), 30, 4)
         bins = fess.default_lag_bins(ds)
-        fess.variogram._pair_slots.cache_clear()
+        fess.dataset._site_record.cache_clear()
         for _ in range(2):
             empirical_trace_variogram(ds, bins)
-        table = self.table(ds, bins)
-        assert fess.variogram._pair_slots.cache_info().hits == 2
-        assert table.slots[0].dtype == np.uint8
+        slots, counts, hsums = self.table(ds, bins)
+        assert slots[0].dtype == np.uint8
         record = fess.dataset._site_record(ds.xy.tobytes())
-        for a in table.slots + list(table.totals) + [record.order, record.tied, record.groups]:
+        for a in [*slots, counts, hsums, record.order, record.tied, record.groups]:
             assert a.size and not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1
@@ -460,7 +464,7 @@ class TestPairSlotMemo:
         bins = LagBins.equal_width(float(np.max(pairwise_distances(ds.xy))), n_bins)
         cold = self.outputs(ds, bins, cold=True)
         assert self.outputs(ds, bins) == cold
-        assert self.table(ds, bins).slots[0].dtype == dtype
+        assert self.table(ds, bins)[0][0].dtype == dtype
         assert empirical_trace_variogram(ds, bins).counts[-1] > 0
 
     def test_tables_over_the_size_bound_are_not_kept(self, binned, monkeypatch):
@@ -472,11 +476,11 @@ class TestPairSlotMemo:
         monkeypatch.setattr(fess.variogram, "_MAX_KEPT_SLOT_BYTES", size - 1)
         passes = [empirical_trace_variogram(ds, bins) for _ in range(3)]
         assert len(binned) == 3 * len(spans)
-        assert self.table(ds, bins).totals is None
+        assert self.table(ds, bins) is None
         monkeypatch.setattr(fess.variogram, "_MAX_KEPT_SLOT_BYTES", size)
         passes += [empirical_trace_variogram(ds, bins) for _ in range(2)]
         assert len(binned) == 4 * len(spans)
-        assert self.table(ds, bins).totals is not None
+        assert self.table(ds, bins) is not None
         assert len({
             (ev.centers.tobytes(), ev.gamma.tobytes(), ev.counts.tobytes(), ev.sigma0)
             for ev in passes
@@ -510,6 +514,122 @@ class TestPairSlotMemo:
             sys.setswitchinterval(switch)
         assert not any(thread.is_alive() for thread in threads)
         assert [results.get(i) for i in range(len(jobs))] == serial
+
+
+class TestSiteRecord:
+    """The simulator's factor and the variogram's slots live in one record
+    per site set: they are kept together and dropped together."""
+
+    grid = EvalGrid(np.linspace(0.0, 1.0, 5))
+    spec = GaussFieldSpec(TraceCovModel("exponential", 1.0, 80.0), np.full(5, 0.2), grid)
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """Counts of factorizations and of binned blocks, from a cleared record."""
+        calls = {"cholesky": 0, "binned": 0}
+        cholesky, slots = np.linalg.cholesky, LagBins._slots
+
+        def factorize(a):
+            calls["cholesky"] += 1
+            return cholesky(a)
+
+        def binned(bins, h):
+            calls["binned"] += 1
+            return slots(bins, h)
+
+        monkeypatch.setattr(np.linalg, "cholesky", factorize)
+        monkeypatch.setattr(LagBins, "_slots", binned)
+        monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 4 * 50 * 5)
+        fess.dataset._site_record.cache_clear()
+        return calls
+
+    @staticmethod
+    def kept(xy):
+        return fess.dataset._site_record(np.ascontiguousarray(xy, dtype=float).tobytes()).kept
+
+    def estimate(self, xy, seed):
+        ds = gauss_field_simulate(self.spec, xy, seed)
+        reports = [ess_plugin(ds, family) for family in ("exponential", "gaussian")]
+        return ds.curves.tobytes(), [(r.ess, r.model, r.warnings) for r in reports]
+
+    def test_oracle_replicates_factorize_once_and_bin_twice(self, work):
+        xy = derived_rng(67).uniform(0.0, 300.0, size=(50, 2))
+        blocks = len(fess.dataset._pair_spans(50, 5))
+        assert blocks >= 5
+        warm = [self.estimate(xy, seed) for seed in range(5)]
+        assert work["cholesky"] == 1
+        # the first estimate keeps the key, the second fills the slots
+        assert work["binned"] == 2 * blocks
+        assert set(self.kept(xy)) == {"factor", "slots"}
+        cold = []
+        for seed in range(5):
+            fess.dataset._site_record.cache_clear()
+            cold.append(self.estimate(xy, seed))
+        assert warm == cold
+
+    @pytest.mark.parametrize("stage", ["simulate", "variogram", "default_bins"])
+    def test_a_call_at_other_sites_drops_factor_and_slots(self, work, stage):
+        rng = derived_rng(68)
+        xy, other = rng.uniform(0.0, 300.0, size=(2, 50, 2))
+        blocks = len(fess.dataset._pair_spans(50, 5))
+        for seed in range(3):
+            self.estimate(xy, seed)
+        record = fess.dataset._site_record(xy.tobytes())
+        assert set(record.kept) == {"factor", "slots"}
+        ds = SpatialFunctionalDataset(self.grid, other, rng.standard_normal((50, 5)))
+        {
+            "simulate": lambda: gauss_field_simulate(self.spec, other, 0),
+            "variogram": lambda: empirical_trace_variogram(ds, LagBins.equal_width(150.0, 8)),
+            "default_bins": lambda: fess.default_lag_bins(ds),
+        }[stage]()
+        before = dict(work)
+        assert self.estimate(xy, 0) == self.estimate(xy, 0)
+        again = fess.dataset._site_record(xy.tobytes())
+        assert again is not record and set(again.kept) == {"factor", "slots"}
+        # the factor again, and the first two variogram passes bin again
+        assert work["cholesky"] == before["cholesky"] + 1
+        assert work["binned"] == before["binned"] + 2 * blocks
+
+    def test_threads_simulating_and_estimating_at_one_site_set_match_serial_results(self):
+        xy = derived_rng(69).uniform(0.0, 300.0, size=(40, 2))
+        seeds = [100 * t + r for t in range(4) for r in range(5)]
+        serial = []
+        for seed in seeds:
+            fess.dataset._site_record.cache_clear()
+            serial.append(self.estimate(xy, seed))
+        fess.dataset._site_record.cache_clear()
+        results = {}
+
+        def work(t):
+            for r in range(5):
+                results[5 * t + r] = self.estimate(xy, seeds[5 * t + r])
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results.get(i) for i in range(len(seeds))] == serial
+
+
+@pytest.mark.parametrize("nugget", ["zero", "free"])
+@pytest.mark.parametrize("family", ["exponential", "spherical", "gaussian"])
+def test_coincident_sites_alone_in_the_first_bin(family, nugget):
+    # the first default bin holds only coincident pairs, at lag 0: the fit
+    # leaves it out and says so
+    ds = repeated_lattice_dataset(seed=90)
+    assert fess.default_lag_bins(ds).edges[1] < 100.0
+    report = ess_plugin(ds, family, nugget=nugget)
+    assert report.warnings[0] == "10 coincident pairs at lag 0 left out of the fit"
+    assert 1.0 <= report.ess <= report.n
+    if nugget == "zero":  # independent curves
+        assert report.ratio > 0.8
 
 
 class TestEssReportValidation:

@@ -339,8 +339,8 @@ class TestGaussField:
 
 
 class TestFactorMemo:
-    """``gauss_field_simulate`` keeps the last correlation factor and reuses it
-    only for an equal model at bitwise-equal sites."""
+    """``gauss_field_simulate`` keeps the correlation factor in the last site
+    set's record and reuses it only for an equal model at bitwise-equal sites."""
 
     grid = EvalGrid(np.linspace(0.0, 1.0, 11))
     model = TraceCovModel("exponential", 1.0, 80.0, 0.2)
@@ -350,7 +350,7 @@ class TestFactorMemo:
 
     @staticmethod
     def cold(spec, xy, seed):
-        fess.far1._correlation_factor.cache_clear()
+        fess.dataset._site_record.cache_clear()
         return gauss_field_simulate(spec, xy, seed).curves
 
     @pytest.fixture
@@ -363,7 +363,7 @@ class TestFactorMemo:
             return cholesky(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", counted)
-        fess.far1._correlation_factor.cache_clear()
+        fess.dataset._site_record.cache_clear()
         return calls
 
     def test_equal_sites_and_model_factorize_once(self, factorizations):
@@ -423,8 +423,8 @@ class TestFactorMemo:
     def test_cached_factor_is_read_only(self):
         xy = derived_rng(84).uniform(0.0, 300.0, size=(10, 2))
         self.cold(self.spec(), xy, 1)
-        factor = fess.far1._correlation_factor(self.model, _as_xy(xy).tobytes())
-        assert fess.far1._correlation_factor.cache_info().hits == 1
+        model, factor = fess.dataset._site_record(_as_xy(xy).tobytes()).kept["factor"]
+        assert model == self.model and factor.shape == (10, 10)
         assert not factor.flags.writeable
         with pytest.raises(ValueError):
             factor[0, 0] = 2.0
@@ -439,7 +439,7 @@ class TestFactorMemo:
     def test_failed_factorization_raises_on_every_call(self, monkeypatch):
         xy = derived_rng(85).uniform(0.0, 300.0, size=(10, 2))
         expected = self.cold(self.spec(), xy, 6)
-        fess.far1._correlation_factor.cache_clear()
+        fess.dataset._site_record.cache_clear()
         calls = []
 
         def failing(a):
@@ -451,6 +451,7 @@ class TestFactorMemo:
             with pytest.raises(EstimationError, match="not positive definite, even after jitter"):
                 gauss_field_simulate(self.spec(), xy, seed=6)
             assert len(calls) == 2 * attempt
+            assert "factor" not in fess.dataset._site_record(_as_xy(xy).tobytes()).kept
         monkeypatch.undo()
         assert gauss_field_simulate(self.spec(), xy, seed=6).curves.tobytes() == expected.tobytes()
 

@@ -623,6 +623,36 @@ class TestFitModel:
         with pytest.raises(ValidationError, match="3 occupied"):
             fit_model(ev, "exponential")
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("nugget", ["zero", "free"])
+    def test_bins_at_lag_zero_are_left_out(self, family, nugget):
+        # coincident pairs alone put a bin at h = 0; the fit is that of the
+        # other bins, with a warning giving the pair count
+        ev = exact_variogram_record(family, 2.0, 90.0, nugget=0.3)
+        with_zero = EmpiricalVariogram(
+            np.append(0.0, ev.centers), np.append(0.7, ev.gamma),
+            np.append(10, ev.counts), ev.sigma0,
+        )
+        res = fit_model(with_zero, family, nugget)
+        ref = fit_model(ev, family, nugget)
+        assert (res.model, res.sse) == (ref.model, ref.sse)
+        assert res.warnings == ("10 coincident pairs at lag 0 left out of the fit",) + ref.warnings
+        flat = EmpiricalVariogram([0.0, 10.0, 20.0, 30.0], [0.5, 2.0, 2.0, 2.0], [4, 8, 8, 8], None)
+        assert fit_model(flat, family, nugget).warnings == (
+            "4 coincident pairs at lag 0 left out of the fit",
+            "flat empirical variogram: range pinned at lower bound",
+        )
+
+    def test_lag_zero_bins_do_not_count_as_occupied(self):
+        ev = EmpiricalVariogram([0.0, 10.0, 20.0], [0.5, 1.0, 1.5], [4, 8, 8], None)
+        with pytest.raises(ValidationError, match="3 occupied"):
+            fit_model(ev, "exponential")
+
+    def test_negative_centers_rejected(self):
+        ev = EmpiricalVariogram([-1.0, 10.0, 20.0, 30.0], [0.5, 1.0, 1.5, 1.8], [4, 8, 8, 8], None)
+        with pytest.raises(ValidationError, match="negative"):
+            fit_model(ev, "exponential")
+
     def test_unknown_nugget_choice_rejected(self):
         ev = exact_variogram_record("exponential", 1.0, 100.0)
         with pytest.raises(ValidationError, match="nugget"):
@@ -654,7 +684,7 @@ class TestFitModel:
             h = ev.centers[ev.occupied]
             g = ev.gamma[ev.occupied]
             h_scale, g_scale = float(np.max(h)), float(np.max(np.abs(g)))
-            res = fess.variogram._fit_once(family, h, g, h_scale, g_scale, free_nugget)
+            res = fess.variogram._fit_once(family, h, g, h_scale, g_scale, free_nugget, ())
             (lo, hi, rounds, run), = runs
             runs.clear()
             inner = grid[(grid > lo) & (grid < hi)]

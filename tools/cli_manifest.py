@@ -8,9 +8,11 @@ records the exit code, stdout and stderr (the session's temporary
 directory replaced by ``<TMP>``) and the sha256 of every file it wrote.
 The ``<input>/in_process`` entries instead run ``variogram``, ``ess`` and
 ``ess`` again on one input through ``fess.cli.main`` in one interpreter,
-so the later steps reuse what the earlier ones kept in memory; their files
-are recorded under the step that wrote them, and the exit code is the
-first non-zero step's. Two source trees whose manifests are identical give
+so the later steps reuse what the earlier ones kept in memory; the
+``switch/in_process`` entry puts an ``ess`` on other sites between a
+``variogram`` and two ``ess`` steps on one input, so those steps start
+again from nothing kept. Their files are recorded under the step that
+wrote them, and the exit code is the first non-zero step's. Two source trees whose manifests are identical give
 byte-identical CLI results on this session, so a refactor can be checked
 against its base commit with ``diff``.
 """
@@ -184,15 +186,31 @@ def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
     return runs
 
 
-def in_process_steps(tmp: Path, tag: str) -> list[tuple[str, list[str]]]:
-    """``(step, argv)`` of the one-interpreter session on input ``tag``."""
-    data = ["--input", str(tmp / f"{tag}.csv")]
+def in_process_sessions(tmp: Path) -> list[tuple[str, list[tuple[str, list[str]]]]]:
+    """``(name, steps)`` of each one-interpreter session, its ``(step, argv)``
+    in run order."""
     fams = [a for f in FAMILIES for a in ("--family", f)]
-    return [
-        ("variogram", ["variogram"] + data),
-        ("ess", ["ess"] + data + fams),
-        ("ess_again", ["ess"] + data + fams),
+
+    def data(tag):
+        return ["--input", str(tmp / f"{tag}.csv")]
+
+    sessions = [
+        (f"{tag}/in_process", [
+            ("variogram", ["variogram"] + data(tag)),
+            ("ess", ["ess"] + data(tag) + fams),
+            ("ess_again", ["ess"] + data(tag) + fams),
+        ])
+        for tag in INPUTS
     ]
+    # the iid sites between two field steps drop what the field's first
+    # pass kept; the last two steps keep the field's key again, then fill
+    sessions.append(("switch/in_process", [
+        ("variogram", ["variogram"] + data("field")),
+        ("ess_iid", ["ess"] + data("iid") + fams),
+        ("ess", ["ess"] + data("field") + fams),
+        ("ess_again", ["ess"] + data("field") + fams),
+    ]))
+    return sessions
 
 
 def file_hashes(out: Path) -> dict[str, str]:
@@ -240,9 +258,8 @@ def run_session(src: Path, tmp: Path) -> dict:
             cwd=tmp, env=env, capture_output=True, text=True,
         )
         manifest[name] = entry(" ".join(argv), proc, file_hashes(out), tmp)
-    for tag in INPUTS:
-        out = tmp / "out" / tag / "in_process"
-        steps = in_process_steps(tmp, tag)
+    for name, steps in in_process_sessions(tmp):
+        out = tmp / "out" / name
         argvs = [argv + ["--out-dir", str(out / step)] for step, argv in steps]
         proc = subprocess.run(
             [sys.executable, "-c", IN_PROCESS, json.dumps(argvs)],
@@ -253,7 +270,7 @@ def run_session(src: Path, tmp: Path) -> dict:
             for step, _ in steps
             for name, digest in file_hashes(out / step).items()
         }
-        manifest[f"{tag}/in_process"] = entry(
+        manifest[name] = entry(
             " ; ".join(" ".join(argv) for argv in argvs), proc, files, tmp
         )
     return manifest
