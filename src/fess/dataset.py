@@ -268,8 +268,11 @@ _PAIR_BLOCK_ELEMENTS = 2**20
 # 1.0-1.6x from run to run, and n = 1700-5000 (33-262 blocks) 1.6-1.7x as
 # fast; the ESS sum gained 1.2-1.5x from n = 1700 on. Subsample batches
 # (about 2**15 values each, 106 curves on 22 levels), measured only on 2
-# cores: 2 workers ran 8 and 16 batches 1.03x as fast as 1 (forced past
-# this cap), 32 batches 1.2x and 72 batches 1.15-1.4x.
+# cores, medians of 40 interleaved calls with 2 workers forced past this
+# cap: 2 workers ran 16 batches 0.88x as fast as 1, 32 batches 0.97x and
+# 72 batches 0.86x, with quartile ranges of 10-35% of the medians: the
+# replicate draws, which hold the interpreter lock, take about half of a
+# batch and the depth kernel a quarter. The value suits the pair blocks.
 _MIN_BLOCKS_PER_WORKER = 16
 
 # Marks block entries that are not pairs (the diagonal and below it).
@@ -644,7 +647,10 @@ def _read_csv_rows(path: Path) -> list[list[str]]:
 
 def _csv_cell(v) -> str:
     # an integer as such, anything else as the shortest string that
-    # round-trips as a float: lossless and deterministic
+    # round-trips as a float: lossless and deterministic. A Python float,
+    # the common cell, skips the Integral check: repr(float(v)) == repr(v).
+    if type(v) is float:
+        return repr(v)
     return str(int(v)) if isinstance(v, numbers.Integral) else repr(float(v))
 
 

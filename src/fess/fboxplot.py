@@ -11,11 +11,20 @@ Five scalar metrics compare a subsample's boxplot against the full
 sample's: median discrepancies (RMS and sup), central-region width
 discrepancies (mean and sup), and the central inclusion proportion.
 
-The subsample experiment scores its replicates in fixed-size batches,
-ranked by the full sample's dense column ranks, through one stacked pass
-of the depth, central-band and metric code that ``functional_boxplot``
-and ``fidelity_metrics`` run on one sample, with the batches spread over
-worker threads: no result depends on the batch size or the thread count.
+Depths are computed from the curves' dense ranks at each grid point
+(``_dense_ranks``): one sort of packed ``rank, position`` keys per row
+gives each curve's pair count from its sorted position, and a second sort
+returns the counts to the curves, in integers, so every depth equals
+brute-force enumeration. ``fidelity_metrics`` scores in rank space too:
+the subsample's central band is the least and greatest rank of its
+central curves, read back as values through a rank -> value table.
+``functional_boxplot`` takes its band from the values, which it reports.
+
+The subsample experiment scores its replicates in fixed-size batches, in
+the full sample's dense ranks, through the one stacked pass of the depth
+and metric code that ``fidelity_metrics`` runs on one sample, with the
+batches spread over worker threads: no result depends on the batch size
+or the thread count.
 """
 
 from __future__ import annotations
@@ -40,61 +49,80 @@ FENCE_FACTOR = 1.5
 
 # Values per batch of subsample replicates (B replicates of s curves on m
 # grid points: B * s * m, or one replicate). At n = 600, m = 22, s = 106
-# larger budgets ran no faster and raised the peak memory 2-3x.
+# (1000 replicates, one thread, 2 cores) budgets of 2**14 to 2**17 ran
+# within one another's spread (medians 75, 67, 64 and 58 ms, quartile
+# ranges about 15 ms), while the traced peak grew 0.9 -> 2.8 MB.
 _BATCH_ELEMENTS = 2**15
 
 
-def _band_depths(K: np.ndarray) -> np.ndarray:
-    """Modified band depths of each sample in a stack ``K`` of shape
-    ``(..., m, n)``: n curves on m grid points, ranked along the last axis.
-
-    Only the order of the values matters, so ``K`` may hold values or any
-    ranks that keep their order and their ties.
+def _dense_ranks(values: np.ndarray) -> np.ndarray:
+    """Dense ranks of ``values`` along the last axis: 0 for the least, one
+    more at each greater distinct value, so equal values (``0.0`` and
+    ``-0.0`` too) share a rank. The type is the narrowest unsigned one that
+    holds the count of values less one.
     """
-    m, n = K.shape[-2:]
-    if n < 2:
+    n = values.shape[-1]
+    # numpy's default sort: the order among ties does not change a dense rank
+    order = np.argsort(values, axis=-1)
+    ranked = np.take_along_axis(values, order, axis=-1)
+    steps = np.zeros(order.shape, dtype=np.min_scalar_type(n - 1))
+    np.not_equal(ranked[..., 1:], ranked[..., :-1], out=steps[..., 1:])
+    np.cumsum(steps, axis=-1, out=steps)
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, order, steps, axis=-1)
+    return ranks
+
+
+def _band_depths(ranks: np.ndarray) -> np.ndarray:
+    """Modified band depths of each sample in a stack ``ranks`` of shape
+    ``(..., m, s)``: s curves on m grid points, ranked along the last axis.
+
+    ``ranks`` are unsigned integers that order and tie as the curves'
+    values do at each grid point: ``_dense_ranks`` of the values, or the
+    full sample's dense ranks of a subsample's curves.
+    """
+    m, s = ranks.shape[-2:]
+    if s < 2:
         raise ValidationError("band depth needs at least 2 curves")
-    total_pairs = n * (n - 1) // 2
-    # Positions and pair counts in int32 while n (n - 1), the largest
-    # intermediate, fits, summed over the grid in int64; the in-place steps
-    # below keep the temporaries few and small, so that a stack of batches
-    # reuses the same heap memory instead of fresh pages.
-    dtype = np.int32 if n * (n - 1) < 2**31 else np.int64
-    order = np.argsort(K, axis=-1, kind="stable")
-    # the sorted rows; a sort is cheaper than gathering them by ``order``,
-    # and only which neighbours are equal is read of them
-    ranked = np.sort(K, axis=-1)
-    pos = np.arange(n, dtype=dtype)
-    # In each sorted row, the values equal to the one at position p
-    # occupy positions first[p]..last[p]: ``below = first`` values lie
-    # strictly under it and ``above = n - 1 - last`` strictly over it.
-    starts = np.ones(K.shape, dtype=bool)
-    np.not_equal(ranked[..., 1:], ranked[..., :-1], out=starts[..., 1:])
-    ends = np.ones(K.shape, dtype=bool)
-    ends[..., :-1] = starts[..., 1:]
-    below = np.zeros(K.shape, dtype=dtype)
-    np.copyto(below, pos, where=starts)
-    np.maximum.accumulate(below, axis=-1, out=below)
-    above = np.full(K.shape, n - 1, dtype=dtype)
-    np.copyto(above, pos, where=ends)
-    np.minimum.accumulate(above[..., ::-1], axis=-1, out=above[..., ::-1])
-    np.subtract(n - 1, above, out=above)
-    # A pair band misses the value only if both members sit strictly on
-    # the same side of it: below (below - 1) / 2 pairs under it, above
-    # (above - 1) / 2 over it. ``below`` then ``above`` are reused in place.
-    missed = below - 1
-    missed *= below
-    missed //= 2
-    np.subtract(above, 1, out=below)
-    below *= above
-    below //= 2
-    missed += below
-    np.subtract(total_pairs, missed, out=missed)
-    # back to the curves' positions: one flat scatter, with each row's
-    # offset added to its positions, costs a third of put_along_axis
-    order += np.arange(0, order.size, n).reshape(*order.shape[:-1], 1)
-    above.reshape(-1)[order.reshape(-1)] = missed.reshape(-1)
-    return above.sum(axis=-2, dtype=np.int64) / (total_pairs * m)
+    total_pairs = s * (s - 1) // 2
+    # Each row is sorted by the keys ``rank << b | position``: unique, so
+    # their order does not depend on the sort algorithm, and the low b bits
+    # say which curve sits where. The keys then hold ``position << c |
+    # pair count``, which a second sort puts back in the curves' order.
+    b = (s - 1).bit_length()
+    c = total_pairs.bit_length()
+    # 32-bit keys where both layouts fit in them, 64-bit ones otherwise
+    key = np.uint32 if b + max(8 * ranks.dtype.itemsize, c) <= 32 else np.uint64
+    keys = ranks.astype(key, order="C")
+    keys <<= b
+    keys |= np.arange(s, dtype=key)
+    keys.sort(axis=-1)
+    ranked = keys >> b
+    tie = np.flatnonzero(ranked[..., 1:] == ranked[..., :-1])
+    tie += tie // (s - 1)  # position p ties with p + 1, flat in the stack
+    # A pair band misses the value at sorted position p, with no ties, only
+    # if both members lie on the same side of it: C(p, 2) pairs under it,
+    # C(s - 1 - p, 2) over it.
+    p = np.arange(s, dtype=np.int64)
+    keys &= (1 << b) - 1
+    keys <<= c
+    keys |= (total_pairs - p * (p - 1) // 2 - (s - 1 - p) * (s - 2 - p) // 2).astype(key)
+    if tie.size:
+        # a run of equal ranks at positions first..last has first values
+        # under each member and s - 1 - last over it
+        cut = np.flatnonzero(np.diff(tie) != 1)
+        first = tie[np.r_[0, cut + 1]]
+        last = tie[np.r_[cut, tie.size - 1]] + 1
+        size = last - first + 1
+        below = first % s
+        above = s - 1 - last % s
+        pairs = total_pairs - below * (below - 1) // 2 - above * (above - 1) // 2
+        members = np.arange(size.sum()) + np.repeat(first - np.cumsum(size) + size, size)
+        flat = keys.reshape(-1)
+        flat[members] = flat[members] >> c << c | np.repeat(pairs, size).astype(key)
+    keys.sort(axis=-1)
+    keys &= (1 << c) - 1
+    return keys.sum(axis=-2, dtype=np.int64) / (total_pairs * m)
 
 
 def mbd(dataset: SpatialFunctionalDataset) -> np.ndarray:
@@ -103,24 +131,20 @@ def mbd(dataset: SpatialFunctionalDataset) -> np.ndarray:
     Equivalent to enumerating all unordered curve pairs and averaging the
     fraction of grid points where the curve lies inside the pair band
     (band edges count as inside; pairs containing the curve itself are
-    included and always contain it). Computed per grid point from ranks,
-    with integer pair counts so the result matches brute-force
-    enumeration exactly.
+    included and always contain it). Computed per grid point from the
+    curves' dense ranks, with integer pair counts so the result matches
+    brute-force enumeration exactly.
     """
-    return _band_depths(dataset.curves.T)
+    return _band_depths(_dense_ranks(dataset.curves.T))
 
 
-def _central_band(X: np.ndarray, depths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Central band of each sample in a stack, as ``functional_boxplot``
-    defines it: ``X`` is ``(..., n, m)`` and ``depths`` ``(..., n)``."""
-    n = depths.shape[-1]
-    cutoff = np.sort(depths, axis=-1)[..., n - math.ceil(n / 2), None]
-    central = (depths >= cutoff)[..., None]
-    lower = np.where(central, X, np.inf).min(axis=-2)
-    upper = np.where(central, X, -np.inf).max(axis=-2)
-    if np.any(lower > upper):
-        raise ValidationError("central band is inverted")
-    return lower, upper
+def _central(depths: np.ndarray) -> np.ndarray:
+    """Which curves of each sample in a stack of ``depths`` ``(..., s)`` lie
+    in its central region: the ceil(s/2) deepest, and every curve tied in
+    depth with the last of them."""
+    s = depths.shape[-1]
+    cutoff = np.sort(depths, axis=-1)[..., s - math.ceil(s / 2), None]
+    return depths >= cutoff
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +192,10 @@ def functional_boxplot(dataset: SpatialFunctionalDataset) -> FBoxplotSummary:
     X = dataset.curves
     depths = mbd(dataset)
     median_index = int(np.argmax(depths))  # ties: smallest index
-    central_lower, central_upper = _central_band(X, depths)
+    # the band's values, as fboxplot.csv writes them
+    central = _central(depths)[:, None]
+    central_lower = np.where(central, X, np.inf).min(axis=0)
+    central_upper = np.where(central, X, -np.inf).max(axis=0)
 
     height = central_upper - central_lower
     fence_lower = central_lower - FENCE_FACTOR * height
@@ -222,25 +249,52 @@ class FidelityMetrics:
         return (self.md_l2, self.md_sup, self.crd_mean, self.crd_sup, self.cip)
 
 
+def _rank_table(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """``table[j, r]``: the value of dense rank ``r`` among ``values`` ``(m, n)``
+    at grid point ``j``, where ``ranks`` are their ``_dense_ranks``."""
+    table = np.zeros(values.shape)
+    np.put_along_axis(table, ranks, values, axis=-1)
+    return table
+
+
+def _inside(summary: FBoxplotSummary, curves: np.ndarray) -> np.ndarray:
+    """Which of ``curves`` ``(..., m)`` lie in the summary's central band at
+    every grid point."""
+    return np.all((curves >= summary.central_lower) & (curves <= summary.central_upper), axis=-1)
+
+
 def _fidelity_rows(
     full: SpatialFunctionalDataset,
     full_summary: FBoxplotSummary,
     X: np.ndarray,
-    depths: np.ndarray,
+    ranks: np.ndarray,
+    table: np.ndarray,
+    inside: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fidelity metrics of a stack ``X`` of B subsamples, ``(B, s, m)``.
 
-    ``depths`` ``(B, s)`` are their band depths. Returns the ``(B, 5)``
+    ``ranks`` ``(B, m, s)`` order and tie as their values do at each grid
+    point, and ``table`` ``(m, k)`` maps them back to values (see
+    ``_rank_table``); ``inside`` ``(B, s)`` flags the curves in the full
+    sample's central band (see ``_inside``). Returns the ``(B, 5)``
     metric rows and the ``(B,)`` mean absolute discrepancies between the
     full median and each subsample median.
     """
-    median = np.argmax(depths, axis=-1)[:, None, None]  # ties: smallest index
-    diff = full.curves[full_summary.median_index] - np.take_along_axis(X, median, 1)[:, 0]
-    lower, upper = _central_band(X, depths)
+    depths = _band_depths(ranks)
+    median = np.argmax(depths, axis=-1)  # ties: smallest index
+    diff = full.curves[full_summary.median_index] - X[np.arange(len(X)), median]
+    # The central band's bounds are the values of the least and greatest
+    # rank among each subsample's central curves, whose rank rows are
+    # gathered replicate by replicate. The table may give 0.0 for -0.0 or
+    # back, which flips the sign of a zero width at most; the absolute
+    # width differences cannot show it.
+    central = _central(depths)
+    picked = ranks.transpose(0, 2, 1)[central]
+    starts = np.r_[0, np.cumsum(central.sum(axis=-1))[:-1]]
+    level = np.arange(table.shape[0])
+    lower = table[level, np.minimum.reduceat(picked, starts)]
+    upper = table[level, np.maximum.reduceat(picked, starts)]
     width_diff = np.abs(full_summary.central_width - (upper - lower))
-    inside = np.all(
-        (X >= full_summary.central_lower) & (X <= full_summary.central_upper), axis=-1
-    )
     rows = np.stack(
         [np.sqrt(np.mean(diff**2, axis=-1)), np.max(np.abs(diff), axis=-1),
          np.mean(width_diff, axis=-1), np.max(width_diff, axis=-1), np.mean(inside, axis=-1)],
@@ -255,7 +309,13 @@ def fidelity_metrics(
     """Five-number fidelity comparison of ``sub`` against ``full``."""
     if not np.array_equal(full.grid.points, sub.grid.points):
         raise ValidationError("datasets must share the same evaluation grid")
-    rows, _ = _fidelity_rows(full, functional_boxplot(full), sub.curves[None], mbd(sub)[None])
+    full_summary = functional_boxplot(full)
+    values = sub.curves.T
+    ranks = _dense_ranks(values)
+    rows, _ = _fidelity_rows(
+        full, full_summary, sub.curves[None], ranks[None], _rank_table(values, ranks),
+        _inside(full_summary, sub.curves)[None],
+    )
     return FidelityMetrics(*(float(v) for v in rows[0]))
 
 
@@ -307,14 +367,13 @@ def subsample_experiment(
         raise ValidationError(f"subsample size must lie in [2, {n}], got {size}")
     (seed,) = _entropy(seed)  # checked once; each replicate adds its index
     full_summary = functional_boxplot(full)
-    # Dense column ranks of the full sample sort and tie within any subsample
-    # as the values do; 8- or 16-bit ranks make the stable sorts radix sorts.
-    order = np.argsort(full.curves.T, axis=-1, kind="stable")
-    ranked = np.take_along_axis(full.curves.T, order, axis=-1)
-    steps = np.zeros(order.shape, dtype=np.int64)
-    steps[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    ranks = np.empty(order.shape, dtype=np.min_scalar_type(n - 1))
-    np.put_along_axis(ranks, order, np.cumsum(steps, axis=-1), axis=-1)
+    # The full sample's dense ranks at each grid point order and tie any
+    # subsample's values as the values do, and its flags say which curves
+    # lie in its central band; each batch gathers both by its draws.
+    values = full.curves.T
+    ranks = np.ascontiguousarray(_dense_ranks(values).T)  # (n, m): a draw's ranks are rows
+    table = _rank_table(values, ranks.T)
+    inside = _inside(full_summary, full.curves)
     batch = max(1, _BATCH_ELEMENTS // (size * m))
 
     def run(firsts):
@@ -323,8 +382,8 @@ def subsample_experiment(
             draws = range(first, min(first + batch, reps))
             idx = np.stack([_stream([seed, r]).choice(n, size, replace=False) for r in draws])
             X = full.subset(idx.ravel()).curves.reshape(*idx.shape, m)
-            depths = _band_depths(ranks[:, idx].transpose(1, 0, 2))
-            out.append(_fidelity_rows(full, full_summary, X, depths))
+            R = ranks.take(idx, axis=0).transpose(0, 2, 1)
+            out.append(_fidelity_rows(full, full_summary, X, R, table, inside[idx]))
         return out
 
     scored = _chunk_map(run, list(range(0, reps, batch)), threads)

@@ -15,7 +15,7 @@ from fess import (
     mbd,
     subsample_experiment,
 )
-from fess.fboxplot import _band_depths
+from fess.fboxplot import _band_depths, _dense_ranks
 from fess.rng import derived_rng
 
 from conftest import make_dataset, random_dataset, tied_dataset
@@ -24,14 +24,11 @@ from conftest import make_dataset, random_dataset, tied_dataset
 def brute_force_mbd(X):
     """Independent oracle: enumerate all pair bands, integer counts."""
     n, m = X.shape
-    pairs = list(itertools.combinations(range(n), 2))
-    counts = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        for j, k in pairs:
-            lo = np.minimum(X[j], X[k])
-            hi = np.maximum(X[j], X[k])
-            counts[i] += int(np.sum((X[i] >= lo) & (X[i] <= hi)))
-    return counts / (len(pairs) * m)
+    j, k = np.array(list(itertools.combinations(range(n), 2))).T
+    lo = np.minimum(X[j], X[k])
+    hi = np.maximum(X[j], X[k])
+    counts = [int(np.count_nonzero((x >= lo) & (x <= hi))) for x in X]
+    return np.array(counts, dtype=np.int64) / (len(j) * m)
 
 
 class TestMbd:
@@ -75,6 +72,62 @@ class TestMbd:
     def test_needs_two_curves(self):
         with pytest.raises(ValidationError):
             mbd(make_dataset(np.zeros((1, 4))))
+
+
+class TestRankKernel:
+    """``_band_depths`` reads ranks; ``_dense_ranks`` makes them."""
+
+    def test_dense_ranks_tie_equal_values(self):
+        values = np.array([[3.5, -1.0, 3.5, 2.0, -1.0, 7.0], [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        ranks = _dense_ranks(values)
+        assert ranks.dtype == np.uint8
+        assert ranks.tolist() == [[2, 0, 2, 1, 0, 3], [0, 0, 0, 0, 0, 0]]
+
+    def test_dense_ranks_tie_signed_zeros(self):
+        values = np.array([0.0, -0.0, -1e-300, -0.0, 5e-324, 0.0, -3.0])
+        assert _dense_ranks(values).tolist() == [2, 2, 1, 2, 3, 2, 0]
+
+    def test_dense_ranks_width_follows_the_count(self):
+        assert _dense_ranks(np.zeros(256)).dtype == np.uint8
+        ranks = _dense_ranks(-np.arange(257.0))
+        assert ranks.dtype == np.uint16 and ranks.tolist() == list(range(256, -1, -1))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+    def test_random_tied_stacks_match_brute_force(self, dtype):
+        # any unsigned ranks that order and tie as the values do, dense or
+        # not, up to the largest of their type; uint32 ranks make 64-bit keys
+        rng = derived_rng(55)
+        top = int(np.iinfo(dtype).max)
+        for _ in range(40):
+            B, m, s = (int(v) for v in rng.integers((1, 1, 2), (4, 5, 14)))
+            levels = int(rng.integers(1, 5))
+            ranks = rng.integers(0, levels, size=(B, m, s)) * (top // max(1, levels - 1))
+            depths = _band_depths(ranks.astype(dtype))
+            assert depths.shape == (B, s)
+            for R, d in zip(ranks, depths):
+                assert np.array_equal(d, brute_force_mbd(R.T.astype(float)))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint32])
+    def test_all_equal_rows_have_depth_one(self, dtype):
+        for s in (2, 3, 300):
+            assert np.all(_band_depths(np.full((2, 3, s), 7, dtype=dtype)) == 1.0)
+
+    def test_two_curves(self):
+        ranks = np.array([[[0, 1], [1, 0], [4, 4]]], dtype=np.uint16)
+        assert np.array_equal(_band_depths(ranks), [[1.0, 1.0]])
+        X = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 4.0]])
+        assert np.array_equal(mbd(make_dataset(X)), brute_force_mbd(X))
+
+    @pytest.mark.parametrize("s", [257, 300])
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
+    def test_more_curves_than_an_8_bit_position(self, s, dtype):
+        # the position field of the key passes 8 bits at s >= 257
+        rng = derived_rng(56)
+        ranks = rng.integers(0, 40, size=(2, 3, s)) * (int(np.iinfo(dtype).max) // 39)
+        ranks[1, 0] = 5  # one all-equal row
+        depths = _band_depths(ranks.astype(dtype))
+        for R, d in zip(ranks, depths):
+            assert np.array_equal(d, brute_force_mbd(R.T.astype(float)))
 
 
 class TestFunctionalBoxplot:
@@ -169,6 +222,28 @@ class TestFidelityMetrics:
             full.subset(rng.permutation(14)), sub.subset(rng.permutation(7))
         )
         assert a.as_tuple() == b.as_tuple()
+
+    @pytest.mark.parametrize("which", ["tied", "signed_zero"])
+    def test_rank_space_scoring_is_the_value_definition(self, which):
+        # the metrics from the two boxplots' values, bit for bit, also for
+        # a subsample whose curves are not among the full sample's
+        full = BATCH_DATASETS[which]()
+        summary = functional_boxplot(full)
+        rng = derived_rng(68)
+        subs = [full.subset(rng.choice(full.n_curves, size=k, replace=False))
+                for k in (2, 3, 7, full.n_curves)]
+        subs.append(make_dataset(-full.curves[:6], grid=full.grid))
+        for sub in subs:
+            own = functional_boxplot(sub)
+            diff = full.curves[summary.median_index] - sub.curves[own.median_index]
+            width = np.abs(summary.central_width - own.central_width)
+            inside = np.all(
+                (sub.curves >= summary.central_lower) & (sub.curves <= summary.central_upper),
+                axis=1,
+            )
+            expected = (np.sqrt(np.mean(diff**2)), np.max(np.abs(diff)), np.mean(width),
+                        np.max(width), np.mean(inside))
+            assert fidelity_metrics(full, sub).as_tuple() == tuple(map(float, expected))
 
     def test_grid_mismatch_rejected(self):
         rng = derived_rng(63)
@@ -380,7 +455,7 @@ class TestSubsampleBatches:
         full = BATCH_DATASETS[which]()
         rng = derived_rng(72)
         stack = np.stack([full.curves[rng.permutation(full.n_curves)[:9]] for _ in range(4)])
-        depths = _band_depths(stack.transpose(0, 2, 1))
+        depths = _band_depths(_dense_ranks(stack.transpose(0, 2, 1)))
         assert depths.shape == (4, 9)
         for X, d in zip(stack, depths):
             assert np.array_equal(d, mbd(make_dataset(X)))

@@ -144,8 +144,13 @@ def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
         ("field/variogram_spherical_free", ["variogram", "--input", field, "--family",
                                             "spherical", "--nugget", "free", "--bins", "5"],
          True),
-        # curves that do not vary: the fit raises, ess exits 1
+        # curves that do not vary: the fit raises, ess exits 1; every value
+        # is tied, so the boxplot and the subsample replicates take the
+        # depth kernel's tie path at every grid point
         ("constant/ess", ["ess", "--input", str(tmp / "constant.csv")], False),
+        ("constant/boxplot", ["boxplot", "--input", str(tmp / "constant.csv")], True),
+        ("constant/subsample", ["subsample", "--input", str(tmp / "constant.csv"), "--size",
+                                "12", "--reps", "40", "--seed", "17"], True),
         # independent curves at near-repeated sites: the exponential fit
         # pins its range at the lower bound and logs it
         ("iid/variogram", ["variogram", "--input", iid, "--bins", "40"], True),
