@@ -267,12 +267,13 @@ _PAIR_BLOCK_ELEMENTS = 2**20
 # (3-5 blocks) 0.95x as fast as 1 thread, n = 1000-1400 (12-23 blocks)
 # 1.0-1.6x from run to run, and n = 1700-5000 (33-262 blocks) 1.6-1.7x as
 # fast; the ESS sum gained 1.2-1.5x from n = 1700 on. Subsample batches
-# (about 2**15 values each, 106 curves on 22 levels), measured only on 2
-# cores, medians of 40 interleaved calls with 2 workers forced past this
-# cap: 2 workers ran 16 batches 0.88x as fast as 1, 32 batches 0.97x and
-# 72 batches 0.86x, with quartile ranges of 10-35% of the medians: the
-# replicate draws, which hold the interpreter lock, take about half of a
-# batch and the depth kernel a quarter. The value suits the pair blocks.
+# (about 2**15 values each, 106 curves on 22 levels) gain nothing from a
+# second worker, measured only on 2 cores: 2 workers ran 72 batches
+# (1000 replicates of 106 of 600 curves; medians of 40 interleaved calls)
+# 0.85x as fast as 1 (63 against 53 ms, quartile ranges 10-18 ms). The
+# replicate draws take about a fifth of a batch and the depth kernel
+# about a third; both are many small numpy calls that hold the
+# interpreter lock. The value suits the pair blocks.
 _MIN_BLOCKS_PER_WORKER = 16
 
 # Marks block entries that are not pairs (the diagonal and below it).

@@ -24,7 +24,12 @@ The subsample experiment scores its replicates in fixed-size batches, in
 the full sample's dense ranks, through the one stacked pass of the depth
 and metric code that ``fidelity_metrics`` runs on one sample, with the
 batches spread over worker threads: no result depends on the batch size
-or the thread count.
+or the thread count. Replicate ``r``'s subsample is defined as
+``derived_rng(seed, r).choice(n, size, replace=False)``; each worker
+computes those draws for a chunk of its replicates at once
+(``rng._replicate_choices``), index for index, and takes numpy's own
+per-replicate call only for a replicate that Lemire's method would redraw
+and for numpy's tail-shuffle case (``n > 10000`` and ``size > n // 50``).
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .dataset import (
     _positive_int,
 )
 from .errors import ValidationError
-from .rng import _entropy, _stream
+from .rng import _entropy, _replicate_choices
 
 FENCE_FACTOR = 1.5
 
@@ -53,6 +58,14 @@ FENCE_FACTOR = 1.5
 # within one another's spread (medians 75, 67, 64 and 58 ms, quartile
 # ranges about 15 ms), while the traced peak grew 0.9 -> 2.8 MB.
 _BATCH_ELEMENTS = 2**15
+
+# Working bytes per chunk of replicate draws, reckoned as n + 64 * size a
+# replicate (see ``rng._replicate_choices``); each chunk is whole batches.
+# At n = 600, m = 22, s = 106 (1000 replicates, one thread, 2 cores)
+# budgets of 2**19 to 2**22 (70 to 560 replicates a chunk) ran in medians
+# of 89, 80, 76 and 74 ms, while the traced peak on 2 workers grew 1.7 ->
+# 3.8 MB; 2**21 draws 280 replicates a chunk at 2.6 MB.
+_DRAW_BYTES = 2**21
 
 
 def _dense_ranks(values: np.ndarray) -> np.ndarray:
@@ -346,8 +359,13 @@ def subsample_experiment(
 ) -> SubsampleExperiment:
     """Draw ``reps`` uniform without-replacement subsamples and score them.
 
-    Replicate ``r`` uses a generator derived from ``(seed, r)``, so the
-    draws do not depend on evaluation order. Besides the per-replicate
+    Replicate ``r`` draws ``derived_rng(seed, r).choice(n, size,
+    replace=False)``, so the draws do not depend on evaluation order. They
+    are computed for a chunk of replicates at once, with the same integer
+    arithmetic and the same indices (see :mod:`fess.rng`); a replicate
+    that Lemire's method would redraw, and every replicate of numpy's
+    tail-shuffle case (``n > 10000`` and ``size > n // 50``), take numpy's
+    own per-replicate call. Besides the per-replicate
     metrics and their arithmetic means, reports the mean absolute
     discrepancy between the full median and the subsample medians,
     averaged over replicates (the half-width of a median uncertainty
@@ -375,15 +393,18 @@ def subsample_experiment(
     table = _rank_table(values, ranks.T)
     inside = _inside(full_summary, full.curves)
     batch = max(1, _BATCH_ELEMENTS // (size * m))
+    per_chunk = max(1, _DRAW_BYTES // (batch * (n + 64 * size)))  # batches
 
     def run(firsts):
         out = []
-        for first in firsts:
-            draws = range(first, min(first + batch, reps))
-            idx = np.stack([_stream([seed, r]).choice(n, size, replace=False) for r in draws])
-            X = full.subset(idx.ravel()).curves.reshape(*idx.shape, m)
-            R = ranks.take(idx, axis=0).transpose(0, 2, 1)
-            out.append(_fidelity_rows(full, full_summary, X, R, table, inside[idx]))
+        for c in range(0, len(firsts), per_chunk):
+            chunk = firsts[c:c + per_chunk]
+            drawn = _replicate_choices(seed, chunk[0], min(chunk[-1] + batch, reps), n, size)
+            for first in chunk:
+                idx = drawn[first - chunk[0]:][:batch]
+                X = full.subset(idx.ravel()).curves.reshape(*idx.shape, m)
+                R = ranks.take(idx, axis=0).transpose(0, 2, 1)
+                out.append(_fidelity_rows(full, full_summary, X, R, table, inside[idx]))
         return out
 
     scored = _chunk_map(run, list(range(0, reps, batch)), threads)

@@ -450,6 +450,30 @@ class TestSubsampleBatches:
         assert (threading.get_ident() in scored_on) == (workers == 1)
         assert_per_replicate_definition(exp, which, size, reps, seed)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_draw_chunks_equal_per_replicate_definition(self, monkeypatch, threads):
+        # chunks of two 3-replicate batches: 100 replicates make 34 batches,
+        # so a second worker's run starts at replicate 51, inside a chunk
+        # of the whole range, and each run ends in a short chunk
+        full = BATCH_DATASETS["tied"]()
+        size, reps, seed = 5, 100, 33
+        monkeypatch.setattr(fess.fboxplot, "_DRAW_BYTES", 6 * (full.n_curves + 64 * size))
+        runs = []
+        choices = fess.fboxplot._replicate_choices
+
+        def recording(seed, start, stop, n, size):
+            runs.append((start, stop))
+            return choices(seed, start, stop, n, size)
+
+        monkeypatch.setattr(fess.fboxplot, "_replicate_choices", recording)
+        exp = run_in_batches(monkeypatch, full, size, reps, seed, 3, threads)
+        ends = {1: [reps], 2: [51, reps]}[threads]
+        starts = [0] + ends[:-1]
+        assert sorted(runs) == [
+            (a, min(a + 6, end)) for start, end in zip(starts, ends) for a in range(start, end, 6)
+        ]
+        assert_per_replicate_definition(exp, "tied", size, reps, seed)
+
     @pytest.mark.parametrize("which", ["tied", "signed_zero"])
     def test_stacked_depths_equal_mbd_of_each_sample(self, which):
         full = BATCH_DATASETS[which]()

@@ -131,6 +131,14 @@ def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
                             str(tmp / "out" / tag / "variogram" / "empirical_variogram.csv"),
                             "--nugget", "free"], True),
         ]
+    # the replicate draws with a seed of three 32-bit words, and with every
+    # curve drawn (size == n, whose first Floyd step takes no draw)
+    runs += [
+        ("field/subsample_seed3w", ["subsample", "--input", field, "--size", "20", "--reps", "5",
+                                    "--seed", "18446744073709551621"], True),
+        ("field/subsample_all", ["subsample", "--input", field, "--size", "50", "--reps", "5",
+                                 "--seed", "17"], True),
+    ]
     runs += [
         ("sweep", ["far1", "sweep", "--axis", "lambda0"], True),
         ("simulate", ["far1", "simulate", "--n", "25", "--seed", "5"], True),
@@ -181,7 +189,9 @@ def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
     # fit in one batch. With 16 batches or more per worker, 416 replicates
     # (32 batches) run on 2 workers and 832 (64 batches) on 4 of 8
     # threads; a base tree that scores them serially checks them byte for
-    # byte.
+    # byte. Replicate 590 of seed 17 (400 of 2400 curves) has a draw that
+    # Lemire's method redraws, so large/subsample_t8 also checks the draws'
+    # fallback to numpy's per-replicate call.
     runs.append(("large/subsample", ["subsample", "--input", large, "--size", "400",
                                      "--reps", "60", "--seed", "17"], True))
     for threads, reps in (("2", "416"), ("8", "832")):
