@@ -5,11 +5,10 @@ randomized command requires an explicit ``--seed``, outputs are plain
 CSV/JSON written with fixed formatting, and reruns produce byte-identical
 files. ``--threads N`` sets the worker threads of the pair stages of
 ``variogram`` (the empirical variogram) and ``ess`` (the variogram and the
-ESS sum), and of the replicate scoring of ``subsample`` (default: the
-usable cores); outputs are identical for any value, because the
-per-block and per-batch results are combined in one canonical order.
-``boxplot`` still accepts the flag and ignores it; the other subcommands
-do not take it.
+ESS sum; default: the usable cores); outputs are identical for any value,
+because the per-block results are combined in one canonical order.
+``boxplot`` and ``subsample`` still accept the flag and ignore it; the
+other subcommands do not take it.
 
 Exit codes: 0 success, 1 computation failure, 2 usage/validation error.
 Set ``FESS_LOG=DEBUG|INFO|WARNING`` for logging verbosity.
@@ -204,7 +203,7 @@ def cmd_boxplot(args) -> int:
 def cmd_subsample(args) -> int:
     dataset = _load_dataset(args)
     out = _out_dir(args)
-    exp = subsample_experiment(dataset, args.size, args.reps, args.seed, args.threads)
+    exp = subsample_experiment(dataset, args.size, args.reps, args.seed)
     _write_csv(
         out / "subsample_metrics.csv",
         ["rep", "md_l2", "md_sup", "crd_mean", "crd_sup", "cip"],
@@ -231,10 +230,10 @@ def _thread_count(text: str) -> int:
 
 
 _THREADS_HELP = (
-    "worker threads for the pair stages of variogram and ess and the "
-    "replicates of subsample (default: the usable cores); outputs are "
-    "identical for any value; boxplot accepts and ignores it, because the "
-    "benchmark's session passes it there"
+    "worker threads for the pair stages of variogram and ess (default: the "
+    "usable cores); outputs are identical for any value; boxplot and "
+    "subsample accept and ignore it, because the benchmark's session passes "
+    "it there"
 )
 
 

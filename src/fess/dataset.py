@@ -221,11 +221,14 @@ class SpatialFunctionalDataset:
 
         The rows were checked when this dataset was built, so they are
         gathered and frozen without being checked again: a subset costs
-        about what indexing its rows does.
+        about what indexing its rows does. The indices must be integers: a
+        boolean mask or float positions are rejected, not cast.
         """
-        idx = np.asarray(indices, dtype=int)
+        idx = np.asarray(indices)
         if idx.ndim != 1 or idx.size < 1:
             raise ValidationError("subset needs a non-empty index vector")
+        if idx.dtype.kind not in "iu":
+            raise ValidationError(f"subset indices must be integers, got dtype {idx.dtype}")
         if idx.min() < 0 or idx.max() >= self.n_curves:
             raise ValidationError("subset index out of range")
         out = object.__new__(SpatialFunctionalDataset)
@@ -261,19 +264,12 @@ def pairwise_distances(locs) -> np.ndarray:
 # 0.03-0.1 s slower per pass.
 _PAIR_BLOCK_ELEMENTS = 2**20
 
-# Fewest pair blocks (or subsample batches) per worker thread. Starting
-# and feeding threads costs more than it saves on small passes: with
-# m = 22 on 2 cores, 2 threads ran the variogram of n = 400-600 sites
-# (3-5 blocks) 0.95x as fast as 1 thread, n = 1000-1400 (12-23 blocks)
-# 1.0-1.6x from run to run, and n = 1700-5000 (33-262 blocks) 1.6-1.7x as
-# fast; the ESS sum gained 1.2-1.5x from n = 1700 on. Subsample batches
-# (about 2**15 values each, 106 curves on 22 levels) gain nothing from a
-# second worker, measured only on 2 cores: 2 workers ran 72 batches
-# (1000 replicates of 106 of 600 curves; medians of 40 interleaved calls)
-# 0.85x as fast as 1 (63 against 53 ms, quartile ranges 10-18 ms). The
-# replicate draws take about a fifth of a batch and the depth kernel
-# about a third; both are many small numpy calls that hold the
-# interpreter lock. The value suits the pair blocks.
+# Fewest pair blocks per worker thread. Starting and feeding threads
+# costs more than it saves on small passes: with m = 22 on 2 cores,
+# 2 threads ran the variogram of n = 400-600 sites (3-5 blocks) 0.95x as
+# fast as 1 thread, n = 1000-1400 (12-23 blocks) 1.0-1.6x from run to
+# run, and n = 1700-5000 (33-262 blocks) 1.6-1.7x as fast; the ESS sum
+# gained 1.2-1.5x from n = 1700 on.
 _MIN_BLOCKS_PER_WORKER = 16
 
 # Marks block entries that are not pairs (the diagonal and below it).
@@ -449,29 +445,6 @@ def _worker_count(threads: int | None, n_blocks: int) -> int:
     return max(1, min(int(threads), n_blocks // _MIN_BLOCKS_PER_WORKER))
 
 
-def _chunk_map(run, items: list, threads: int | None) -> list:
-    """``run(chunk)`` for contiguous runs of ``items``, one run per worker,
-    with the lists it returns joined in item order.
-
-    The workers are ``_worker_count(threads, len(items))`` threads; with
-    one, ``run`` gets all the items on the calling thread. Results come
-    back in item order whatever the thread count, so callers that reduce
-    them in that order give outputs that do not depend on ``threads``.
-    ``run`` must be safe to call from several threads at once.
-    """
-    workers = _worker_count(threads, len(items))
-    chunks = [
-        items[k * len(items) // workers:(k + 1) * len(items) // workers]
-        for k in range(workers)
-    ]
-    if workers == 1:
-        results = map(run, chunks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, chunks))
-    return [r for chunk in results for r in chunk]
-
-
 def _block_distances(xy: np.ndarray, i0: int, i1: int) -> np.ndarray:
     """Distances of pair block ``(i0, i1)`` of the sites ``xy``: ``d[k, c]``
     between sites ``i0 + k`` and ``i0 + c``, ``_NOT_A_PAIR`` where ``c <= k``."""
@@ -499,11 +472,13 @@ def _pair_map(
     without ``distances``: a stage that kept what it needs of them from an
     earlier pass over the same sites does not form them.
 
-    The blocks run on :func:`_chunk_map`'s ``threads`` workers (default:
-    the usable cores), each worker building each block of its run from
-    its span, so only one block per worker is alive at a time. Results
-    come back in block order whatever the thread count. ``fn`` must be
-    safe to call from several threads at once.
+    The blocks run on :func:`_worker_count` workers of ``threads`` (default:
+    the usable cores), each taking one contiguous run of them and building
+    each block of its run from its span, so only one block per worker is
+    alive at a time; with one worker the blocks run on the calling thread.
+    Results come back in block order whatever the thread count, so callers
+    that reduce them in that order give outputs that do not depend on
+    ``threads``. ``fn`` must be safe to call from several threads at once.
     """
     order = _canonical_order(dataset, sites)
     xy = dataset.xy[order]
@@ -521,7 +496,13 @@ def _pair_map(
             out.append(fn(k, d, head, tail))
         return out
 
-    return _chunk_map(run, blocks, threads)
+    workers = _worker_count(threads, len(blocks))
+    if workers == 1:
+        return run(blocks)
+    runs = [blocks[k * len(blocks) // workers:(k + 1) * len(blocks) // workers]
+            for k in range(workers)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return [r for out in pool.map(run, runs) for r in out]
 
 
 def trapz_inner(a, b, grid: EvalGrid) -> float:

@@ -15,21 +15,19 @@ Depths are computed from the curves' dense ranks at each grid point
 (``_dense_ranks``): one sort of packed ``rank, position`` keys per row
 gives each curve's pair count from its sorted position, and a second sort
 returns the counts to the curves, in integers, so every depth equals
-brute-force enumeration. ``fidelity_metrics`` scores in rank space too:
-the subsample's central band is the least and greatest rank of its
-central curves, read back as values through a rank -> value table.
-``functional_boxplot`` takes its band from the values, which it reports.
+brute-force enumeration. The central band is the least and greatest value
+of the central curves at each grid point (``_central_band``), for the
+boxplot and for every subsample alike.
 
 The subsample experiment scores its replicates in fixed-size batches, in
 the full sample's dense ranks, through the one stacked pass of the depth
-and metric code that ``fidelity_metrics`` runs on one sample, with the
-batches spread over worker threads: no result depends on the batch size
-or the thread count. Replicate ``r``'s subsample is defined as
-``derived_rng(seed, r).choice(n, size, replace=False)``; each worker
-computes those draws for a chunk of its replicates at once
-(``rng._replicate_choices``), index for index, and takes numpy's own
-per-replicate call only for a replicate that Lemire's method would redraw
-and for numpy's tail-shuffle case (``n > 10000`` and ``size > n // 50``).
+and metric code that ``fidelity_metrics`` runs on one sample: no result
+depends on the batch size. Replicate ``r``'s subsample is defined as
+``derived_rng(seed, r).choice(n, size, replace=False)``; the draws are
+computed for a chunk of replicates at once (``rng._replicate_choices``),
+index for index, taking numpy's own per-replicate call only for a
+replicate that Lemire's method would redraw and for numpy's tail-shuffle
+case (``n > 10000`` and ``size > n // 50``).
 """
 
 from __future__ import annotations
@@ -39,14 +37,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import (
-    SpatialFunctionalDataset,
-    _check_threads,
-    _chunk_map,
-    _frozen_array,
-    _is_integer,
-    _positive_int,
-)
+from .dataset import SpatialFunctionalDataset, _frozen_array, _is_integer, _positive_int
 from .errors import ValidationError
 from .rng import _entropy, _replicate_choices
 
@@ -160,6 +151,24 @@ def _central(depths: np.ndarray) -> np.ndarray:
     return depths >= cutoff
 
 
+def _central_band(X: np.ndarray, central: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least and greatest value, at each grid point, of the ``central``
+    ``(B, s)`` curves of each sample in a stack ``X`` ``(B, s, m)``: two
+    ``(B, m)`` arrays.
+
+    One sample's band is reduced over its rows in row order, so where an
+    edge is a zero it takes the sign of the last central curve's zero, as
+    ``fboxplot.csv`` reports it. ``reduceat`` does not fold long runs row
+    by row and may take the other zero; the metrics, which read only the
+    stack's band widths as absolute differences, cannot show it.
+    """
+    picked = X[central]
+    if len(X) == 1:
+        return picked.min(axis=0)[None], picked.max(axis=0)[None]
+    starts = np.r_[0, np.cumsum(central.sum(axis=-1))[:-1]]
+    return np.minimum.reduceat(picked, starts), np.maximum.reduceat(picked, starts)
+
+
 @dataclass(frozen=True, eq=False)
 class FBoxplotSummary:
     """Functional boxplot summary of one dataset."""
@@ -205,10 +214,7 @@ def functional_boxplot(dataset: SpatialFunctionalDataset) -> FBoxplotSummary:
     X = dataset.curves
     depths = mbd(dataset)
     median_index = int(np.argmax(depths))  # ties: smallest index
-    # the band's values, as fboxplot.csv writes them
-    central = _central(depths)[:, None]
-    central_lower = np.where(central, X, np.inf).min(axis=0)
-    central_upper = np.where(central, X, -np.inf).max(axis=0)
+    (central_lower,), (central_upper,) = _central_band(X[None], _central(depths)[None])
 
     height = central_upper - central_lower
     fence_lower = central_lower - FENCE_FACTOR * height
@@ -262,14 +268,6 @@ class FidelityMetrics:
         return (self.md_l2, self.md_sup, self.crd_mean, self.crd_sup, self.cip)
 
 
-def _rank_table(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """``table[j, r]``: the value of dense rank ``r`` among ``values`` ``(m, n)``
-    at grid point ``j``, where ``ranks`` are their ``_dense_ranks``."""
-    table = np.zeros(values.shape)
-    np.put_along_axis(table, ranks, values, axis=-1)
-    return table
-
-
 def _inside(summary: FBoxplotSummary, curves: np.ndarray) -> np.ndarray:
     """Which of ``curves`` ``(..., m)`` lie in the summary's central band at
     every grid point."""
@@ -281,32 +279,20 @@ def _fidelity_rows(
     full_summary: FBoxplotSummary,
     X: np.ndarray,
     ranks: np.ndarray,
-    table: np.ndarray,
     inside: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fidelity metrics of a stack ``X`` of B subsamples, ``(B, s, m)``.
 
     ``ranks`` ``(B, m, s)`` order and tie as their values do at each grid
-    point, and ``table`` ``(m, k)`` maps them back to values (see
-    ``_rank_table``); ``inside`` ``(B, s)`` flags the curves in the full
-    sample's central band (see ``_inside``). Returns the ``(B, 5)``
+    point; ``inside`` ``(B, s)`` flags the curves in the full sample's
+    central band (see ``_inside``). Returns the ``(B, 5)``
     metric rows and the ``(B,)`` mean absolute discrepancies between the
     full median and each subsample median.
     """
     depths = _band_depths(ranks)
     median = np.argmax(depths, axis=-1)  # ties: smallest index
     diff = full.curves[full_summary.median_index] - X[np.arange(len(X)), median]
-    # The central band's bounds are the values of the least and greatest
-    # rank among each subsample's central curves, whose rank rows are
-    # gathered replicate by replicate. The table may give 0.0 for -0.0 or
-    # back, which flips the sign of a zero width at most; the absolute
-    # width differences cannot show it.
-    central = _central(depths)
-    picked = ranks.transpose(0, 2, 1)[central]
-    starts = np.r_[0, np.cumsum(central.sum(axis=-1))[:-1]]
-    level = np.arange(table.shape[0])
-    lower = table[level, np.minimum.reduceat(picked, starts)]
-    upper = table[level, np.maximum.reduceat(picked, starts)]
+    lower, upper = _central_band(X, _central(depths))
     width_diff = np.abs(full_summary.central_width - (upper - lower))
     rows = np.stack(
         [np.sqrt(np.mean(diff**2, axis=-1)), np.max(np.abs(diff), axis=-1),
@@ -323,10 +309,8 @@ def fidelity_metrics(
     if not np.array_equal(full.grid.points, sub.grid.points):
         raise ValidationError("datasets must share the same evaluation grid")
     full_summary = functional_boxplot(full)
-    values = sub.curves.T
-    ranks = _dense_ranks(values)
     rows, _ = _fidelity_rows(
-        full, full_summary, sub.curves[None], ranks[None], _rank_table(values, ranks),
+        full, full_summary, sub.curves[None], _dense_ranks(sub.curves.T)[None],
         _inside(full_summary, sub.curves)[None],
     )
     return FidelityMetrics(*(float(v) for v in rows[0]))
@@ -354,8 +338,7 @@ class SubsampleExperiment:
 
 
 def subsample_experiment(
-    full: SpatialFunctionalDataset, size: int, reps: int, seed: int,
-    threads: int | None = None,
+    full: SpatialFunctionalDataset, size: int, reps: int, seed: int
 ) -> SubsampleExperiment:
     """Draw ``reps`` uniform without-replacement subsamples and score them.
 
@@ -370,16 +353,12 @@ def subsample_experiment(
     discrepancy between the full median and the subsample medians,
     averaged over replicates (the half-width of a median uncertainty
     band). Replicates are scored in batches of ``_BATCH_ELEMENTS`` values,
-    bit for bit as ``fidelity_metrics`` scores each one. The batches run
-    on ``threads`` workers (default: the usable cores; see
-    :func:`fess.dataset._worker_count`), each taking one contiguous run
-    of them; the results are assembled in replicate order, so no output
-    depends on the batch size or the thread count.
+    bit for bit as ``fidelity_metrics`` scores each one, so no output
+    depends on the batch size.
     """
     if not _is_integer(size):
         raise ValidationError(f"size must be an integer, got {size!r}")
     reps = _positive_int(reps, "reps")
-    _check_threads(threads)
     n, m = full.curves.shape
     if not 2 <= size <= n:
         raise ValidationError(f"subsample size must lie in [2, {n}], got {size}")
@@ -388,26 +367,18 @@ def subsample_experiment(
     # The full sample's dense ranks at each grid point order and tie any
     # subsample's values as the values do, and its flags say which curves
     # lie in its central band; each batch gathers both by its draws.
-    values = full.curves.T
-    ranks = np.ascontiguousarray(_dense_ranks(values).T)  # (n, m): a draw's ranks are rows
-    table = _rank_table(values, ranks.T)
+    ranks = np.ascontiguousarray(_dense_ranks(full.curves.T).T)  # (n, m): a draw's ranks are rows
     inside = _inside(full_summary, full.curves)
     batch = max(1, _BATCH_ELEMENTS // (size * m))
-    per_chunk = max(1, _DRAW_BYTES // (batch * (n + 64 * size)))  # batches
-
-    def run(firsts):
-        out = []
-        for c in range(0, len(firsts), per_chunk):
-            chunk = firsts[c:c + per_chunk]
-            drawn = _replicate_choices(seed, chunk[0], min(chunk[-1] + batch, reps), n, size)
-            for first in chunk:
-                idx = drawn[first - chunk[0]:][:batch]
-                X = full.subset(idx.ravel()).curves.reshape(*idx.shape, m)
-                R = ranks.take(idx, axis=0).transpose(0, 2, 1)
-                out.append(_fidelity_rows(full, full_summary, X, R, table, inside[idx]))
-        return out
-
-    scored = _chunk_map(run, list(range(0, reps, batch)), threads)
+    chunk = batch * max(1, _DRAW_BYTES // (batch * (n + 64 * size)))  # whole batches
+    scored = []
+    for start in range(0, reps, chunk):
+        drawn = _replicate_choices(seed, start, min(start + chunk, reps), n, size)
+        for b in range(0, len(drawn), batch):
+            idx = drawn[b:b + batch]
+            X = full.subset(idx.ravel()).curves.reshape(*idx.shape, m)
+            R = ranks.take(idx, axis=0).transpose(0, 2, 1)
+            scored.append(_fidelity_rows(full, full_summary, X, R, inside[idx]))
     rows = np.concatenate([r for r, _ in scored])
     return SubsampleExperiment(
         size=int(size),

@@ -2,8 +2,9 @@
 
 Every randomized routine in the package derives its generator from an
 explicit base seed plus integer counters (replicate index, stream tag).
-The derivation is a pure function of ``(seed, *keys)``, so replicates can
-be generated in any order, or in parallel, with identical results.
+The derivation is a pure function of ``(seed, *keys)``, so a replicate's
+stream does not depend on which other replicates are drawn, or in what
+order.
 
 The subsample draws are defined as ``derived_rng(seed, r).choice(n,
 size, replace=False)`` for replicate ``r``. ``_replicate_choices``

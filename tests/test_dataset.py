@@ -270,7 +270,7 @@ class TestDataset:
                 assert got.flags.c_contiguous and not got.flags.writeable
             assert sub.grid is ds.grid and sub.lon0 == -160.0 and sub.warnings == ()
         assert ds.subset([1, 2]).subset([1]).curves.tobytes() == ds.curves[2].tobytes()
-        for bad in ([6], [-1], [], [[0, 1]]):
+        for bad in ([6], [-1], [], [[0, 1]], [True, False, True, False], [1.9, 2.2]):
             with pytest.raises(ValidationError):
                 ds.subset(bad)
 

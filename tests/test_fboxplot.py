@@ -1,6 +1,6 @@
 import functools
 import itertools
-import threading
+import math
 import tracemalloc
 
 import numpy as np
@@ -145,6 +145,29 @@ class TestFunctionalBoxplot:
         spike = np.full((1, 8), 100.0)
         fb = functional_boxplot(make_dataset(np.vstack([X, spike])))
         assert list(fb.outliers) == [20]
+
+    @pytest.mark.parametrize("which", ["tied", "signed_zero", "nonnegative_signed_zero"])
+    def test_central_band_is_the_value_envelope(self, which):
+        # independent oracle: the central region from brute-force depths,
+        # its envelope from the values; bitwise, so the signs of zeros too.
+        # The non-negative set has zero lower edges over 20 central curves,
+        # where np.minimum.reduceat would take the other zero at some.
+        if which == "nonnegative_signed_zero":
+            X = signed_zero_dataset(39, 6).curves
+            X = np.where(X < 0.0, -X, X)  # zeros keep their signs
+        else:
+            X = BATCH_DATASETS[which]().curves
+        fb = functional_boxplot(make_dataset(X))
+        depths = brute_force_mbd(X)
+        central = (depths >= np.sort(depths)[len(X) - math.ceil(len(X) / 2)])[:, None]
+        lower = np.where(central, X, np.inf).min(axis=0)
+        upper = np.where(central, X, -np.inf).max(axis=0)
+        for got, want in ((fb.central_lower, lower), (fb.central_upper, upper)):
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        if which != "tied":  # the band has zeros of both signs
+            zeros = np.concatenate([lower, upper])[np.concatenate([lower, upper]) == 0.0]
+            assert np.signbit(zeros).any() and not np.signbit(zeros).all()
 
     def test_median_inside_central_band(self):
         rng = derived_rng(56)
@@ -295,12 +318,6 @@ class TestSubsampleExperiment:
             mads.append(np.mean(np.abs(med_full - med_sub)))
         assert exp.median_band_halfwidth == pytest.approx(np.mean(mads), rel=1e-14)
 
-    @pytest.mark.parametrize("threads", [0, -1, 2.0, True, "2", float("nan")])
-    def test_bad_threads_rejected(self, threads):
-        full = random_dataset(derived_rng(68), 10, 4)
-        with pytest.raises(ValidationError, match="threads must be a positive integer"):
-            subsample_experiment(full, size=5, reps=2, seed=0, threads=threads)
-
     def test_size_bounds(self):
         rng = derived_rng(68)
         full = random_dataset(rng, 10, 4)
@@ -385,11 +402,11 @@ BATCH_DATASETS = {
 }
 
 
-def run_in_batches(monkeypatch, full, size, reps, seed, per_batch, threads=None):
+def run_in_batches(monkeypatch, full, size, reps, seed, per_batch):
     monkeypatch.setattr(
         fess.fboxplot, "_BATCH_ELEMENTS", per_batch * size * full.curves.shape[1]
     )
-    return subsample_experiment(full, size=size, reps=reps, seed=seed, threads=threads)
+    return subsample_experiment(full, size=size, reps=reps, seed=seed)
 
 
 @functools.cache
@@ -427,34 +444,9 @@ class TestSubsampleBatches:
         exp = run_in_batches(monkeypatch, full, size, reps, seed, per_batch)
         assert_per_replicate_definition(exp, which, size, reps, seed)
 
-    @pytest.mark.parametrize("per_batch", [1, 2, 7])
-    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
-    @pytest.mark.parametrize("which", ["tied", "signed_zero"])
-    def test_threads_equal_per_replicate_definition(self, monkeypatch, threads, per_batch, which):
-        # 224 replicates make 32 batches of 7, enough for 2 workers, and
-        # 224 batches of 1, enough for 8
-        full = BATCH_DATASETS[which]()
-        size, reps, seed = 5, 2 * fess.dataset._MIN_BLOCKS_PER_WORKER * 7, 32
-        workers = fess.dataset._worker_count(threads, -(-reps // per_batch))
-        assert workers >= min(threads, 2)
-        scored_on = set()
-        fidelity_rows = fess.fboxplot._fidelity_rows
-
-        def recording(*args):
-            scored_on.add(threading.get_ident())
-            return fidelity_rows(*args)
-
-        monkeypatch.setattr(fess.fboxplot, "_fidelity_rows", recording)
-        exp = run_in_batches(monkeypatch, full, size, reps, seed, per_batch, threads)
-        # one worker scores on the calling thread, several on the pool's
-        assert (threading.get_ident() in scored_on) == (workers == 1)
-        assert_per_replicate_definition(exp, which, size, reps, seed)
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_draw_chunks_equal_per_replicate_definition(self, monkeypatch, threads):
+    def test_draw_chunks_equal_per_replicate_definition(self, monkeypatch):
         # chunks of two 3-replicate batches: 100 replicates make 34 batches,
-        # so a second worker's run starts at replicate 51, inside a chunk
-        # of the whole range, and each run ends in a short chunk
+        # and the run ends in a short chunk
         full = BATCH_DATASETS["tied"]()
         size, reps, seed = 5, 100, 33
         monkeypatch.setattr(fess.fboxplot, "_DRAW_BYTES", 6 * (full.n_curves + 64 * size))
@@ -466,12 +458,8 @@ class TestSubsampleBatches:
             return choices(seed, start, stop, n, size)
 
         monkeypatch.setattr(fess.fboxplot, "_replicate_choices", recording)
-        exp = run_in_batches(monkeypatch, full, size, reps, seed, 3, threads)
-        ends = {1: [reps], 2: [51, reps]}[threads]
-        starts = [0] + ends[:-1]
-        assert sorted(runs) == [
-            (a, min(a + 6, end)) for start, end in zip(starts, ends) for a in range(start, end, 6)
-        ]
+        exp = run_in_batches(monkeypatch, full, size, reps, seed, 3)
+        assert runs == [(a, min(a + 6, reps)) for a in range(0, reps, 6)]
         assert_per_replicate_definition(exp, "tied", size, reps, seed)
 
     @pytest.mark.parametrize("which", ["tied", "signed_zero"])
@@ -503,8 +491,8 @@ class TestSubsampleBatches:
         full = random_dataset(derived_rng(74), 600, 22)
         tracemalloc.start()
         try:
-            # 72 batches on 2 workers, each with one batch alive at a time
-            subsample_experiment(full, size=106, reps=1000, seed=2024, threads=2)
+            # 72 batches, one alive at a time
+            subsample_experiment(full, size=106, reps=1000, seed=2024)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

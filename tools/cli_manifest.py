@@ -51,9 +51,11 @@ def write_field_csv(
     """Lon/lat wide CSV with curves on 6 levels.
 
     ``kind`` is ``"correlated"`` (spatially correlated), ``"iid"``
-    (independent N(0, 1) values) or ``"constant"`` (one curve at every
-    site). With ``repeat_shift``, the second third of the sites repeats the
-    first, moved east by that many degrees.
+    (independent N(0, 1) values), ``"constant"`` (one curve at every
+    site) or ``"signed_zero"`` (integers, mostly 0, 1 and 2, each zero
+    written as ``0.0`` or ``-0.0`` at random). With ``repeat_shift``, the
+    second third of the sites repeats the first, moved east by that many
+    degrees.
     """
     rng = np.random.default_rng(seed)
     lons = rng.uniform(-150.0, -140.0, size=n)
@@ -67,6 +69,11 @@ def write_field_csv(
         curves = rng.standard_normal((n, 6))
     elif kind == "constant":
         curves = np.tile(base, (n, 1))
+    elif kind == "signed_zero":
+        curves = rng.choice([-1.0, 0.0, 1.0, 2.0, 3.0], p=[0.05, 0.45, 0.25, 0.2, 0.05],
+                            size=(n, 6))
+        zeros = curves == 0.0
+        curves[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
     else:
         curves = base * np.sin(lons / 3.0 + lats)[:, None] + 0.3 * np.cumsum(
             rng.standard_normal((n, 6)), axis=1
@@ -165,6 +172,13 @@ def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
         ("iid/ess3_stdout", ["ess", "--input", iid, "--bins", "40"] + fams, False),
         ("iid/ess3_free_stdout", ["ess", "--input", iid, "--bins", "40", "--nugget", "free"]
          + fams, False),
+        # zeros of both signs at every level, so the central band's lower
+        # edge, taken over 20 or more central curves, is a zero at most
+        # levels: fboxplot.csv shows which sign the band takes, and the
+        # replicates' bands have zero edges too
+        ("signed_zero/boxplot", ["boxplot", "--input", str(tmp / "signed_zero.csv")], True),
+        ("signed_zero/subsample", ["subsample", "--input", str(tmp / "signed_zero.csv"),
+                                   "--size", "15", "--reps", "40", "--seed", "17"], True),
     ]
     # the loader's edge paths (see write_edge_csv); the wrapped longitudes
     # and the repeated site are logged on stderr
@@ -186,12 +200,13 @@ def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
     # subsample replicates scored in batches: 400 of the large CSV's 2400
     # curves on 6 levels make 13 replicates a batch, so 60 replicates span
     # 5 batches and the last one is partial. The small subsample entries
-    # fit in one batch. With 16 batches or more per worker, 416 replicates
-    # (32 batches) run on 2 workers and 832 (64 batches) on 4 of 8
-    # threads; a base tree that scores them serially checks them byte for
-    # byte. Replicate 590 of seed 17 (400 of 2400 curves) has a draw that
-    # Lemire's method redraws, so large/subsample_t8 also checks the draws'
-    # fallback to numpy's per-replicate call.
+    # fit in one batch. 416 replicates make 32 batches and 832 make 64, in
+    # 7 and 13 draw chunks of 65 replicates, each ending in a short
+    # chunk; the entries keep the --threads their names carry, which
+    # subsample accepts and ignores. Replicate 590 of seed 17 (400 of 2400
+    # curves) has a draw that Lemire's method redraws, so
+    # large/subsample_t8 also checks the draws' fallback to numpy's
+    # per-replicate call.
     runs.append(("large/subsample", ["subsample", "--input", large, "--size", "400",
                                      "--reps", "60", "--seed", "17"], True))
     for threads, reps in (("2", "416"), ("8", "832")):
@@ -261,6 +276,7 @@ def run_session(src: Path, tmp: Path) -> dict:
     write_field_csv(tmp / "constant.csv", seed=3030, n=30, kind="constant")
     write_field_csv(tmp / "iid.csv", seed=4002, n=45, repeat_shift=1e-4, kind="iid")
     write_field_csv(tmp / "large.csv", seed=5050, n=2400)
+    write_field_csv(tmp / "signed_zero.csv", seed=7070, n=40, kind="signed_zero")
     write_edge_csv(tmp / "edge.csv", seed=6060, n=40)
     (tmp / "edge_schema.json").write_text(json.dumps({"value_columns": LEVELS}))
     manifest = {}
