@@ -67,12 +67,10 @@ def _load_dataset(args):
     return dataset
 
 
-def _write_model_curve(model, h_max: float, path: Path, knots=None) -> None:
-    h = np.linspace(0.0, h_max, _CURVE_POINTS)
-    if knots is not None:
-        # include the empirical lags so the curve passes through the
-        # fitted values there exactly
-        h = np.unique(np.concatenate([h, np.asarray(knots, dtype=float)]))
+def _write_model_curve(model, h_max: float, path: Path, knots) -> None:
+    # include the empirical lags ``knots`` so the curve passes through the
+    # fitted values there exactly
+    h = np.unique(np.concatenate([np.linspace(0.0, h_max, _CURVE_POINTS), knots]))
     _write_csv(path, ["h", "gamma"], zip(h, model_trace_variogram(model, h)))
 
 
@@ -89,8 +87,7 @@ def _fit_families(ev, args, out: Path, h_max: float) -> None:
             log.warning("%s: %s", fam, w)
         write_model_json(result, out / f"model_{fam}.json")
         _write_model_curve(
-            result.model, h_max, out / f"model_curve_{fam}.csv",
-            knots=ev.centers[ev.occupied],
+            result.model, h_max, out / f"model_curve_{fam}.csv", ev.centers[ev.occupied]
         )
         print(
             f"{fam}: sill={result.model.sill:.6g} range={result.model.range_km:.6g} "

@@ -303,10 +303,11 @@ def _site_record(sites: bytes) -> _SiteRecord:
     x, y = xy[order].T
     same = (x[1:] == x[:-1]) & (y[1:] == y[:-1])
     tied = np.flatnonzero(np.append(same, False) | np.insert(same, 0, False))
-    groups = np.cumsum(np.insert(~same, 0, True))[tied]
+    first = np.insert(~same, 0, True)
+    groups = np.cumsum(first)[tied]
     for a in (order, tied, groups):
         a.flags.writeable = False
-    return _SiteRecord(order, tied, groups, _max_site_distance(xy), {})
+    return _SiteRecord(order, tied, groups, _max_site_distance(xy[order[first]]), {})
 
 
 def _canonical_order(dataset: "SpatialFunctionalDataset", sites: _SiteRecord) -> np.ndarray:
@@ -330,16 +331,20 @@ def _canonical_order(dataset: "SpatialFunctionalDataset", sites: _SiteRecord) ->
 
 
 def _max_site_distance(xy: np.ndarray) -> float:
-    """Largest distance between two of the sites ``xy`` (0 for a single site).
+    """Largest distance between two of the distinct sites ``xy``, sorted by
+    x, then y (0 for a single site).
 
     The farthest pair of a planar set are vertices of its convex hull, so
     only hull vertices are compared, with the expression of the pair
     blocks: the result is the pair maximum bit for bit. Sites strictly
     inside the octagon of extreme points (least and greatest x, y, x + y
     and x - y; Akl and Toussaint 1978) are not hull vertices and are
-    dropped first; a monotone chain (Andrew 1979) takes the hull of the
-    rest, collinear sets and single sites included.
+    dropped first, which keeps the octagon's vertices and the sorted
+    order; a monotone chain (Andrew 1979) takes the hull of the rest,
+    collinear sets included.
     """
+    if len(xy) == 1:
+        return 0.0
     x, y = xy.T
     octagon = xy[
         [np.argmax(x), np.argmax(x + y), np.argmax(y), np.argmin(x - y),
@@ -351,10 +356,7 @@ def _max_site_distance(xy: np.ndarray) -> float:
     edge = np.roll(octagon, -1, axis=0)[:, :, None] - start
     left = edge[:, 0] * (y - start[:, 1]) - edge[:, 1] * (x - start[:, 0]) > 0
     inside = np.all(left | ~np.any(edge, axis=1), axis=0)
-    # the octagon's own vertices stay when every edge is a point; sorted
-    # distinct sites as np.unique(axis=0) gives them, without the numpy.ma
-    # import (0.5 MB) that its first call makes
-    sites = sorted(set(map(tuple, np.vstack([octagon, xy[~inside]]).tolist())))
+    sites = xy[~inside].tolist()
 
     def half_hull(points):
         chain = []
@@ -367,8 +369,7 @@ def _max_site_distance(xy: np.ndarray) -> float:
             chain.append(p)
         return chain[:-1]
 
-    chain = half_hull(sites) + half_hull(sites[::-1])
-    hull = np.array(chain or sites)  # a single site has an empty chain
+    hull = np.array(half_hull(sites) + half_hull(sites[::-1]))
     # row blocks of about _PAIR_BLOCK_ELEMENTS distances, so a hull of many
     # vertices (sites on a circle) never forms its dense distance matrix
     k = max(1, _PAIR_BLOCK_ELEMENTS // len(hull))

@@ -29,7 +29,7 @@ from .dataset import (
     _sorted_sum,
     _write_json,
 )
-from .errors import EstimationError, ValidationError
+from .errors import ValidationError
 from .variogram import (
     _CORR,
     LagBins,
@@ -119,18 +119,13 @@ def _validate_distance_matrix(D: np.ndarray) -> np.ndarray:
 def _ess_report(n: int, model: TraceCovModel, denom: float, warnings=()) -> EssReport:
     """``n^2 cov_tr(0) / denom`` for the double sum ``denom`` over n sites.
 
-    ``warnings`` (the fit's, say) come first in the report.
+    Every family's trace-covariogram lies in [0, cov_tr(0)] with
+    cov_tr(0) > 0, so ``n cov_tr(0) <= denom <= n^2 cov_tr(0)`` and the ESS
+    lies in [1, n] up to rounding. ``warnings`` (the fit's, say) go into
+    the report.
     """
-    if denom <= 0:
-        raise EstimationError(
-            f"non-positive trace-covariogram mass ({denom:g}); ess undefined"
-        )
-    ess = n * n * (model.sill + model.nugget) / denom
-    if ess > n * (1.0 + 1e-12):
-        warnings = tuple(warnings) + (
-            "ess exceeds the nominal sample size (negative covariogram values)",
-        )
-    return EssReport(n=n, ess=ess, model=model, warnings=warnings)
+    return EssReport(n=n, ess=n * n * (model.sill + model.nugget) / denom, model=model,
+                     warnings=warnings)
 
 
 def ess_functional(D: np.ndarray, model: TraceCovModel) -> EssReport:

@@ -65,8 +65,9 @@ class LagBins:
 
     edges: np.ndarray
     centers: np.ndarray = field(init=False, repr=False, compare=False)
-    # bin width when the edges are equally spaced and arithmetic binning
-    # reproduces ``np.digitize`` on them; None otherwise
+    # bin width when the edges equal ``np.linspace`` between the first and
+    # last edge, so arithmetic binning gives ``np.digitize``'s slots; None
+    # otherwise
     _width: float | None = field(init=False, repr=False, compare=False)
     # lower and upper bound of each slot: ``_lower[s] <= h < _upper[s]``
     # for slots 1 to len(self); the last bin's upper bound is the float
@@ -93,16 +94,14 @@ class LagBins:
         object.__setattr__(
             self, "_upper", _frozen_array(np.append(edges[:-1], np.nextafter(edges[-1], np.inf)))
         )
-        object.__setattr__(self, "_width", None)
-        if np.array_equal(edges, np.linspace(edges[0], edges[-1], edges.size)):
-            # The arithmetic index is monotone in h and one comparison with
-            # each neighbouring edge corrects an estimate that is off by
-            # one, so agreeing with digitize on every edge and the float
-            # below it makes it agree on every distance.
-            object.__setattr__(self, "_width", (edges[-1] - edges[0]) / len(self))
-            probe = np.concatenate([edges, np.nextafter(edges, -np.inf)])
-            if not np.array_equal(self._arithmetic_slots(probe), self._digitize_slots(probe)):
-                object.__setattr__(self, "_width", None)
+        # On linspace edges the arithmetic index is within one slot of the
+        # true one, which one comparison with each neighbouring edge corrects
+        object.__setattr__(
+            self, "_width",
+            (edges[-1] - edges[0]) / len(self)
+            if np.array_equal(edges, np.linspace(edges[0], edges[-1], edges.size))
+            else None,
+        )
 
     def __len__(self) -> int:
         return self.edges.size - 1

@@ -529,8 +529,8 @@ class TestBoxplotCommands:
 
 class TestDeterminism:
     def test_byte_identical_reruns_and_thread_counts(self, dataset_csv, tmp_path, monkeypatch):
-        # the last run scores its 40 replicates one batch each, on 2 of its
-        # 8 threads (16 batches or more per worker)
+        # the last run scores its 40 replicates one batch each, serially:
+        # subsample accepts --threads 8 and ignores it
         fidelity_rows = fess.fboxplot._fidelity_rows
         batches = []
 
@@ -589,6 +589,75 @@ class TestDeterminism:
             assert bool(binned) == (tag != "warm"), tag
         assert len(sessions[0]) == 10
         assert sessions[0] == sessions[1] == sessions[2]
+
+
+# argv ({name} is a path that test_exit_codes sets up), environment, exit
+# code, and a line that stderr holds (stdout on exit 0)
+_EXIT_CODE_CASES = {
+    "missing coordinate column": (["ess", "--input", "{no_lat}"], {}, 2,
+                                  "coordinate column 'lat' not in header"),
+    "schema value column not in header": (
+        ["ess", "--input", "{data}", "--schema", "{schema}"], {}, 2,
+        "value columns not in header: ['99']"),
+    "single value column": (["ess", "--input", "{one_level}"], {}, 2,
+                            "need at least 2 value columns, found 1"),
+    "non-numeric level labels": (["ess", "--input", "{text_levels}"], {}, 2,
+                                 "value column labels must be numeric grid levels"),
+    "empty file": (["ess", "--input", "{empty}"], {}, 2, "empty file"),
+    "fit header": (["fit", "--input", "{fit_header}", "--out-dir", "{out}"], {}, 2,
+                   "expected header 'h,gamma,count'"),
+    "fit without rows": (["fit", "--input", "{fit_no_rows}", "--out-dir", "{out}"], {}, 2,
+                         "no variogram rows"),
+    "simulate decay base": (["far1", "simulate", "--n", "5", "--seed", "1", "--lambda0", "1.5",
+                             "--out-dir", "{out}"], {}, 2, "decay bases must lie in (0, 1)"),
+    "sweep fixed decay base": (["far1", "sweep", "--axis", "eta0", "--fixed", "1.5",
+                                "--out-dir", "{out}"], {}, 2,
+                               "fixed decay base must lie in (0, 1)"),
+    "sweep without sample sizes": (["far1", "sweep", "--axis", "eta0", "--n-list", ",",
+                                    "--out-dir", "{out}"], {}, 2,
+                                   "need at least one sample size"),
+    "threads not an integer": (["ess", "--input", "{data}", "--threads", "abc"], {}, 2,
+                               "argument --threads: invalid int value: 'abc'"),
+    "schema not found": (["ess", "--input", "{data}", "--schema", "{missing}"], {}, 2,
+                         "fess: error: [Errno 2] No such file or directory"),
+    "out-dir is a file": (["variogram", "--input", "{data}", "--out-dir", "{a_file}"], {}, 1,
+                          "fess: i/o failure: [Errno 17] File exists"),
+    "unknown FESS_LOG level": (["ess", "--input", "{data}"], {"FESS_LOG": "bogus"}, 0,
+                               "exponential: n=60"),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXIT_CODE_CASES))
+def test_exit_codes(case, dataset_csv, tmp_path, monkeypatch, capsys):
+    argv, env, code, line = _EXIT_CODE_CASES[case]
+    header, *rows = dataset_csv.read_text(encoding="utf-8").splitlines()
+    cells = [r.split(",") for r in [header] + rows]
+    files = {
+        "no_lat": "\n".join(",".join(c[:1] + c[2:]) for c in cells),
+        "one_level": "\n".join(",".join(c[:3]) for c in cells),
+        "text_levels": "\n".join(
+            [",".join(cells[0][:2] + [f"level{k}" for k in range(len(cells[0]) - 2)])] + rows
+        ),
+        "empty": "",
+        "schema": json.dumps({"value_columns": ["10", "99"]}),
+        "fit_header": "a,b,c\n1,2,3",
+        "fit_no_rows": "h,gamma,count",
+        "a_file": "x",
+    }
+    paths = {"data": dataset_csv, "missing": tmp_path / "nope.json", "out": tmp_path / "out"}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text + "\n" if text else "", encoding="utf-8")
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+    monkeypatch.delenv("FESS_LOG", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    rc = main([a.format(**{k: str(v) for k, v in paths.items()}) for a in argv])
+    out, err = capsys.readouterr()
+    assert rc == code
+    assert line in (out if code == 0 else err)
+    assert levels == ["WARNING"]
 
 
 def _full_argv(command, dataset_csv, tmp_path):

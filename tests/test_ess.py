@@ -1,8 +1,10 @@
+import itertools
 import json
 import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from fess import (
 from fess.rng import derived_rng
 
 from conftest import make_dataset, random_dataset, repeated_lattice_dataset, tied_dataset
+
+FAMILIES = ("exponential", "spherical", "gaussian")
 
 
 class TestEssScalar:
@@ -84,14 +88,33 @@ class TestEssFunctional:
         assert ess_functional(D, m).ess == pytest.approx(1.0, abs=1e-6)
 
     def test_bounds_on_random_inputs(self):
+        # every family's trace-covariogram lies in [0, cov_tr(0)] with
+        # cov_tr(0) > 0, so n cov_tr(0) <= sum_ij cov_tr(d_ij) <= n^2 cov_tr(0)
+        # and the ESS lies in [1, n] on any design, at any scale
         rng = derived_rng(33)
-        for _ in range(100):
-            n = int(rng.integers(2, 40))
-            D = pairwise_distances(rng.uniform(0, 300, size=(n, 2)))
-            fam = ("exponential", "spherical", "gaussian")[int(rng.integers(3))]
-            m = TraceCovModel(fam, float(rng.uniform(0.1, 5)), float(rng.uniform(1, 200)))
-            ess = ess_functional(D, m).ess
-            assert 1.0 - 1e-12 <= ess <= n * (1.0 + 1e-12)
+        for family, nugget, _ in itertools.product(FAMILIES, (False, True), range(30)):
+            n = int(rng.integers(3, 40))
+            xy = rng.uniform(0.0, 300.0, size=(n, 2))
+            t = rng.uniform(-50.0, 50.0, n)
+            designs = {
+                "random": xy,
+                "duplicated": np.vstack([xy, xy[: n // 2]]),
+                "collinear": np.column_stack([t, 0.4 * t + 3.0]),
+                "near-coincident": np.vstack([xy, xy + rng.uniform(-1e-9, 1e-9, size=xy.shape)]),
+                "two sites": np.array([[0.0, 0.0], [rng.uniform(1e-3, 1e3), 0.0]]),
+            }
+            for name, sites in designs.items():
+                sill = 10.0 ** rng.uniform(-300.0, 300.0)
+                m = TraceCovModel(
+                    family, sill, 10.0 ** rng.uniform(-8.0, 8.0),
+                    sill * 10.0 ** rng.uniform(-3.0, 3.0) if nugget else 0.0,
+                )
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    report = ess_functional(pairwise_distances(sites), m)
+                k = len(sites)
+                assert 1.0 - 1e-12 <= report.ess <= k * (1.0 + 1e-12), (name, m)
+                assert report.warnings == (), (name, m)
 
     def test_appending_far_site_recursion(self):
         rng = derived_rng(34)
@@ -191,6 +214,32 @@ class TestEssPlugin:
         rep = ess_plugin(ds, "exponential")
         assert any("flat" in w for w in rep.warnings)
         assert rep.ess == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("nugget", ["zero", "free"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bounds_on_fitted_fields(self, family, nugget):
+        # the ESS lies in [1, n] (see TestEssFunctional's bounds test) for
+        # fits that pin the range at either bound, leave coincident pairs
+        # out or fit freely
+        rng = derived_rng(43)
+        n = 40
+        xy = rng.uniform(0.0, 300.0, size=(n, 2))
+        t = rng.uniform(-150.0, 150.0, n)
+        grid = EvalGrid(np.linspace(0.0, 1.0, 6))
+        designs = {
+            "random": xy,
+            "duplicated": np.vstack([xy[:24], xy[:16]]),
+            "collinear": np.column_stack([t, 0.4 * t + 3.0]),
+        }
+        for name, sites in designs.items():
+            for scale in (60.0, 1e4):
+                signal = np.sin(sites[:, :1] / scale + sites[:, 1:] / 90.0 + grid.points)
+                ds = make_dataset(signal + 0.5 * rng.standard_normal((n, 6)), xy=sites,
+                                  grid=grid)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    report = ess_plugin(ds, family, nugget=nugget)
+                assert 1.0 - 1e-12 <= report.ess <= n * (1.0 + 1e-12), (name, scale)
 
     def test_identical_curves_raise(self):
         # no variation, no covariance: the ESS is undefined, not n

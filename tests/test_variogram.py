@@ -36,12 +36,15 @@ FAMILIES = ("exponential", "spherical", "gaussian")
 
 class TestLagBins:
     def test_validation(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="two edges"):
             LagBins([5.0])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="non-negative"):
             LagBins([-1.0, 2.0])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="strictly increasing"):
             LagBins([0.0, 0.0, 1.0])
+        for last in (np.inf, np.nan):
+            with pytest.raises(ValidationError, match="finite"):
+                LagBins([0.0, 1.0, last])
 
     def test_index_of_conventions(self):
         bins = LagBins([0.0, 1.0, 2.0])
@@ -94,6 +97,29 @@ class TestLagBins:
         # pair blocks are 2-d
         block = h[:20000].reshape(40, 500)
         assert np.array_equal(bins.index_of(block), self.digitize_reference(bins, block))
+
+    def test_arithmetic_binning_matches_digitize_on_random_linspace_edges(self):
+        # wide offsets and spans: the arithmetic slot is within one of the
+        # true one and the neighbouring-edge comparisons correct it, so both
+        # routes agree on every edge and the floats beside it
+        rng = derived_rng(33)
+        checked = 0
+        while checked < 600:
+            first = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-6.0, 9.0)
+            span = 10.0 ** rng.uniform(-6.0, 9.0)
+            n_bins = int(np.exp(rng.uniform(0.0, math.log(5000.0))))
+            edges = np.linspace(first, first + span, n_bins + 1)
+            if not np.all(np.diff(edges) > 0):
+                continue  # too many bins for the span at this offset
+            bins = LagBins(edges)
+            assert bins._width is not None
+            h = np.concatenate([
+                edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+            ])
+            assert np.array_equal(bins._arithmetic_slots(h), bins._digitize_slots(h)), (
+                first, span, n_bins,
+            )
+            checked += 1
 
     def test_unequal_edges_take_the_digitize_path(self):
         bins = LagBins([0.0, 1.0, 3.0, 4.5])
@@ -189,9 +215,9 @@ class TestLagBins:
             xy = np.asarray(xy, dtype=float)
             ds = make_dataset(rng.standard_normal((len(xy), 3)), xy=xy)
             passes.clear()
-            dmax = fess.dataset._max_site_distance(ds.xy)
+            fess.dataset._site_record.cache_clear()
+            dmax = fess.dataset._site_record(ds.xy.tobytes()).diameter
             assert dmax == np.max(pairwise_distances(ds.xy)), name
-            assert fess.dataset._site_record(ds.xy.tobytes()).diameter == dmax, name
             assert not passes, name
         assert dmax == 0.0
         with pytest.raises(ValidationError, match="all locations coincide"):
@@ -203,9 +229,10 @@ class TestLagBins:
         t = np.linspace(0.0, 2.0 * math.pi, 3000, endpoint=False)
         xy = 500.0 * np.column_stack([np.cos(t), np.sin(t)])
         ds = make_dataset(np.zeros((len(xy), 2)), xy=xy)
+        fess.dataset._site_record.cache_clear()
         tracemalloc.start()
         try:
-            dmax = fess.dataset._max_site_distance(ds.xy)
+            dmax = fess.dataset._site_record(ds.xy.tobytes()).diameter
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -111,6 +111,16 @@ def write_edge_csv(path: Path, seed: int, n: int) -> None:
     path.write_bytes(("\r\n".join(out) + "\r\n").encode("utf-8"))
 
 
+def write_coincident_csv(path: Path, seed: int, n: int) -> None:
+    """The correlated lon/lat CSV of ``write_field_csv`` with every row at
+    the first row's site."""
+    write_field_csv(path, seed, n)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    site = rows[0].split(",")[:2]
+    lines = [header] + [",".join(site + line.split(",")[2:]) for line in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
     """``(name, argv, writes_to_out_dir)`` for each command, in run order."""
     field, dup, iid, large, edge, edge_schema = (
@@ -166,6 +176,8 @@ def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
         ("constant/boxplot", ["boxplot", "--input", str(tmp / "constant.csv")], True),
         ("constant/subsample", ["subsample", "--input", str(tmp / "constant.csv"), "--size",
                                 "12", "--reps", "40", "--seed", "17"], True),
+        # every row at one site: no positive lag to bin, ess exits 2
+        ("coincident/ess", ["ess", "--input", str(tmp / "coincident.csv")], False),
         # independent curves at near-repeated sites: the exponential fit
         # pins its range at the lower bound and logs it
         ("iid/variogram", ["variogram", "--input", iid, "--bins", "40"], True),
@@ -277,6 +289,7 @@ def run_session(src: Path, tmp: Path) -> dict:
     write_field_csv(tmp / "iid.csv", seed=4002, n=45, repeat_shift=1e-4, kind="iid")
     write_field_csv(tmp / "large.csv", seed=5050, n=2400)
     write_field_csv(tmp / "signed_zero.csv", seed=7070, n=40, kind="signed_zero")
+    write_coincident_csv(tmp / "coincident.csv", seed=8080, n=20)
     write_edge_csv(tmp / "edge.csv", seed=6060, n=40)
     (tmp / "edge_schema.json").write_text(json.dumps({"value_columns": LEVELS}))
     manifest = {}
