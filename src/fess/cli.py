@@ -71,7 +71,7 @@ def _write_model_curve(model, h_max: float, path: Path, knots) -> None:
     # include the empirical lags ``knots`` so the curve passes through the
     # fitted values there exactly
     h = np.unique(np.concatenate([np.linspace(0.0, h_max, _CURVE_POINTS), knots]))
-    _write_csv(path, ["h", "gamma"], zip(h, model_trace_variogram(model, h)))
+    _write_csv(path, ["h", "gamma"], [h, model_trace_variogram(model, h)])
 
 
 def _fit_families(ev, args, out: Path, h_max: float) -> None:
@@ -171,7 +171,7 @@ def cmd_far1_sweep(args) -> int:
     rows = far1_sweep(args.axis, args.values, args.n_list, fixed=args.fixed)
     out = _out_dir(args)
     path = out / f"far1_sweep_{args.axis}.csv"
-    _write_csv(path, ["axis_value", "n", "ess"], ((r.axis_value, r.n, r.ess) for r in rows))
+    _write_csv(path, ["axis_value", "n", "ess"], zip(*rows))
     print(f"wrote {len(rows)} sweep rows to {path}")
     return 0
 
@@ -188,7 +188,7 @@ def cmd_boxplot(args) -> int:
         "nonout_lo": summary.nonout_lower,
         "nonout_hi": summary.nonout_upper,
     }
-    _write_csv(out / "fboxplot.csv", list(columns), zip(*columns.values()))
+    _write_csv(out / "fboxplot.csv", list(columns), columns.values())
     # compact on one line, unlike the indented reports
     with open(out / "fboxplot_outliers.json", "w", encoding="utf-8") as fh:
         json.dump({"outliers": [int(i) for i in summary.outliers]}, fh, sort_keys=True)
@@ -204,7 +204,7 @@ def cmd_subsample(args) -> int:
     _write_csv(
         out / "subsample_metrics.csv",
         ["rep", "md_l2", "md_sup", "crd_mean", "crd_sup", "cip"],
-        ((r, *m.as_tuple()) for r, m in enumerate(exp.replicates)),
+        [range(exp.reps), *zip(*(m.as_tuple() for m in exp.replicates))],
     )
     _write_json(exp.to_dict(), out / "subsample_summary.json")
     print(

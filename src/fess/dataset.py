@@ -628,21 +628,17 @@ def _read_csv_rows(path: Path) -> list[list[str]]:
         return [r for r in csv.reader(fh) if r]
 
 
-def _csv_cell(v) -> str:
-    # an integer as such, anything else as the shortest string that
-    # round-trips as a float: lossless and deterministic. A Python float,
-    # the common cell, skips the Integral check: repr(float(v)) == repr(v).
-    if type(v) is float:
-        return repr(v)
-    return str(int(v)) if isinstance(v, numbers.Integral) else repr(float(v))
+def _write_csv(path, header, columns) -> None:
+    """Write the ``header`` names as given, then the ``columns`` row by row, as UTF-8.
 
-
-def _write_csv(path, header, rows) -> None:
-    """Write the ``header`` names as given, then one line per row, as UTF-8."""
+    Each column holds one kind of number, written losslessly: integers as
+    such, floats as the shortest text that reads back to the same float.
+    """
+    columns = [np.asarray(column).tolist() for column in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_csv_cell, row)) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _write_json(payload, path) -> None:
@@ -813,4 +809,4 @@ def load_wide_csv(path, schema: CsvSchema | None = None) -> SpatialFunctionalDat
 def write_wide_csv(dataset: SpatialFunctionalDataset, path) -> None:
     """Write a dataset in the wide-CSV layout (planar ``x,y`` headers)."""
     labels = [repr(float(t)) for t in dataset.grid.points]
-    _write_csv(path, ["x", "y"] + labels, np.hstack([dataset.xy, dataset.curves]))
+    _write_csv(path, ["x", "y"] + labels, [*dataset.xy.T, *dataset.curves.T])

@@ -39,7 +39,6 @@ from .variogram import (
     default_lag_bins,
     empirical_trace_variogram,
     fit_model,
-    model_trace_cov,
 )
 
 
@@ -116,16 +115,28 @@ def _validate_distance_matrix(D: np.ndarray) -> np.ndarray:
     return D
 
 
+def _unit_parts(model: TraceCovModel) -> tuple[float, float]:
+    """Sill and nugget times the power of two that puts the larger in [0.5, 1).
+
+    The scaling is exact and the ESS is scale-free, so sums in these units
+    give the ESS bit for bit without overflowing near the float limit. Plain
+    floats, not a model: a subnormal sill beside a large nugget may scale to 0.
+    """
+    e = -math.frexp(max(model.sill, model.nugget))[1]
+    return math.ldexp(model.sill, e), math.ldexp(model.nugget, e)
+
+
 def _ess_report(n: int, model: TraceCovModel, denom: float, warnings=()) -> EssReport:
-    """``n^2 cov_tr(0) / denom`` for the double sum ``denom`` over n sites.
+    """``n^2 cov_tr(0) / denom`` for the double sum ``denom`` over n sites,
+    in the units of :func:`_unit_parts`.
 
     Every family's trace-covariogram lies in [0, cov_tr(0)] with
     cov_tr(0) > 0, so ``n cov_tr(0) <= denom <= n^2 cov_tr(0)`` and the ESS
     lies in [1, n] up to rounding. ``warnings`` (the fit's, say) go into
     the report.
     """
-    return EssReport(n=n, ess=n * n * (model.sill + model.nugget) / denom, model=model,
-                     warnings=warnings)
+    sill, nugget = _unit_parts(model)
+    return EssReport(n=n, ess=n * n * (sill + nugget) / denom, model=model, warnings=warnings)
 
 
 def ess_functional(D: np.ndarray, model: TraceCovModel) -> EssReport:
@@ -136,7 +147,9 @@ def ess_functional(D: np.ndarray, model: TraceCovModel) -> EssReport:
     sill + nugget.
     """
     D = _validate_distance_matrix(D)
-    return _ess_report(D.shape[0], model, _sorted_sum(model_trace_cov(model, D)))
+    sill, nugget = _unit_parts(model)
+    cov = sill * _CORR[model.family](D / model.range_km) + np.where(D == 0.0, nugget, 0.0)
+    return _ess_report(D.shape[0], model, _sorted_sum(cov))
 
 
 def _plugin_ess(
@@ -155,8 +168,9 @@ def _plugin_ess(
     canonical pair blocks, added in block order (bitwise invariant under row
     relabelling); each block adds ``sill * sum corr(d / range)`` over its
     pairs and the nugget once per coincident pair, as the diagonal carries
-    it. Both pair passes run on ``threads`` workers (default: the usable
-    cores); the reports do not depend on their number.
+    it, in the units of :func:`_unit_parts`. Both pair passes run on
+    ``threads`` workers (default: the usable cores); the reports do not
+    depend on their number.
     """
     # reject a bad family, nugget or thread count before the O(n^2) pair passes
     for family in families:
@@ -167,15 +181,14 @@ def _plugin_ess(
         bins = default_lag_bins(dataset)
     ev = empirical_trace_variogram(dataset, bins, threads=threads)
     fits = [fit_model(ev, family, nugget) for family in families]
-    models = [fit.model for fit in fits]
+    models = [(fit.model, *_unit_parts(fit.model)) for fit in fits]
 
     def block_sums(k, d, head, tail):
         d = d[d != _NOT_A_PAIR]
         coincident = int(np.count_nonzero(d == 0.0))
         return [
-            model.sill * float(np.sum(_CORR[model.family](d / model.range_km)))
-            + model.nugget * coincident
-            for model in models
+            sill * float(np.sum(_CORR[model.family](d / model.range_km))) + nugget * coincident
+            for model, sill, nugget in models
         ]
 
     upper = [0.0] * len(fits)
@@ -185,8 +198,8 @@ def _plugin_ess(
             upper[k] += value
     n = dataset.n_curves
     reports = []
-    for fit, pairs in zip(fits, upper):
-        mass = n * (fit.model.sill + fit.model.nugget) + 2.0 * pairs
+    for fit, (_, sill, nugget), pairs in zip(fits, models, upper):
+        mass = n * (sill + nugget) + 2.0 * pairs
         reports.append(_ess_report(n, fit.model, mass, fit.warnings))
     return reports
 

@@ -54,8 +54,8 @@ _BATCH_ELEMENTS = 2**15
 # replicate (see ``rng._replicate_choices``); each chunk is whole batches.
 # At n = 600, m = 22, s = 106 (1000 replicates, one thread, 2 cores)
 # budgets of 2**19 to 2**22 (70 to 560 replicates a chunk) ran in medians
-# of 89, 80, 76 and 74 ms, while the traced peak on 2 workers grew 1.7 ->
-# 3.8 MB; 2**21 draws 280 replicates a chunk at 2.6 MB.
+# of 89, 80, 76 and 74 ms, while the traced peak of the serial loop grew
+# 0.8 -> 2.6 MB; 2**21 draws 280 replicates a chunk at 1.7 MB.
 _DRAW_BYTES = 2**21
 
 

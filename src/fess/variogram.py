@@ -271,7 +271,7 @@ class EmpiricalVariogram:
 
     def to_csv(self, path) -> None:
         """Write ``h,gamma,count`` rows (NaN marks empty bins)."""
-        _write_csv(path, ["h", "gamma", "count"], zip(self.centers, self.gamma, self.counts))
+        _write_csv(path, ["h", "gamma", "count"], [self.centers, self.gamma, self.counts])
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalVariogram":
@@ -536,7 +536,10 @@ def fit_model(ev: EmpiricalVariogram, family: str, nugget: str = "zero") -> FitR
     the neighbouring grid cells (:func:`minimize`) until the bracket is at
     most 1e-10 wide; the refined range is kept only when its misfit is
     lower by more than rounding. Deterministic. Returns the fitted model
-    with the achieved objective value; a range at the lower or upper end
+    with the achieved objective value (``inf`` beyond the float range); a
+    free nugget is kept only when it lowers the normalized objective by
+    more than 1e-9 of the normalized data's sum of squares, so the choice
+    does not depend on the data's scale; a range at the lower or upper end
     of its box carries the warning "range pinned at lower bound" or
     "range pinned at upper bound". Occupied bins centred at lag 0 exactly
     (coincident sites alone) are left out, with a warning giving their
@@ -581,21 +584,32 @@ def fit_model(ev: EmpiricalVariogram, family: str, nugget: str = "zero") -> FitR
             notes + ("flat empirical variogram: range pinned at lower bound",),
         )
 
-    zero = _fit_once(fam, h, g, h_scale, g_scale, False, notes)
-    if nugget == "zero":
-        return zero
-    # Keep the nugget only when freeing it improves the fit by more than
-    # numerical noise relative to the data's total sum of squares.
-    free = _fit_once(fam, h, g, h_scale, g_scale, True, notes)
-    tie_tol = 1e-9 * float(np.dot(g, g)) + 1e-300
-    return zero if zero.sse <= free.sse + tie_tol else free
-
-
-def _fit_once(fam, h, g, h_scale, g_scale, free_nugget, warnings):
     # Fit in normalized units (lags / h_scale, values / g_scale) so the
     # tiny sills of real trace-variograms stay well-conditioned.
-    hn = h / h_scale
-    gn = g / g_scale
+    hn, gn = h / h_scale, g / g_scale
+    log_range, sill, nug, sse = _fit_once(fam, hn, gn, False)
+    if nugget == "free":
+        # Keep the nugget only when freeing it improves the fit by more than
+        # numerical noise relative to the data's total sum of squares.
+        free = _fit_once(fam, hn, gn, True)
+        if sse > free[3] + 1e-9 * float(np.dot(gn, gn)):
+            log_range, sill, nug, sse = free
+    model = TraceCovModel(fam, g_scale * sill, h_scale * math.exp(log_range), g_scale * nug)
+    try:
+        sse *= g_scale**2
+    except OverflowError:  # g_scale**2 is beyond the float range, the SSE may not be
+        sse = sse * g_scale * g_scale
+    if log_range <= _LOG_RANGE_LO + 1e-9:
+        notes += ("range pinned at lower bound",)
+    elif log_range >= _LOG_RANGE_HI - 1e-9:
+        # a near-linear variogram: only sill / range is identified
+        notes += ("range pinned at upper bound",)
+    return FitResult(model, sse, notes)
+
+
+def _fit_once(fam, hn, gn, free_nugget) -> tuple[float, float, float, float]:
+    """``(log_range, sill, nugget, sse)`` of the least-squares fit to the
+    normalized lags ``hn`` and values ``gn``."""
     sse_grid = _profile(fam, hn, gn, _LOG_RANGE_GRID, free_nugget)[2]
     # the first minimum: the smallest range among misfits equal to the
     # least one up to rounding, so a last-bit change in the variogram does
@@ -611,19 +625,8 @@ def _fit_once(fam, h, g, h_scale, g_scale, free_nugget, warnings):
     # variogram is fitted exactly, so it is relative to the data instead
     if run.fun < sse_grid[i] - _SSE_RTOL * float(np.dot(gn, gn)):
         log_range = run.x
-    sill, nugget, sse = (
-        float(v[0]) for v in _profile(fam, hn, gn, np.array([log_range]), free_nugget)
-    )
-    model = TraceCovModel(
-        fam, g_scale * sill, h_scale * math.exp(log_range), g_scale * nugget
-    )
-    sse *= g_scale**2
-    if log_range <= _LOG_RANGE_LO + 1e-9:
-        warnings += ("range pinned at lower bound",)
-    elif log_range >= _LOG_RANGE_HI - 1e-9:
-        # a near-linear variogram: only sill / range is identified
-        warnings += ("range pinned at upper bound",)
-    return FitResult(model, sse, warnings)
+    profile = _profile(fam, hn, gn, np.array([log_range]), free_nugget)
+    return (log_range, *(float(v[0]) for v in profile))
 
 
 def write_model_json(result: FitResult, path) -> None:

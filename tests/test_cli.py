@@ -2,6 +2,7 @@ import argparse
 import importlib.util
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -182,6 +183,25 @@ class TestVariogramCommand:
         assert rc == 1
         assert "computation failed" in capsys.readouterr().err
 
+    def test_fit_sse_beyond_the_float_range_is_inf(self, tmp_path, capsys):
+        # gamma near 1e160: the fit's SSE, in gamma units squared, overflows
+        gamma = [1.0, 2.0, 2.5, 2.8]
+        for name, k in (("unit", 0), ("huge", 532)):
+            rows = "".join(f"{10 * (i + 1)},{math.ldexp(v, k)!r},8\n" for i, v in enumerate(gamma))
+            (tmp_path / f"{name}.csv").write_text("h,gamma,count\n" + rows)
+            rc = main(["fit", "--input", str(tmp_path / f"{name}.csv"),
+                       "--out-dir", str(tmp_path / name), "--nugget", "free"])
+            assert rc == 0
+        assert capsys.readouterr().out.count("sse=inf") == 3
+        for fam in ("exponential", "spherical", "gaussian"):
+            text = (tmp_path / "huge" / f"model_{fam}.json").read_text()
+            assert '"sse": Infinity' in text
+            huge = json.loads(text)
+            unit = json.loads((tmp_path / "unit" / f"model_{fam}.json").read_text())
+            assert huge["sill"] == math.ldexp(unit["sill"], 532)
+            assert huge["nugget"] == math.ldexp(unit["nugget"], 532)
+            assert huge["range"] == unit["range"]
+
     def test_fit_takes_no_schema(self, tmp_path, capsys):
         emp = tmp_path / "flat.csv"
         emp.write_text("h,gamma,count\n10,2,8\n20,2,8\n30,2,8\n")
@@ -224,6 +244,23 @@ class TestEssCommand:
         rc = main([command, "--input", str(constant_csv), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
         assert "computation failed" in capsys.readouterr().err
+
+    def test_curves_near_the_float_square_root(self, dataset_csv, tmp_path):
+        # values of 1e100 give a variogram near 1e200, whose fit SSE squares
+        # it again, beyond the float range
+        header, *rows = dataset_csv.read_text(encoding="utf-8").splitlines()
+        cells = [row.split(",") for row in rows]
+        huge = tmp_path / "huge.csv"
+        huge.write_text("\n".join([header] + [",".join(c[:2] + [v + "e100" for v in c[2:]])
+                                              for c in cells]) + "\n")
+        fams = ["--family", "exponential", "--family", "spherical", "--family", "gaussian"]
+        for path, out in ((dataset_csv, "unit"), (huge, "huge")):
+            argv = ["ess", "--input", str(path), "--out-dir", str(tmp_path / out)]
+            assert main(argv + fams + ["--nugget", "free"]) == 0
+        for fam in ("exponential", "spherical", "gaussian"):
+            unit, big = (json.loads((tmp_path / out / f"ess_{fam}.json").read_text())
+                         for out in ("unit", "huge"))
+            assert big["ess"] == pytest.approx(unit["ess"], rel=1e-6)
 
     def test_fit_warnings_logged(self, iid_csv, caplog, capsys):
         fams = ("exponential", "spherical", "gaussian")
@@ -608,6 +645,10 @@ _EXIT_CODE_CASES = {
                    "expected header 'h,gamma,count'"),
     "fit without rows": (["fit", "--input", "{fit_no_rows}", "--out-dir", "{out}"], {}, 2,
                          "no variogram rows"),
+    "fit empty bin with a value": (["fit", "--input", "{fit_empty_valued}", "--out-dir", "{out}"],
+                                   {}, 2, "empty bins must not carry a value"),
+    "fit occupied bin without a value": (["fit", "--input", "{fit_occupied_nan}", "--out-dir",
+                                          "{out}"], {}, 2, "occupied bins must carry a value"),
     "simulate decay base": (["far1", "simulate", "--n", "5", "--seed", "1", "--lambda0", "1.5",
                              "--out-dir", "{out}"], {}, 2, "decay bases must lie in (0, 1)"),
     "sweep fixed decay base": (["far1", "sweep", "--axis", "eta0", "--fixed", "1.5",
@@ -642,6 +683,8 @@ def test_exit_codes(case, dataset_csv, tmp_path, monkeypatch, capsys):
         "schema": json.dumps({"value_columns": ["10", "99"]}),
         "fit_header": "a,b,c\n1,2,3",
         "fit_no_rows": "h,gamma,count",
+        "fit_empty_valued": "h,gamma,count\n10,1,8\n20,2,0\n30,2.5,8\n40,2.8,8",
+        "fit_occupied_nan": "h,gamma,count\n10,1,8\n20,nan,8\n30,2.5,8\n40,2.8,8",
         "a_file": "x",
     }
     paths = {"data": dataset_csv, "missing": tmp_path / "nope.json", "out": tmp_path / "out"}

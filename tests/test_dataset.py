@@ -728,7 +728,7 @@ class TestWriteCsv:
         rows = [(3, np.int64(-7), float(v), np.float64(v)) for v in floats]
         rows.append((0, np.int64(2**62), math.nan, -0.0))
         path = tmp_path / "table.csv"
-        _write_csv(path, ["n", " Count", "a b", "t"], rows)
+        _write_csv(path, ["n", " Count", "a b", "t"], zip(*rows))
         lines = path.read_bytes().decode("utf-8").split("\n")
         assert lines[0] == "n, Count,a b,t" and lines[-1] == ""
         body = [line.split(",") for line in lines[1:-1]]

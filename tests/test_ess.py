@@ -16,6 +16,7 @@ from fess import (
     EssReport,
     EstimationError,
     EvalGrid,
+    FitResult,
     GaussFieldSpec,
     LagBins,
     TraceCovModel,
@@ -690,7 +691,46 @@ class TestEssReportValidation:
             EssReport(n=0, ess=1.0, model=m)
 
 
-def _metamorphic_field(seed):
+class TestEssUnits:
+    """The ESS does not depend on the units of the covariance: sill and
+    nugget times a power of two give the same ESS bit for bit, on the dense
+    and on the streamed sum, and sills near the float limit do not
+    overflow."""
+
+    @pytest.fixture(scope="class")
+    def sites(self):
+        return derived_rng(50).uniform(0.0, 500.0, size=(200, 2))
+
+    @pytest.mark.parametrize("sill", [1e305, 1.7e308])
+    def test_sill_near_the_float_limit(self, sites, sill):
+        D = pairwise_distances(sites)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = ess_functional(D, TraceCovModel("exponential", sill, 50.0)).ess
+        unit = ess_functional(D, TraceCovModel("exponential", 1.0, 50.0)).ess
+        assert big == pytest.approx(unit, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [-1000, -300, -1, 1, 300, 1000])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_power_of_two_units_are_bitwise(self, sites, monkeypatch, family, k):
+        # the last 20 sites repeat the first 20, so the streamed sum adds
+        # the nugget off the diagonal too
+        xy = np.vstack([sites, sites[:20]])
+        ds = make_dataset(derived_rng(51).standard_normal((len(xy), 3)), xy=xy)
+        D = pairwise_distances(xy)
+
+        def both(model):
+            monkeypatch.setattr(fess.ess, "fit_model", lambda ev, fam, nugget: FitResult(model, 0.0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return ess_functional(D, model).ess, ess_plugin(ds, family).ess
+
+        unit = both(TraceCovModel(family, 1.3, 80.0, nugget=0.4))
+        scaled = both(TraceCovModel(family, math.ldexp(1.3, k), 80.0, nugget=math.ldexp(0.4, k)))
+        assert scaled == unit
+
+
+def _metamorphic_field(seed, range_km=150.0):
     """A correlated field at 300 uniform sites in a 1000 km square.
 
     On i.i.d. curves the misfit is flat in the range, and the first-minimum
@@ -698,7 +738,7 @@ def _metamorphic_field(seed):
     move by a rounding error; a correlated field has a well-defined optimum.
     """
     grid = EvalGrid(np.linspace(0.0, 1.0, 22))
-    spec = GaussFieldSpec(TraceCovModel("exponential", 1.0, 150.0), np.full(5, 0.2), grid)
+    spec = GaussFieldSpec(TraceCovModel("exponential", 1.0, range_km), np.full(5, 0.2), grid)
     xy = derived_rng(seed).uniform(0.0, 1000.0, size=(300, 2))
     return gauss_field_simulate(spec, xy, seed=seed)
 
@@ -712,6 +752,7 @@ def _rotate(xy, angle):
 _METAMORPHIC = {
     "translate": (lambda xy: xy + np.array([1234.5, -987.6]), 1.0, 1.0, 1.0),
     "rotate": (lambda xy: _rotate(xy, 0.7), 1.0, 1.0, 1.0),
+    "rotate_90": (lambda xy: _rotate(xy, math.pi / 2), 1.0, 1.0, 1.0),
     "scale_curves": (lambda xy: xy, 3.7, 3.7**2, 1.0),
     "scale_sites": (lambda xy: 2.5 * xy, 1.0, 1.0, 2.5),
 }
@@ -741,4 +782,33 @@ class TestEssPluginMetamorphic:
         assert other.model.range_km == pytest.approx(
             range_factor * base.model.range_km, rel=1e-6, abs=0.0
         )
+        assert other.warnings == base.warnings
+
+    @pytest.fixture(scope="class")
+    def field_120(self):
+        return _metamorphic_field(seed=0, range_km=120.0)
+
+    @pytest.mark.parametrize(
+        "scaled,k",
+        [("curves", k) for k in (-400, -20, 20, 300, 505)]
+        + [("sites", k) for k in (-30, 10, 40)],
+    )
+    @pytest.mark.parametrize("nugget", ["zero", "free"])
+    @pytest.mark.parametrize("family", ["exponential", "spherical", "gaussian"])
+    def test_power_of_two_scaling_is_bitwise(self, field_120, family, nugget, scaled, k):
+        # Scaling by a power of two is exact, and the fit works in
+        # normalized units, so the ESS keeps its bits: the curves scale the
+        # variogram by 2**(2k), to about 1e-241 and 1e304 at the ends, and
+        # the sites scale the lags.
+        xy, curves = np.array(field_120.xy), field_120.curves
+        if scaled == "curves":
+            curves = np.ldexp(curves, k)
+        else:
+            xy = np.ldexp(xy, k)
+        base = ess_plugin(field_120, family, nugget=nugget)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            other = ess_plugin(SpatialFunctionalDataset(field_120.grid, xy, curves), family,
+                               nugget=nugget)
+        assert other.ess == base.ess
         assert other.warnings == base.warnings

@@ -12,8 +12,8 @@ def load_tool(name):
     return module
 
 
-def entry(exit_code=0, stdout="", stderr="", files=None):
-    return {"argv": "x", "exit": exit_code, "stdout": stdout, "stderr": stderr,
+def entry(exit_code=0, stdout="", stderr="", files=None, argv="x"):
+    return {"argv": argv, "exit": exit_code, "stdout": stdout, "stderr": stderr,
             "files": files or {}}
 
 
@@ -31,7 +31,7 @@ class TestManifestDiff:
         rc, lines = self.run(m, m, tmp_path, capsys)
         assert rc == 0
         assert lines == [
-            "1 commands, 0 in one manifest only; differing: 0 exit codes, "
+            "1 commands, 0 in one manifest only; differing: 0 argv, 0 exit codes, "
             "0 stdout, 0 stderr, 0 file hashes"
         ]
 
@@ -61,8 +61,23 @@ class TestManifestDiff:
             "    +fit failed",
             "new: only in B",
             "old: only in A",
-            "4 commands, 2 in one manifest only; differing: 1 exit codes, "
+            "4 commands, 2 in one manifest only; differing: 0 argv, 1 exit codes, "
             "1 stdout, 1 stderr, 2 file hashes",
+        ]
+
+    def test_reports_an_argv_difference(self, tmp_path, capsys):
+        # outputs alike, but from another command line
+        a = {"ess": entry(argv="ess --input <TMP>/field.csv --bins 7")}
+        b = {"ess": entry(argv="ess --input <TMP>/field.csv --bins 9")}
+        rc, lines = self.run(a, b, tmp_path, capsys)
+        assert rc == 1
+        assert lines == [
+            "ess",
+            "  argv:",
+            "    -ess --input <TMP>/field.csv --bins 7",
+            "    +ess --input <TMP>/field.csv --bins 9",
+            "1 commands, 0 in one manifest only; differing: 1 argv, 0 exit codes, "
+            "0 stdout, 0 stderr, 0 file hashes",
         ]
 
     def test_usage_error(self, capsys):

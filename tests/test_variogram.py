@@ -711,15 +711,14 @@ class TestFitModel:
             h = ev.centers[ev.occupied]
             g = ev.gamma[ev.occupied]
             h_scale, g_scale = float(np.max(h)), float(np.max(np.abs(g)))
-            res = fess.variogram._fit_once(family, h, g, h_scale, g_scale, free_nugget, ())
+            hn, gn = h / h_scale, g / g_scale
+            sse = fess.variogram._fit_once(family, hn, gn, free_nugget)[3]
             (lo, hi, rounds, run), = runs
             runs.clear()
             inner = grid[(grid > lo) & (grid < hi)]
             start = inner[0] if inner.size else (lo if lo == grid[0] else hi)
-            unrefined = fess.variogram._profile(
-                family, h / h_scale, g / g_scale, np.array([start]), free_nugget
-            )[2][0]
-            assert res.sse <= unrefined * g_scale**2
+            unrefined = fess.variogram._profile(family, hn, gn, np.array([start]), free_nugget)[2][0]
+            assert sse <= unrefined
             assert rounds[0][0] == lo and rounds[0][-1] == hi
             for outer, x in zip(rounds, rounds[1:]):
                 assert outer[0] <= x[0] < x[-1] <= outer[-1]

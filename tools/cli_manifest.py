@@ -12,9 +12,11 @@ so the later steps reuse what the earlier ones kept in memory; the
 ``switch/in_process`` entry puts an ``ess`` on other sites between a
 ``variogram`` and two ``ess`` steps on one input, so those steps start
 again from nothing kept. Their files are recorded under the step that
-wrote them, and the exit code is the first non-zero step's. Two source trees whose manifests are identical give
-byte-identical CLI results on this session, so a refactor can be checked
-against its base commit with ``diff``.
+wrote them, and the exit code is the first non-zero step's. Two source
+trees whose manifests are identical give byte-identical CLI results on this
+session, so a refactor is checked against its base commit with
+``python tools/manifest_diff.py BASE.json HEAD.json``, which lists each
+difference and exits 1 on any.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Usage: python tools/manifest_diff.py A.json B.json
 
 For each command, in name order, prints what differs from A to B: the
-exit code, the stdout and stderr lines (as a unified diff without
+argv, the exit code, the stdout and stderr lines (as a unified diff without
 context) and the sha256 of each written file (first 12 hex digits, or
 ``-`` for a file that one side did not write). A command present in only
 one manifest is reported as such. The last line counts the commands and
@@ -26,7 +26,10 @@ def diff_entry(a: dict, b: dict) -> tuple[list[str], dict]:
     """Lines describing how command entry ``b`` differs from ``a``, and
     the number of differences of each kind."""
     lines = []
-    counts = {"exit": 0, "stdout": 0, "stderr": 0, "files": 0}
+    counts = {"argv": 0, "exit": 0, "stdout": 0, "stderr": 0, "files": 0}
+    if a["argv"] != b["argv"]:
+        lines += ["  argv:", f"    -{a['argv']}", f"    +{b['argv']}"]
+        counts["argv"] = 1
     if a["exit"] != b["exit"]:
         lines.append(f"  exit: {a['exit']} -> {b['exit']}")
         counts["exit"] = 1
@@ -49,7 +52,7 @@ def diff_entry(a: dict, b: dict) -> tuple[list[str], dict]:
 def diff_manifests(a: dict, b: dict) -> tuple[list[str], bool]:
     """The report lines, and whether the manifests differ."""
     lines = []
-    totals = {"exit": 0, "stdout": 0, "stderr": 0, "files": 0}
+    totals = {"argv": 0, "exit": 0, "stdout": 0, "stderr": 0, "files": 0}
     only = 0
     for name in sorted(set(a) | set(b)):
         if name not in b or name not in a:
@@ -63,7 +66,7 @@ def diff_manifests(a: dict, b: dict) -> tuple[list[str], bool]:
             totals[kind] += k
     lines.append(
         f"{len(set(a) | set(b))} commands, {only} in one manifest only; differing: "
-        f"{totals['exit']} exit codes, {totals['stdout']} stdout, "
+        f"{totals['argv']} argv, {totals['exit']} exit codes, {totals['stdout']} stdout, "
         f"{totals['stderr']} stderr, {totals['files']} file hashes"
     )
     return lines, bool(only or any(totals.values()))
