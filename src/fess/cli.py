@@ -17,6 +17,7 @@ Set ``FESS_LOG=DEBUG|INFO|WARNING`` for logging verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -38,7 +39,6 @@ from .variogram import (
     empirical_trace_variogram,
     fit_model,
     model_trace_variogram,
-    write_model_json,
 )
 
 log = logging.getLogger("fess")
@@ -85,7 +85,7 @@ def _fit_families(ev, args, out: Path, h_max: float) -> None:
         result = fit_model(ev, fam, args.nugget)
         for w in result.warnings:
             log.warning("%s: %s", fam, w)
-        write_model_json(result, out / f"model_{fam}.json")
+        _write_json(result.to_dict(), out / f"model_{fam}.json")
         _write_model_curve(
             result.model, h_max, out / f"model_curve_{fam}.csv", ev.centers[ev.occupied]
         )
@@ -130,7 +130,7 @@ def cmd_ess(args) -> int:
         if out is None:
             print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         else:
-            report.to_json(out / f"ess_{fam}.json")
+            _write_json(report.to_dict(), out / f"ess_{fam}.json")
             log.info("wrote %s", out / f"ess_{fam}.json")
     return 0
 
@@ -204,7 +204,7 @@ def cmd_subsample(args) -> int:
     _write_csv(
         out / "subsample_metrics.csv",
         ["rep", "md_l2", "md_sup", "crd_mean", "crd_sup", "cip"],
-        [range(exp.reps), *zip(*(m.as_tuple() for m in exp.replicates))],
+        [range(exp.reps), *exp.replicates.T],
     )
     _write_json(exp.to_dict(), out / "subsample_summary.json")
     print(
@@ -234,6 +234,7 @@ _THREADS_HELP = (
 )
 
 
+@functools.cache  # built on the first call, once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fess",

@@ -27,7 +27,6 @@ from .dataset import (
     _pair_map,
     _site_record,
     _sorted_sum,
-    _write_json,
 )
 from .errors import ValidationError
 from .variogram import (
@@ -76,9 +75,6 @@ class EssReport:
             "model": self.model.to_dict(),
             "warnings": list(self.warnings),
         }
-
-    def to_json(self, path) -> None:
-        _write_json(self.to_dict(), path)
 
 
 def ess_scalar(R: np.ndarray) -> float:

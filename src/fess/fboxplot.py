@@ -294,9 +294,15 @@ def _fidelity_rows(
     diff = full.curves[full_summary.median_index] - X[np.arange(len(X)), median]
     lower, upper = _central_band(X, _central(depths))
     width_diff = np.abs(full_summary.central_width - (upper - lower))
+    sup = np.max(np.abs(diff), axis=-1)
+    # the RMS of diff / 2**e, with |diff| < 2**e, times 2**e: both scalings
+    # are exact, and the scaled squares, in [0, 1), do not overflow, nor all
+    # flush to zero, at any scale of the curves
+    e = np.frexp(sup)[1]
+    rms = np.ldexp(np.sqrt(np.mean(np.ldexp(diff, -e[:, None]) ** 2, axis=-1)), e)
     rows = np.stack(
-        [np.sqrt(np.mean(diff**2, axis=-1)), np.max(np.abs(diff), axis=-1),
-         np.mean(width_diff, axis=-1), np.max(width_diff, axis=-1), np.mean(inside, axis=-1)],
+        [rms, sup, np.mean(width_diff, axis=-1), np.max(width_diff, axis=-1),
+         np.mean(inside, axis=-1)],
         axis=-1,
     )
     return rows, np.mean(np.abs(diff), axis=-1)
@@ -318,12 +324,16 @@ def fidelity_metrics(
 
 @dataclass(frozen=True, eq=False)
 class SubsampleExperiment:
-    """Replicated subsample-fidelity experiment results."""
+    """Replicated subsample-fidelity experiment results.
+
+    ``replicates`` is the read-only ``(reps, 5)`` table of each replicate's
+    metrics, its columns in ``FidelityMetrics`` field order.
+    """
 
     size: int
     reps: int
     seed: int
-    replicates: tuple[FidelityMetrics, ...]
+    replicates: np.ndarray
     means: FidelityMetrics
     median_band_halfwidth: float
 
@@ -384,7 +394,7 @@ def subsample_experiment(
         size=int(size),
         reps=reps,
         seed=seed,
-        replicates=tuple(FidelityMetrics(*row) for row in rows.tolist()),
+        replicates=_frozen_array(rows),
         means=FidelityMetrics(*rows.mean(axis=0).tolist()),
         median_band_halfwidth=float(np.mean(np.concatenate([mad for _, mad in scored]))),
     )

@@ -31,7 +31,6 @@ from .dataset import (
     _site_record,
     _sorted_sum,
     _write_csv,
-    _write_json,
 )
 from .errors import EstimationError, ValidationError
 
@@ -299,6 +298,8 @@ class EmpiricalVariogram:
         return cls(centers, gamma, counts, sigma0=None)
 
 
+_TOO_LARGE = "curves too large: their pair sums exceed the float range; rescale the curves"
+
 # Largest slot table kept between passes: with one byte a pair, that of
 # about 23 000 sites.
 _MAX_KEPT_SLOT_BYTES = 1 << 28
@@ -345,6 +346,12 @@ def _binned_pair_stats(
     # each row: a centred curve, then its squared W-norm
     rows = np.column_stack([dev, np.einsum("km,km->k", dev * w, dev)])
     n = dataset.n_curves
+    # No step of the kernel exceeds 4 max |a|^2, and sigma0 sums the |a|^2;
+    # Python floats make an infinite bound without a numpy warning. A bin's
+    # sum of pairs may still overflow: it is checked once the pass is done.
+    norms = rows[:, -1].tolist()
+    if not math.isfinite(4.0 * max(norms) + sum(norms)):
+        raise ValidationError(_TOO_LARGE)
     spans = tuple(_pair_spans(n, dataset.n_levels))
     sites = _site_record(dataset.xy.tobytes())
     key = (bins.edges.tobytes(), spans)
@@ -385,8 +392,11 @@ def _binned_pair_stats(
             slots = tuple(s for _, (_, _, s) in results)
             sites.kept["slots"] = (key, (slots, counts, hsums))
     sums = np.zeros(n_bins)
-    for v, _ in results:
-        sums += v
+    with np.errstate(over="ignore"):
+        for v, _ in results:
+            sums += v
+    if not np.all(np.isfinite(sums)):
+        raise ValidationError(_TOO_LARGE)
     occ = counts > 0
     if not np.any(occ):
         occupancy = ", ".join(
@@ -450,6 +460,10 @@ class FitResult:
     model: TraceCovModel
     sse: float
     warnings: tuple[str, ...] = ()
+
+    def to_dict(self) -> dict:
+        """The fitted model as ``{family, sill, range, nugget, sse}``."""
+        return {**self.model.to_dict(), "sse": self.sse}
 
 
 # Log ranges (normalized units) searched for the first profile minimum:
@@ -627,8 +641,3 @@ def _fit_once(fam, hn, gn, free_nugget) -> tuple[float, float, float, float]:
         log_range = run.x
     profile = _profile(fam, hn, gn, np.array([log_range]), free_nugget)
     return (log_range, *(float(v[0]) for v in profile))
-
-
-def write_model_json(result: FitResult, path) -> None:
-    """Write a fitted model as ``{family, sill, range, nugget, sse}``."""
-    _write_json({**result.model.to_dict(), "sse": result.sse}, path)

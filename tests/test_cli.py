@@ -27,6 +27,7 @@ from fess import (
     write_wide_csv,
 )
 from fess.cli import build_parser, main
+from fess.dataset import _write_json
 from fess.rng import derived_rng
 
 from conftest import repeated_lattice_dataset
@@ -114,6 +115,15 @@ class TestVariogramCommand:
             assert (out / f"model_curve_{fam}.csv").exists()
         payload = json.loads((out / "model_exponential.json").read_text())
         assert set(payload) == {"family", "sill", "range", "nugget", "sse"}
+
+    def test_model_json_is_the_fit_as_a_dict(self, dataset_csv, tmp_path):
+        out = tmp_path / "out"
+        assert main(["variogram", "--input", str(dataset_csv), "--out-dir", str(out)]) == 0
+        ds = load_wide_csv(dataset_csv)
+        ev = empirical_trace_variogram(ds, default_lag_bins(ds))
+        for fam in ("exponential", "spherical", "gaussian"):
+            payload = json.loads((out / f"model_{fam}.json").read_text(encoding="utf-8"))
+            assert payload == fit_model(ev, fam).to_dict()
 
     def test_single_family_flag(self, dataset_csv, tmp_path):
         out = tmp_path / "out"
@@ -315,7 +325,7 @@ class TestEssCommand:
         bins = default_lag_bins(ds, 7)
         for fam in fams:
             ref = tmp_path / f"ref_{fam}.json"
-            ess_plugin(ds, fam, bins=bins, nugget="free").to_json(ref)
+            _write_json(ess_plugin(ds, fam, bins=bins, nugget="free").to_dict(), ref)
             assert read_bytes(out / f"ess_{fam}.json") == read_bytes(ref)
 
     def test_one_variogram_per_run(self, dataset_csv, monkeypatch):
@@ -641,6 +651,8 @@ _EXIT_CODE_CASES = {
     "non-numeric level labels": (["ess", "--input", "{text_levels}"], {}, 2,
                                  "value column labels must be numeric grid levels"),
     "empty file": (["ess", "--input", "{empty}"], {}, 2, "empty file"),
+    "curves too large": (["ess", "--input", "{huge_curves}"], {}, 2,
+                         "fess: error: curves too large: their pair sums exceed the float range"),
     "fit header": (["fit", "--input", "{fit_header}", "--out-dir", "{out}"], {}, 2,
                    "expected header 'h,gamma,count'"),
     "fit without rows": (["fit", "--input", "{fit_no_rows}", "--out-dir", "{out}"], {}, 2,
@@ -680,6 +692,9 @@ def test_exit_codes(case, dataset_csv, tmp_path, monkeypatch, capsys):
             [",".join(cells[0][:2] + [f"level{k}" for k in range(len(cells[0]) - 2)])] + rows
         ),
         "empty": "",
+        "huge_curves": "\n".join(
+            [header] + [",".join(c[:2] + [v + "e155" for v in c[2:]]) for c in cells[1:]]
+        ),
         "schema": json.dumps({"value_columns": ["10", "99"]}),
         "fit_header": "a,b,c\n1,2,3",
         "fit_no_rows": "h,gamma,count",

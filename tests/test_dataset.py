@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -621,6 +622,17 @@ class TestWideCsvReader:
         with pytest.raises(ValidationError, match="row 2, column '10': cannot parse"):
             self.load(tmp_path, _wide_text(rows), name="bad.csv")
         assert calls[-1] == ("x", 2, "10")
+
+    def test_failed_read_without_a_bad_cell_names_its_reason(self, tmp_path, monkeypatch):
+        # both routes take the same cells, so the scan finds none to name
+        # only when the read failed for another reason
+        def refuse(*args, **kwargs):
+            raise ValueError("read refused")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        path = tmp_path / "data.csv"
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: read refused$"):
+            self.load(tmp_path, _wide_text(_GOOD_ROWS))
 
     def test_values_are_float_of_the_text_bitwise(self, tmp_path):
         rng = derived_rng(31)

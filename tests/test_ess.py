@@ -32,6 +32,7 @@ from fess import (
     PlanarCoord,
     SpatialFunctionalDataset,
 )
+from fess.dataset import _write_json
 from fess.rng import derived_rng
 
 from conftest import make_dataset, random_dataset, repeated_lattice_dataset, tied_dataset
@@ -177,7 +178,7 @@ class TestEssFunctional:
     def test_report_json(self, tmp_path):
         rep = ess_functional(collinear_distances(), TraceCovModel("exponential", 1.0, 1.0))
         path = tmp_path / "ess.json"
-        rep.to_json(path)
+        _write_json(rep.to_dict(), path)
         raw = json.loads(path.read_text())
         assert set(raw) == {"n", "ess", "ratio", "recommended_subsample", "model", "warnings"}
         assert raw["model"]["family"] == "exponential"

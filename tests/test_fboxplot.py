@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import fess.fboxplot
 from fess import (
     SpatialFunctionalDataset,
+    FidelityMetrics,
     ValidationError,
     fidelity_metrics,
     functional_boxplot,
@@ -286,7 +288,7 @@ class TestSubsampleExperiment:
         exp = subsample_experiment(full, size=10, reps=1, seed=5)
         idx = derived_rng(5, 0).choice(20, size=10, replace=False)
         direct = fidelity_metrics(full, full.subset(idx))
-        assert exp.replicates[0].as_tuple() == direct.as_tuple()
+        assert tuple(exp.replicates[0]) == direct.as_tuple()
         assert exp.means.as_tuple() == direct.as_tuple()
 
     def test_deterministic(self):
@@ -294,15 +296,14 @@ class TestSubsampleExperiment:
         full = random_dataset(rng, 25, 5)
         a = subsample_experiment(full, size=8, reps=5, seed=11)
         b = subsample_experiment(full, size=8, reps=5, seed=11)
-        assert [m.as_tuple() for m in a.replicates] == [m.as_tuple() for m in b.replicates]
+        assert np.array_equal(a.replicates, b.replicates)
         assert a.median_band_halfwidth == b.median_band_halfwidth
 
     def test_means_are_arithmetic(self):
         rng = derived_rng(66)
         full = random_dataset(rng, 22, 5)
         exp = subsample_experiment(full, size=9, reps=7, seed=3)
-        stack = np.array([m.as_tuple() for m in exp.replicates])
-        assert exp.means.as_tuple() == tuple(stack.mean(axis=0))
+        assert exp.means.as_tuple() == tuple(exp.replicates.mean(axis=0))
 
     def test_band_halfwidth_is_mean_median_mad(self):
         rng = derived_rng(67)
@@ -427,7 +428,7 @@ def per_replicate_definition(which, size, reps, seed):
 
 def assert_per_replicate_definition(exp, which, size, reps, seed):
     ref, mad = per_replicate_definition(which, size, reps, seed)
-    assert [m.as_tuple() for m in exp.replicates] == ref
+    assert np.array_equal(exp.replicates, ref)
     assert exp.means.as_tuple() == tuple(np.array(ref).mean(axis=0))
     assert exp.median_band_halfwidth == mad
 
@@ -482,9 +483,9 @@ class TestSubsampleBatches:
             run = lambda reps: subsample_experiment(full, size=8, reps=reps, seed=4)
         else:
             run = lambda reps: run_in_batches(monkeypatch, full, 8, reps, 4, per_batch)
-        long = [m.as_tuple() for m in run(11).replicates]
+        long = run(11).replicates
         for k in (1, 2, 5, 7):
-            assert [m.as_tuple() for m in run(k).replicates] == long[:k]
+            assert np.array_equal(run(k).replicates, long[:k])
 
     def test_batches_bound_peak_memory(self):
         # Scoring all 1000 replicates in one stack peaks near 150 MB.
@@ -497,3 +498,77 @@ class TestSubsampleBatches:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+def scaled_design(k):
+    """22-level N(0, 1) curves times 2**k at 60 uniform sites in a 300 km square."""
+    rng = derived_rng(76)
+    xy = rng.uniform(0.0, 300.0, size=(60, 2))
+    return make_dataset(np.ldexp(rng.standard_normal((60, 22)), k), xy=xy)
+
+
+SCALES = (-900, -600, -20, 20, 520, 1000)
+
+
+class TestCurveScaling:
+    """Scaling the curves by 2**k scales every band and every discrepancy
+    by 2**k exactly, at any k whose curves are normal floats."""
+
+    @pytest.fixture(scope="class")
+    def unscaled(self):
+        full = scaled_design(0)
+        return functional_boxplot(full), subsample_experiment(full, size=15, reps=40, seed=3)
+
+    @pytest.mark.parametrize("k", SCALES)
+    def test_power_of_two_scaling_is_bitwise(self, unscaled, k):
+        summary, exp = unscaled
+        full = scaled_design(k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = functional_boxplot(full)
+            scaled_exp = subsample_experiment(full, size=15, reps=40, seed=3)
+        for name in ("central_lower", "central_upper", "fence_lower", "fence_upper",
+                     "nonout_lower", "nonout_upper"):
+            assert np.ldexp(getattr(summary, name), k).tobytes() == getattr(scaled, name).tobytes()
+        table = scaled_exp.replicates
+        assert np.ldexp(exp.replicates[:, :4], k).tobytes() == table[:, :4].tobytes()
+        assert exp.replicates[:, 4].tobytes() == table[:, 4].tobytes()
+        assert math.ldexp(exp.median_band_halfwidth, k) == scaled_exp.median_band_halfwidth
+
+
+def constant_dataset():
+    """20 copies of one curve: every subsample's boxplot is the full one's."""
+    return make_dataset(np.tile([1.5, -0.5, 2.0], (20, 1)))
+
+
+REPLICATE_DESIGNS = {
+    **{name: (make, 5) for name, make in BATCH_DATASETS.items()},
+    "constant": (constant_dataset, 5),
+    **{f"scaled_{k}": (functools.partial(scaled_design, k), 15) for k in SCALES},
+}
+
+
+@pytest.mark.parametrize("which", list(REPLICATE_DESIGNS))
+def test_replicate_table_rows_are_fidelity_metrics(which):
+    make, size = REPLICATE_DESIGNS[which]
+    exp = subsample_experiment(make(), size=size, reps=40, seed=3)
+    assert exp.replicates.shape == (40, 5) and exp.replicates.dtype == np.float64
+    assert not exp.replicates.flags.writeable
+    for row in exp.replicates.tolist():
+        FidelityMetrics(*row)
+    if which == "constant":
+        assert exp.replicates.tolist() == [[0.0, 0.0, 0.0, 0.0, 1.0]] * 40
+
+
+def test_non_finite_replicate_stops_the_experiment(monkeypatch):
+    rows = fess.fboxplot._fidelity_rows
+
+    def one_infinite(*args):
+        table, mads = rows(*args)
+        table[0, 1] = np.inf
+        return table, mads
+
+    monkeypatch.setattr(fess.fboxplot, "_fidelity_rows", one_infinite)
+    full = random_dataset(derived_rng(77), 20, 6)
+    with pytest.raises(ValidationError, match="^metrics must be non-negative and finite$"):
+        subsample_experiment(full, size=8, reps=5, seed=1)

@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -82,3 +85,57 @@ class TestManifestDiff:
 
     def test_usage_error(self, capsys):
         assert load_tool("manifest_diff").main(["only_one.json"]) == 2
+
+
+SMALL_MODULE = '''import os
+
+
+def sign(x):
+    if x < 0:
+        return -1
+    return 1
+
+
+def workers():
+    try:
+        threads = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        threads = os.cpu_count() or 1
+    return threads
+'''
+
+
+class TestUntestedLines:
+    def run(self, tmp_path, test_body):
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "small.py").write_text(SMALL_MODULE, encoding="utf-8")
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_small.py").write_text(
+            "from small import sign, workers\n\n\ndef test_small():\n" + test_body,
+            encoding="utf-8",
+        )
+        proc = subprocess.run(
+            [sys.executable, str(TOOLS / "untested_lines.py"), "--source", "src",
+             "-q", "-p", "no:cacheprovider", "tests"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path / "src")},
+            capture_output=True, text=True, timeout=120,
+        )
+        return proc.returncode, proc.stdout.splitlines()
+
+    def test_reports_a_line_that_no_test_runs(self, tmp_path):
+        rc, lines = self.run(tmp_path, "    assert sign(2) == 1\n    assert workers() >= 1\n")
+        assert rc == 1
+        assert lines[-4:] == [
+            f"src{os.sep}small.py:6: return -1",
+            f"src{os.sep}small.py:13: except AttributeError:  # platforms without CPU affinity"
+            " (allowed)",
+            f"src{os.sep}small.py:14: threads = os.cpu_count() or 1 (allowed)",
+            "3 untested lines, 2 of them allowed",
+        ]
+
+    def test_passes_when_only_allowed_lines_are_untested(self, tmp_path):
+        rc, lines = self.run(
+            tmp_path, "    assert sign(-2) == -1\n    assert sign(2) == 1\n    assert workers() >= 1\n"
+        )
+        assert rc == 0
+        assert lines[-1] == "2 untested lines, 2 of them allowed"

@@ -25,9 +25,9 @@ from fess import (
     pairwise_distances,
     trapz_inner,
 )
+from fess.dataset import _write_json
 from fess.ess import ess_plugin
 from fess.rng import derived_rng
-from fess.variogram import write_model_json
 
 from conftest import make_dataset, random_dataset, tied_dataset
 
@@ -483,6 +483,49 @@ class TestEmpiricalVariogram:
         assert back.sigma0 is None
 
 
+def large_curve_dataset(scale):
+    """6-level N(0, 1) curves times ``scale`` at 80 uniform sites in a 500 km square."""
+    rng = derived_rng(79)
+    xy = rng.uniform(0.0, 500.0, size=(80, 2))
+    return make_dataset(scale * rng.standard_normal((80, 6)), xy=xy,
+                        grid=EvalGrid(np.linspace(0.0, 1.0, 6)))
+
+
+_ESTIMATES = {
+    "ess_plugin": lambda ds: ess_plugin(ds, "exponential"),
+    "variogram": lambda ds: empirical_trace_variogram(ds, default_lag_bins(ds)),
+    "covariogram": lambda ds: empirical_trace_covariogram(ds, default_lag_bins(ds)),
+}
+
+
+class TestCurvesTooLarge:
+    """Curves whose pair sums leave the float range are refused by name,
+    with no numpy warning on the way."""
+
+    @pytest.mark.parametrize(
+        "estimate,scale",
+        [(e, s) for e in _ESTIMATES for s in (1e153, 1e155, 1e200, 1e300)
+         if (e, s) != ("covariogram", 1e153)],
+    )
+    def test_refused_by_name(self, estimate, scale):
+        ds = large_curve_dataset(scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^curves too large: their pair sums"):
+                _ESTIMATES[estimate](ds)
+
+    @pytest.mark.parametrize(
+        "estimate,scale", [(e, 1e150) for e in _ESTIMATES] + [("covariogram", 1e153)]
+    )
+    def test_sums_in_range_are_estimated(self, estimate, scale):
+        # at 1e153 the covariogram's signed inner products partly cancel in
+        # each bin, so its sums stay in range: only the sums formed count
+        ds = large_curve_dataset(scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _ESTIMATES[estimate](ds)  # an infinite estimate is refused
+
+
 def dense_pair_reference(ds, bins, kind):
     """Independent oracle: every pair from the full n x n arrays.
 
@@ -825,7 +868,7 @@ class TestFitModel:
         ev = exact_variogram_record("spherical", 2.0, 80.0)
         res = fit_model(ev, "spherical")
         path = tmp_path / "model.json"
-        write_model_json(res, path)
+        _write_json(res.to_dict(), path)
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
         assert raw == {
