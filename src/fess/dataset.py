@@ -45,8 +45,16 @@ def _sorted_sum(values: np.ndarray) -> float:
     return float(np.sum(np.sort(np.asarray(values, dtype=float), axis=None)))
 
 
+def _mean(values: np.ndarray, axis=None) -> np.ndarray:
+    """``np.mean`` taken in units of the power of two of the largest
+    |value|: the scalings are exact short of subnormals, so a mean keeps
+    its bits, and its sum cannot overflow."""
+    e = np.frexp(np.max(np.abs(values), axis=axis))[1]
+    return np.ldexp(np.mean(np.ldexp(values, -e), axis=axis), e)
+
+
 def _column_means(matrix: np.ndarray) -> np.ndarray:
-    return np.sum(np.sort(matrix, axis=0), axis=0) / matrix.shape[0]
+    return _mean(np.sort(matrix, axis=0), axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +77,11 @@ class EvalGrid:
             raise ValidationError("grid needs at least 2 points in a 1-d array")
         if not np.all(np.isfinite(pts)):
             raise ValidationError("grid points must be finite")
+        # no step or weight exceeds the span; a Python float takes it unwarned
+        if not math.isfinite(float(pts[-1]) - float(pts[0])):
+            raise ValidationError(
+                f"grid span from {pts[0]:g} to {pts[-1]:g} exceeds the float range"
+            )
         if not np.all(np.diff(pts) > 0):
             raise ValidationError("grid points must be strictly increasing")
         object.__setattr__(self, "points", _frozen_array(pts))
@@ -336,27 +349,22 @@ def _max_site_distance(xy: np.ndarray) -> float:
 
     The farthest pair of a planar set are vertices of its convex hull, so
     only hull vertices are compared, with the expression of the pair
-    blocks: the result is the pair maximum bit for bit. Sites strictly
-    inside the octagon of extreme points (least and greatest x, y, x + y
-    and x - y; Akl and Toussaint 1978) are not hull vertices and are
-    dropped first, which keeps the octagon's vertices and the sorted
-    order; a monotone chain (Andrew 1979) takes the hull of the rest,
+    blocks: the result is the pair maximum bit for bit. A site whose y is
+    neither a running maximum nor a running minimum of y, from the left
+    or from the right, has a higher and a lower site strictly left of it
+    (the sites are distinct and sorted) and a higher and a lower site at
+    or right of its x, so it lies between two segments of sites and is
+    no hull vertex. Only the running extremes, in sorted order, go to a
+    monotone chain (Andrew 1979), which keeps the strict hull vertices,
     collinear sets included.
     """
     if len(xy) == 1:
         return 0.0
-    x, y = xy.T
-    octagon = xy[
-        [np.argmax(x), np.argmax(x + y), np.argmax(y), np.argmin(x - y),
-         np.argmin(x), np.argmin(x + y), np.argmin(y), np.argmax(x - y)]
-    ]
-    # counter-clockwise edges; a site is strictly inside when it is strictly
-    # left of every edge of positive length
-    start = octagon[:, :, None]
-    edge = np.roll(octagon, -1, axis=0)[:, :, None] - start
-    left = edge[:, 0] * (y - start[:, 1]) - edge[:, 1] * (x - start[:, 0]) > 0
-    inside = np.all(left | ~np.any(edge, axis=1), axis=0)
-    sites = xy[~inside].tolist()
+    y = xy[:, 1]
+    rev = y[::-1]
+    keep = (y == np.maximum.accumulate(y)) | (y == np.minimum.accumulate(y))
+    keep |= ((rev == np.maximum.accumulate(rev)) | (rev == np.minimum.accumulate(rev)))[::-1]
+    sites = xy[keep].tolist()
 
     def half_hull(points):
         chain = []

@@ -128,11 +128,13 @@ def _ess_report(n: int, model: TraceCovModel, denom: float, warnings=()) -> EssR
 
     Every family's trace-covariogram lies in [0, cov_tr(0)] with
     cov_tr(0) > 0, so ``n cov_tr(0) <= denom <= n^2 cov_tr(0)`` and the ESS
-    lies in [1, n] up to rounding. ``warnings`` (the fit's, say) go into
-    the report.
+    lies in [1, n]; it is kept there, since the quotient may round past n
+    when no pair correlates. ``warnings`` (the fit's, say) go into the
+    report.
     """
     sill, nugget = _unit_parts(model)
-    return EssReport(n=n, ess=n * n * (sill + nugget) / denom, model=model, warnings=warnings)
+    ess = float(np.clip(n * n * (sill + nugget) / denom, 1, n))  # a NaN stays NaN
+    return EssReport(n=n, ess=ess, model=model, warnings=warnings)
 
 
 def ess_functional(D: np.ndarray, model: TraceCovModel) -> EssReport:

@@ -53,20 +53,19 @@ def basis_matrix(name: str, n_terms: int, points: np.ndarray) -> np.ndarray:
     """
     if name not in BASES:
         raise ValidationError(f"unknown basis {name!r}; expected one of {BASES}")
+    n_terms = _positive_int(n_terms, "n_terms")
     t = np.asarray(points, dtype=float)
     out = np.empty((n_terms, t.size))
+    out[0] = 1.0
     if name == "fourier":
-        for k in range(1, n_terms + 1):
-            if k == 1:
-                out[0] = 1.0
-            elif k % 2 == 0:
+        for k in range(2, n_terms + 1):
+            if k % 2 == 0:
                 j = k // 2
                 out[k - 1] = math.sqrt(2.0) * np.cos(2.0 * math.pi * j * t)
             else:
                 j = (k - 1) // 2
                 out[k - 1] = math.sqrt(2.0) * np.sin(2.0 * math.pi * j * t)
     else:
-        out[0] = 1.0
         for k in range(2, n_terms + 1):
             out[k - 1] = math.sqrt(2.0) * np.cos((k - 1) * math.pi * t)
     return out
@@ -132,8 +131,6 @@ def _corr_mass(lam: float, n: int) -> float:
     terms, stable even as lambda approaches 1 (the classical closed form
     cancels catastrophically there).
     """
-    if lam == 0.0 or n == 1:
-        return float(n)
     d = np.arange(1, n)
     return float(n + 2.0 * np.dot(n - d, lam**d))
 

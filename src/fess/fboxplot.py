@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import SpatialFunctionalDataset, _frozen_array, _is_integer, _positive_int
+from .dataset import SpatialFunctionalDataset, _frozen_array, _is_integer, _mean, _positive_int
 from .errors import ValidationError
 from .rng import _entropy, _replicate_choices
 
@@ -395,6 +395,6 @@ def subsample_experiment(
         reps=reps,
         seed=seed,
         replicates=_frozen_array(rows),
-        means=FidelityMetrics(*rows.mean(axis=0).tolist()),
-        median_band_halfwidth=float(np.mean(np.concatenate([mad for _, mad in scored]))),
+        means=FidelityMetrics(*_mean(rows, axis=0).tolist()),
+        median_band_halfwidth=float(_mean(np.concatenate([mad for _, mad in scored]))),
     )

@@ -342,9 +342,11 @@ def _binned_pair_stats(
         raise ValidationError("empirical estimation needs at least 2 curves")
     n_bins = len(bins)
     w = dataset.grid.quad_weights
-    dev = dataset.curves - _column_means(dataset.curves)[None, :]
-    # each row: a centred curve, then its squared W-norm
-    rows = np.column_stack([dev, np.einsum("km,km->k", dev * w, dev)])
+    # each row: a centred curve, then its squared W-norm; one beyond the
+    # float range is refused below
+    with np.errstate(over="ignore"):
+        dev = dataset.curves - _column_means(dataset.curves)[None, :]
+        rows = np.column_stack([dev, np.einsum("km,km->k", dev * w, dev)])
     n = dataset.n_curves
     # No step of the kernel exceeds 4 max |a|^2, and sigma0 sums the |a|^2;
     # Python floats make an infinite bound without a numpy warning. A bin's

@@ -233,6 +233,29 @@ class TestEssCommand:
         assert 1.0 <= payload["ess"] <= 60.0
         assert payload["recommended_subsample"] == int(np.ceil(payload["ess"]))
 
+    def test_recommended_subsample_is_a_subsample_size(self, tmp_path, capsys):
+        # the range pins at its lower bound and no pair correlates, so the
+        # ESS is n^2 C(0) / (n C(0)), which rounds above n = 35 here; the
+        # report keeps it at n and its subsample size is one `fess
+        # subsample` takes
+        rng = np.random.default_rng(57)
+        n = int(rng.integers(30, 120))
+        ds = fess.SpatialFunctionalDataset(
+            fess.EvalGrid(np.linspace(0.0, 1.0, 6)), rng.uniform(0.0, 1000.0, (n, 2)),
+            rng.standard_normal((n, 6)),
+        )
+        data = tmp_path / "independent.csv"
+        write_wide_csv(ds, data)
+        out = tmp_path / "out"
+        argv = ["--input", str(data), "--out-dir", str(out)]
+        assert main(["ess", "--family", "spherical"] + argv) == 0
+        report = json.loads((out / "ess_spherical.json").read_text())
+        assert (report["n"], report["ess"], report["ratio"]) == (35, 35.0, 1.0)
+        assert report["recommended_subsample"] == 35
+        assert "n=35 ess=35 ratio=1.0000 recommended_subsample=35" in capsys.readouterr().out
+        size = str(report["recommended_subsample"])
+        assert main(["subsample", "--size", size, "--reps", "2", "--seed", "1"] + argv) == 0
+
     def test_bad_family_exits_2(self, dataset_csv, tmp_path, capsys):
         rc = main(["ess", "--input", str(dataset_csv), "--family", "matern"])
         assert rc == 2
@@ -653,6 +676,9 @@ _EXIT_CODE_CASES = {
     "empty file": (["ess", "--input", "{empty}"], {}, 2, "empty file"),
     "curves too large": (["ess", "--input", "{huge_curves}"], {}, 2,
                          "fess: error: curves too large: their pair sums exceed the float range"),
+    "grid span beyond the float range": (
+        ["ess", "--input", "{huge_span}"], {}, 2,
+        "fess: error: grid span from -1e+308 to 1e+308 exceeds the float range"),
     "fit header": (["fit", "--input", "{fit_header}", "--out-dir", "{out}"], {}, 2,
                    "expected header 'h,gamma,count'"),
     "fit without rows": (["fit", "--input", "{fit_no_rows}", "--out-dir", "{out}"], {}, 2,
@@ -694,6 +720,9 @@ def test_exit_codes(case, dataset_csv, tmp_path, monkeypatch, capsys):
         "empty": "",
         "huge_curves": "\n".join(
             [header] + [",".join(c[:2] + [v + "e155" for v in c[2:]]) for c in cells[1:]]
+        ),
+        "huge_span": "\n".join(
+            [",".join(cells[0][:2] + ["-1e308", "1e308"])] + [",".join(c[:4]) for c in cells[1:6]]
         ),
         "schema": json.dumps({"value_columns": ["10", "99"]}),
         "fit_header": "a,b,c\n1,2,3",

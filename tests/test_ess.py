@@ -115,7 +115,8 @@ class TestEssFunctional:
                     warnings.simplefilter("error")
                     report = ess_functional(pairwise_distances(sites), m)
                 k = len(sites)
-                assert 1.0 - 1e-12 <= report.ess <= k * (1.0 + 1e-12), (name, m)
+                assert 1.0 <= report.ess <= k, (name, m)
+                assert report.recommended_subsample <= k, (name, m)
                 assert report.warnings == (), (name, m)
 
     def test_appending_far_site_recursion(self):
@@ -167,6 +168,14 @@ class TestEssFunctional:
         assert rep.ratio == pytest.approx(rep.ess / 3.0)
         assert rep.recommended_subsample == math.ceil(rep.ess)
         assert rep.warnings == ()
+
+    def test_uncorrelated_sites_give_n(self):
+        # no pair correlates, so the ESS is n^2 C(0) / (n C(0)), which
+        # rounds above n = 225 at this C(0); the report keeps it at n
+        D = np.full((225, 225), 1e6)
+        np.fill_diagonal(D, 0.0)
+        report = ess_functional(D, TraceCovModel("spherical", 6136.2770719313, 1.0))
+        assert (report.ess, report.ratio, report.recommended_subsample) == (225.0, 1.0, 225)
 
     def test_validates_distance_matrix(self):
         m = TraceCovModel("exponential", 1.0, 1.0)
@@ -241,7 +250,8 @@ class TestEssPlugin:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     report = ess_plugin(ds, family, nugget=nugget)
-                assert 1.0 - 1e-12 <= report.ess <= n * (1.0 + 1e-12), (name, scale)
+                assert 1.0 <= report.ess <= n, (name, scale)
+                assert report.recommended_subsample <= n, (name, scale)
 
     def test_identical_curves_raise(self):
         # no variation, no covariance: the ESS is undefined, not n

@@ -507,7 +507,7 @@ def scaled_design(k):
     return make_dataset(np.ldexp(rng.standard_normal((60, 22)), k), xy=xy)
 
 
-SCALES = (-900, -600, -20, 20, 520, 1000)
+SCALES = (-900, -600, -20, 20, 520, 1000, 1018)
 
 
 class TestCurveScaling:
@@ -534,6 +534,8 @@ class TestCurveScaling:
         assert np.ldexp(exp.replicates[:, :4], k).tobytes() == table[:, :4].tobytes()
         assert exp.replicates[:, 4].tobytes() == table[:, 4].tobytes()
         assert math.ldexp(exp.median_band_halfwidth, k) == scaled_exp.median_band_halfwidth
+        means = exp.means.as_tuple()
+        assert (*(math.ldexp(v, k) for v in means[:4]), means[4]) == scaled_exp.means.as_tuple()
 
 
 def constant_dataset():

@@ -64,8 +64,18 @@ _CASES = {
     "ess_functional negative distance": (
         lambda: ess_functional(np.array([[0.0, -1.0], [-1.0, 0.0]]), MODEL),
         "distances must be finite and non-negative"),
+    "EvalGrid span beyond the float range": (lambda: EvalGrid([-1e308, 1e308]),
+                                             "grid span from -1e+308 to 1e+308 exceeds"),
+    "EvalGrid middle weight beyond the float range": (
+        lambda: EvalGrid([-1e308, 0.0, 1e308]), "grid span from -1e+308 to 1e+308 exceeds"),
     "basis_matrix unknown basis": (lambda: basis_matrix("legendre", 2, GRID.points),
                                    "unknown basis 'legendre'; expected one of"),
+    "basis_matrix no fourier terms": (lambda: basis_matrix("fourier", 0, GRID.points),
+                                      "n_terms must be a positive integer"),
+    "basis_matrix no cosine terms": (lambda: basis_matrix("cosine", 0, GRID.points),
+                                     "n_terms must be a positive integer"),
+    "basis_matrix negative terms": (lambda: basis_matrix("cosine", -1, GRID.points),
+                                    "n_terms must be a positive integer"),
     "Far1Spec non-finite": (lambda: Far1Spec([math.nan], [1.0], GRID),
                             "lambdas and etas must be finite"),
     "marginal_ess coefficient": (lambda: marginal_ess(1.0, 5),

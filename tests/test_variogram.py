@@ -189,7 +189,7 @@ class TestLagBins:
         line = np.linspace(-3.0, 7.0, 25)
         angle = rng.uniform(0.0, 2.0 * math.pi, 200)
         # sites on the four edges of an axis-aligned rectangle: its corners
-        # are extreme in several directions, so octagon edges have length 0
+        # are extreme in several directions, and sites tie in x and in y
         s = rng.uniform(0.0, 1.0, 160)
         rectangle = np.vstack([
             np.column_stack([40.0 * s[:40], np.zeros(40)]),
@@ -209,6 +209,8 @@ class TestLagBins:
             ("circle", 250.0 * np.column_stack([np.cos(angle), np.sin(angle)]) + 3e3),
             ("rectangle edges", rectangle),
             ("thin, rotated 0.3 rad", thin @ turn + [2e3, -1e3]),
+            # most sites of a noisy anti-diagonal are running extremes of y
+            ("anti-diagonal transect", np.column_stack([s, rng.normal(0.0, 1e-3, 160) - s]) * 1e3),
             ("single site", [[3.0, 4.0]]),
         ]
         for name, xy in cases:
@@ -504,7 +506,7 @@ class TestCurvesTooLarge:
 
     @pytest.mark.parametrize(
         "estimate,scale",
-        [(e, s) for e in _ESTIMATES for s in (1e153, 1e155, 1e200, 1e300)
+        [(e, s) for e in _ESTIMATES for s in (1e153, 1e155, 1e200, 1e300, 1e307)
          if (e, s) != ("covariogram", 1e153)],
     )
     def test_refused_by_name(self, estimate, scale):
