@@ -323,6 +323,32 @@ def _site_record(sites: bytes) -> _SiteRecord:
     return _SiteRecord(order, tied, groups, _max_site_distance(xy[order[first]]), {})
 
 
+# Largest table a pair stage keeps of a site set between passes: with one
+# byte a pair, the variogram's bin slots of about 23 000 sites; with eight,
+# the ESS sum's distances of about 8000.
+_MAX_KEPT_TABLE_BYTES = 1 << 28
+
+
+def _kept_table(sites: _SiteRecord, stage: str, key, nbytes: int) -> tuple:
+    """``(table, fill)``: what the pair stage ``stage`` kept of ``sites`` at
+    ``key``, and whether this pass is to keep it.
+
+    The first pass at a key keeps only the key under ``stage`` in
+    ``sites.kept``, so a one-shot call keeps nothing: ``(None, False)``.
+    The second gets ``(None, True)`` if the table's ``nbytes`` fit in
+    ``_MAX_KEPT_TABLE_BYTES``; it computes what a fresh pass does and
+    stores its read-only table as ``sites.kept[stage] = (key, table)``
+    once its blocks are done. Later passes get the table and read it
+    instead of computing the blocks' distances, so a stage whose table
+    holds what a fresh pass computes gives the same results bit for bit.
+    """
+    seen, table = sites.kept.get(stage, (None, None))
+    if seen != key:
+        sites.kept[stage] = (key, None)
+        return None, False
+    return table, table is None and nbytes <= _MAX_KEPT_TABLE_BYTES
+
+
 def _canonical_order(dataset: "SpatialFunctionalDataset", sites: _SiteRecord) -> np.ndarray:
     """Row order that depends only on the rows' contents.
 

@@ -24,7 +24,9 @@ from .dataset import (
     _NOT_A_PAIR,
     SpatialFunctionalDataset,
     _check_threads,
+    _kept_table,
     _pair_map,
+    _pair_spans,
     _site_record,
     _sorted_sum,
 )
@@ -169,6 +171,16 @@ def _plugin_ess(
     it, in the units of :func:`_unit_parts`. Both pair passes run on
     ``threads`` workers (default: the usable cores); the reports do not
     depend on their number.
+
+    The pairs' distances depend only on the sites and the block layout,
+    so the sums at one site set keep a table under ``"distances"`` in
+    their :func:`fess.dataset._site_record`'s ``kept``, keyed by the
+    block spans (see :func:`fess.dataset._kept_table`: the second sum at
+    a key fills it, later ones read it). It holds each block's pair
+    distances, compressed and read-only, and its count of coincident
+    pairs: 8 bytes a pair, 4 n (n - 1) bytes for n sites (0.6 MB at
+    n = 400, 100 MB at n = 5000). A sum that reads it adds what a fresh
+    sum adds, so its reports are the same bit for bit.
     """
     # reject a bad family, nugget or thread count before the O(n^2) pair passes
     for family in families:
@@ -181,20 +193,31 @@ def _plugin_ess(
     fits = [fit_model(ev, family, nugget) for family in families]
     models = [(fit.model, *_unit_parts(fit.model)) for fit in fits]
 
+    n = dataset.n_curves
+    spans = tuple(_pair_spans(n, dataset.n_levels))
+    sites = _site_record(dataset.xy.tobytes())
+    table, fill = _kept_table(sites, "distances", spans, 4 * n * (n - 1))
+
     def block_sums(k, d, head, tail):
-        d = d[d != _NOT_A_PAIR]
-        coincident = int(np.count_nonzero(d == 0.0))
-        return [
+        if table is not None:
+            d, coincident = table[k]
+        else:
+            d = d[d != _NOT_A_PAIR]
+            d.flags.writeable = False
+            coincident = int(np.count_nonzero(d == 0.0))
+        sums = [
             sill * float(np.sum(_CORR[model.family](d / model.range_km))) + nugget * coincident
             for model, sill, nugget in models
         ]
+        return sums, (d, coincident) if fill else None
 
+    results = _pair_map(block_sums, dataset, sites, threads=threads, distances=table is None)
+    if fill:
+        sites.kept["distances"] = (spans, tuple(block for _, block in results))
     upper = [0.0] * len(fits)
-    sites = _site_record(dataset.xy.tobytes())
-    for sums in _pair_map(block_sums, dataset, sites, threads=threads):
+    for sums, _ in results:
         for k, value in enumerate(sums):
             upper[k] += value
-    n = dataset.n_curves
     reports = []
     for fit, (_, sill, nugget), pairs in zip(fits, models, upper):
         mass = n * (sill + nugget) + 2.0 * pairs
@@ -217,12 +240,13 @@ def ess_plugin(
     Every pair stage streams over row blocks and runs on the usable cores;
     the report does not depend on their number. A one-shot estimate
     needs O(n m) memory for the streamed blocks; from the second estimate
-    at the same sites and bins, memory also holds their bin slots, about
-    n**2 / 2 bytes (13 MB at n = 5000), so later estimates there bin no
-    distances (see :func:`fess.variogram._binned_pair_stats`). The slots
-    live in the one record kept for the last site set
-    (:func:`fess.dataset._site_record`), beside the factor of
-    :func:`fess.far1.gauss_field_simulate`; a call at other sites drops
-    both.
+    at the same sites, memory also holds the pairs' bin slots at its bins,
+    about n**2 / 2 bytes, and their distances, 4 n**2 bytes (13 and
+    100 MB at n = 5000), so later estimates there compute no distances
+    (see :func:`fess.variogram._binned_pair_stats` and
+    :func:`_plugin_ess`). Both tables live in the one record kept for
+    the last site set (:func:`fess.dataset._site_record`), beside the
+    factor of :func:`fess.far1.gauss_field_simulate`; a call at other
+    sites drops all three.
     """
     return _plugin_ess(dataset, [family], bins, nugget)[0]

@@ -23,6 +23,7 @@ from .dataset import (
     SpatialFunctionalDataset,
     _column_means,
     _frozen_array,
+    _kept_table,
     _pair_map,
     _pair_spans,
     _parse_cell,
@@ -300,10 +301,6 @@ class EmpiricalVariogram:
 
 _TOO_LARGE = "curves too large: their pair sums exceed the float range; rescale the curves"
 
-# Largest slot table kept between passes: with one byte a pair, that of
-# about 23 000 sites.
-_MAX_KEPT_SLOT_BYTES = 1 << 28
-
 
 def _binned_pair_stats(
     dataset: SpatialFunctionalDataset, bins: LagBins, from_gram, divisor, threads
@@ -327,16 +324,14 @@ def _binned_pair_stats(
     The bin of each pair depends only on the sites and the bins, so the
     passes at one site set keep a slot table under ``"slots"`` in their
     :func:`fess.dataset._site_record`'s ``kept``, keyed by the bin edges
-    and the block layout. The first pass at a key keeps only the key, so
-    a one-shot estimate keeps nothing. The second keeps each block's bin
-    slots (:meth:`LagBins._slots` of its distances, flattened, in the
-    smallest unsigned type holding every slot: one byte a pair up to 254
-    bins, about n**2 / 2 bytes for n sites) and the per-bin pair counts
-    and distance sums, each added in block order, all read-only, if the
-    slots fit in ``_MAX_KEPT_SLOT_BYTES``; it stores them once its blocks
-    are done. Later passes read them instead of computing the blocks'
-    distances: their pairs are binned as a fresh pass bins them, so their
-    results are the same bit for bit.
+    and the block layout (see :func:`fess.dataset._kept_table`: the
+    second pass at a key fills it, later ones read it). It holds each
+    block's bin slots (:meth:`LagBins._slots` of its distances,
+    flattened, in the smallest unsigned type holding every slot: one byte
+    a pair up to 254 bins, about n**2 / 2 bytes for n sites) and the
+    per-bin pair counts and distance sums, each added in block order, all
+    read-only. Passes that read it bin their pairs as a fresh pass bins
+    them, so their results are the same bit for bit.
     """
     if dataset.n_curves < 2:
         raise ValidationError("empirical estimation needs at least 2 curves")
@@ -357,13 +352,9 @@ def _binned_pair_stats(
     spans = tuple(_pair_spans(n, dataset.n_levels))
     sites = _site_record(dataset.xy.tobytes())
     key = (bins.edges.tobytes(), spans)
-    seen, table = sites.kept.get("slots", (None, None))
-    if seen != key:
-        sites.kept["slots"] = (key, None)
-        table = None
     dtype = np.min_scalar_type(n_bins + 1)
     size = sum((i1 - i0) * (n - i0) for i0, i1 in spans) * dtype.itemsize
-    fill = seen == key and table is None and size <= _MAX_KEPT_SLOT_BYTES
+    table, fill = _kept_table(sites, "slots", key, size)
 
     def block_stats(k, d, head, tail):
         g = np.einsum("km,cm->kc", head[:, :-1] * w, tail[:, :-1])

@@ -326,6 +326,7 @@ class TestEssPlugin:
         # wide bins, so the first holds pairs at positive distances too
         bins = fess.default_lag_bins(ds, n_bins=5)
         results = []
+        # from 2 threads on, the passes read the tables the serial ones kept
         for threads in (1, 2, 8):
             # the covariogram's pair stage runs on the default thread count
             monkeypatch.setattr(
@@ -356,7 +357,8 @@ class TestEssPlugin:
     def test_pair_stages_never_form_an_n_by_n_array(self):
         # one n x n float64 array is 32 MB at n = 2000; the streamed pair
         # stages need O(n m) memory, and a one-shot estimate keeps no bin
-        # slots (a repeated one would keep about n**2 / 2 bytes, 2 MB here)
+        # slots and no distances (a repeated one would keep about n**2 / 2
+        # and 4 n**2 bytes of them, 2 and 16 MB here)
         rng = derived_rng(42)
         n = 2000
         ds = make_dataset(
@@ -375,8 +377,10 @@ class TestEssPlugin:
 
 class TestPairSlotMemo:
     """From the second pass at the same sites, the variogram pass keeps the
-    bin slots in the last site set's record and reuses them only at
-    bitwise-equal sites, bin edges and block layout."""
+    bin slots and the ESS sum keeps the pair distances in the last site
+    set's record; the slots are reused only at bitwise-equal sites, bin
+    edges and block layout, the distances at bitwise-equal sites and
+    block layout."""
 
     families = ["exponential", "spherical", "gaussian"]
 
@@ -390,6 +394,20 @@ class TestPairSlotMemo:
             return slots(bins, h)
 
         monkeypatch.setattr(LagBins, "_slots", counted)
+        fess.dataset._site_record.cache_clear()
+        return calls
+
+    @pytest.fixture
+    def measured(self, monkeypatch):
+        """The spans of the pair blocks whose distances are computed."""
+        calls = []
+        block_distances = fess.dataset._block_distances
+
+        def counted(xy, i0, i1):
+            calls.append((i0, i1))
+            return block_distances(xy, i0, i1)
+
+        monkeypatch.setattr(fess.dataset, "_block_distances", counted)
         fess.dataset._site_record.cache_clear()
         return calls
 
@@ -420,7 +438,16 @@ class TestPairSlotMemo:
         assert key == (bins.edges.tobytes(), spans)
         return table
 
-    def test_equal_sites_and_bins_bin_once(self, binned, monkeypatch):
+    @staticmethod
+    def distances(ds):
+        """The ``(distances, coincident)`` of each block kept for ``ds``'s
+        sites, None while only the key is kept."""
+        spans = tuple(fess.dataset._pair_spans(ds.n_curves, ds.n_levels))
+        key, table = fess.dataset._site_record(ds.xy.tobytes()).kept["distances"]
+        assert key == spans
+        return table
+
+    def test_equal_sites_and_bins_bin_once(self, binned, measured, monkeypatch):
         n, m = 50, 5
         monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 4 * n * m)
         blocks = len(fess.dataset._pair_spans(n, m))
@@ -444,9 +471,24 @@ class TestPairSlotMemo:
         warm = self.outputs(other, again)
         assert self.outputs(ds, bins) == first
         assert len(binned) == 2 * blocks
+        # the first two variogram passes and the first two ESS sums compute
+        # the distances; the four later sums read the kept ones
+        assert len(measured) == 4 * blocks
+        assert self.distances(ds) is not None
         assert warm == self.outputs(other, bins, cold=True)
 
-    def test_each_part_of_the_key_misses(self, binned, monkeypatch):
+    def test_a_one_shot_estimate_keeps_only_the_keys(self, measured, monkeypatch):
+        n, m = 40, 4
+        monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 4 * n * m)
+        blocks = len(fess.dataset._pair_spans(n, m))
+        ds = random_dataset(derived_rng(59), n, m)
+        bins = fess.default_lag_bins(ds)
+        fess.ess._plugin_ess(ds, self.families, bins)
+        assert self.table(ds, bins) is None and self.distances(ds) is None
+        assert set(fess.dataset._site_record(ds.xy.tobytes()).kept) == {"slots", "distances"}
+        assert len(measured) == 2 * blocks
+
+    def test_each_part_of_the_key_misses(self, binned, measured, monkeypatch):
         n, m = 40, 4
         monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 4 * n * m)
         spans = fess.dataset._pair_spans
@@ -462,34 +504,43 @@ class TestPairSlotMemo:
         grid = EvalGrid(np.linspace(0.0, 1.0, m))
         base = SpatialFunctionalDataset(grid, xy, curves[:, :m])
         bins = LagBins.equal_width(150.0, 10)
+        # (dataset, bins, block elements / (n m), whether the distances miss)
         changes = {
-            "last bit of one site": (SpatialFunctionalDataset(grid, last_bit, curves[:, :m]), bins, 4),
-            "site order": (SpatialFunctionalDataset(grid, swapped, curves[:, :m]), bins, 4),
-            "edges": (base, LagBins(np.append(bins.edges[:-1], 151.0)), 4),
+            "last bit of one site": (
+                SpatialFunctionalDataset(grid, last_bit, curves[:, :m]), bins, 4, True,
+            ),
+            "site order": (SpatialFunctionalDataset(grid, swapped, curves[:, :m]), bins, 4, True),
+            "edges": (base, LagBins(np.append(bins.edges[:-1], 151.0)), 4, False),
             "grid size": (
                 SpatialFunctionalDataset(EvalGrid(np.linspace(0.0, 1.0, m + 1)), xy, curves),
-                bins, 4,
+                bins, 4, True,
             ),
-            "block elements": (base, bins, 2),
+            "block elements": (base, bins, 2, True),
         }
-        for name, (ds, b, factor) in changes.items():
-            for _ in range(2):  # the memo holds the filled base table
-                empirical_trace_variogram(base, bins)
+        for name, (ds, b, factor, sums_miss) in changes.items():
+            for _ in range(2):  # the memo holds the filled base tables
+                fess.ess._plugin_ess(base, ["exponential"], bins)
             monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", factor * n * m)
-            before = len(binned)
-            # a miss bins on the first two passes, then keeps the slots
+            before, measured_before = len(binned), len(measured)
+            # a miss bins on the first two passes, then keeps the slots; the
+            # ESS sum computes the distances on its first two passes too
             warm = self.outputs(ds, b)
-            assert len(binned) == before + 2 * len(spans(ds.n_curves, ds.n_levels)), name
+            blocks = len(spans(ds.n_curves, ds.n_levels))
+            assert len(binned) == before + 2 * blocks, name
+            assert len(measured) == measured_before + (4 if sums_miss else 2) * blocks, name
             assert warm == self.outputs(ds, b, cold=True), name
             monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 4 * n * m)
 
     @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
-    def test_warm_results_equal_cold_results(self, tied):
+    def test_warm_results_equal_cold_results(self, tied, measured, monkeypatch):
         n, m = 60, 5
+        monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 4 * n * m)
+        blocks = len(fess.dataset._pair_spans(n, m))
         rng = derived_rng(62)
         xy = (tied_dataset if tied else random_dataset)(rng, n, m).xy
         k = n // 3
         orders = set()
+        draws = []
         for draw in range(3):
             curves = rng.standard_normal((n, m))
             if tied:  # rows i and i + 2k are equal in every value
@@ -498,7 +549,12 @@ class TestPairSlotMemo:
             sites = fess.dataset._site_record(ds.xy.tobytes())
             orders.add(fess.dataset._canonical_order(ds, sites).tobytes())
             bins = fess.default_lag_bins(ds)
-            assert self.outputs(ds, bins) == self.outputs(ds, bins, cold=True)
+            # two ESS sums a draw: from the second draw on, every sum, of
+            # either nugget, is the third or later at these sites
+            draws.append((ds, bins, self.outputs(ds, bins)))
+        assert len(measured) == 4 * blocks
+        for ds, bins, warm in draws:
+            assert warm == self.outputs(ds, bins, cold=True)
         # tied sites are ordered by their curves, so the one table serves
         # several row orders
         assert len(orders) == (3 if tied else 1)
@@ -511,8 +567,16 @@ class TestPairSlotMemo:
             empirical_trace_variogram(ds, bins)
         slots, counts, hsums = self.table(ds, bins)
         assert slots[0].dtype == np.uint8
+        for _ in range(2):
+            fess.ess._plugin_ess(ds, ["exponential"], bins)
+        distances, coincident = zip(*self.distances(ds))
+        n = ds.n_curves
+        assert [d.dtype for d in distances] == [np.float64] * len(distances)
+        assert sum(d.size for d in distances) == n * (n - 1) // 2
+        # each of the 10 sites is shared by 3 rows
+        assert sum(coincident) == 30
         record = fess.dataset._site_record(ds.xy.tobytes())
-        for a in [*slots, counts, hsums, record.order, record.tied, record.groups]:
+        for a in [*slots, counts, hsums, *distances, record.order, record.tied, record.groups]:
             assert a.size and not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1
@@ -528,17 +592,17 @@ class TestPairSlotMemo:
         assert self.table(ds, bins)[0][0].dtype == dtype
         assert empirical_trace_variogram(ds, bins).counts[-1] > 0
 
-    def test_tables_over_the_size_bound_are_not_kept(self, binned, monkeypatch):
+    def test_tables_over_the_size_bound_are_not_kept(self, binned, measured, monkeypatch):
         n = 40
         ds = random_dataset(derived_rng(66), n, 3)
         bins = fess.default_lag_bins(ds)
         spans = fess.dataset._pair_spans(n, 3)
         size = sum((i1 - i0) * (n - i0) for i0, i1 in spans)  # one byte a slot
-        monkeypatch.setattr(fess.variogram, "_MAX_KEPT_SLOT_BYTES", size - 1)
+        monkeypatch.setattr(fess.dataset, "_MAX_KEPT_TABLE_BYTES", size - 1)
         passes = [empirical_trace_variogram(ds, bins) for _ in range(3)]
         assert len(binned) == 3 * len(spans)
         assert self.table(ds, bins) is None
-        monkeypatch.setattr(fess.variogram, "_MAX_KEPT_SLOT_BYTES", size)
+        monkeypatch.setattr(fess.dataset, "_MAX_KEPT_TABLE_BYTES", size)
         passes += [empirical_trace_variogram(ds, bins) for _ in range(2)]
         assert len(binned) == 4 * len(spans)
         assert self.table(ds, bins) is not None
@@ -546,6 +610,20 @@ class TestPairSlotMemo:
             (ev.centers.tobytes(), ev.gamma.tobytes(), ev.counts.tobytes(), ev.sigma0)
             for ev in passes
         }) == 1
+        # the ESS sum's distances, 8 bytes a pair, under the same bound
+        fess.dataset._site_record.cache_clear()
+        size = 4 * n * (n - 1)
+        monkeypatch.setattr(fess.dataset, "_MAX_KEPT_TABLE_BYTES", size - 1)
+        before = len(measured)
+        sums = [fess.ess._plugin_ess(ds, self.families, bins) for _ in range(3)]
+        # two variogram passes and three ESS sums compute the distances
+        assert len(measured) == before + 5 * len(spans)
+        assert self.distances(ds) is None and self.table(ds, bins) is not None
+        monkeypatch.setattr(fess.dataset, "_MAX_KEPT_TABLE_BYTES", size)
+        sums += [fess.ess._plugin_ess(ds, self.families, bins) for _ in range(2)]
+        assert len(measured) == before + 6 * len(spans)
+        assert self.distances(ds) is not None
+        assert all(reports == sums[0] for reports in sums)
 
     def test_threads_alternating_two_site_sets_match_serial_results(self):
         rng = derived_rng(65)
@@ -578,17 +656,20 @@ class TestPairSlotMemo:
 
 
 class TestSiteRecord:
-    """The simulator's factor and the variogram's slots live in one record
-    per site set: they are kept together and dropped together."""
+    """The simulator's factor, the variogram's slots and the ESS sum's
+    distances live in one record per site set: they are kept together and
+    dropped together."""
 
     grid = EvalGrid(np.linspace(0.0, 1.0, 5))
     spec = GaussFieldSpec(TraceCovModel("exponential", 1.0, 80.0), np.full(5, 0.2), grid)
 
     @pytest.fixture
     def work(self, monkeypatch):
-        """Counts of factorizations and of binned blocks, from a cleared record."""
-        calls = {"cholesky": 0, "binned": 0}
+        """Counts of factorizations, of binned blocks and of blocks whose
+        distances are computed, from a cleared record."""
+        calls = {"cholesky": 0, "binned": 0, "distances": 0}
         cholesky, slots = np.linalg.cholesky, LagBins._slots
+        block_distances = fess.dataset._block_distances
 
         def factorize(a):
             calls["cholesky"] += 1
@@ -598,8 +679,13 @@ class TestSiteRecord:
             calls["binned"] += 1
             return slots(bins, h)
 
+        def measured(xy, i0, i1):
+            calls["distances"] += 1
+            return block_distances(xy, i0, i1)
+
         monkeypatch.setattr(np.linalg, "cholesky", factorize)
         monkeypatch.setattr(LagBins, "_slots", binned)
+        monkeypatch.setattr(fess.dataset, "_block_distances", measured)
         monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 4 * 50 * 5)
         fess.dataset._site_record.cache_clear()
         return calls
@@ -619,9 +705,12 @@ class TestSiteRecord:
         assert blocks >= 5
         warm = [self.estimate(xy, seed) for seed in range(5)]
         assert work["cholesky"] == 1
-        # the first estimate keeps the key, the second fills the slots
+        # the first estimate keeps the keys, the second fills the slots and
+        # the distances: the variogram passes and the ESS sums of the later
+        # estimates compute no distances
         assert work["binned"] == 2 * blocks
-        assert set(self.kept(xy)) == {"factor", "slots"}
+        assert work["distances"] == 4 * blocks
+        assert set(self.kept(xy)) == {"factor", "slots", "distances"}
         cold = []
         for seed in range(5):
             fess.dataset._site_record.cache_clear()
@@ -636,7 +725,7 @@ class TestSiteRecord:
         for seed in range(3):
             self.estimate(xy, seed)
         record = fess.dataset._site_record(xy.tobytes())
-        assert set(record.kept) == {"factor", "slots"}
+        assert set(record.kept) == {"factor", "slots", "distances"}
         ds = SpatialFunctionalDataset(self.grid, other, rng.standard_normal((50, 5)))
         {
             "simulate": lambda: gauss_field_simulate(self.spec, other, 0),
@@ -646,10 +735,12 @@ class TestSiteRecord:
         before = dict(work)
         assert self.estimate(xy, 0) == self.estimate(xy, 0)
         again = fess.dataset._site_record(xy.tobytes())
-        assert again is not record and set(again.kept) == {"factor", "slots"}
-        # the factor again, and the first two variogram passes bin again
+        assert again is not record and set(again.kept) == {"factor", "slots", "distances"}
+        # the factor again, and the first two variogram passes and ESS sums
+        # compute the distances again
         assert work["cholesky"] == before["cholesky"] + 1
         assert work["binned"] == before["binned"] + 2 * blocks
+        assert work["distances"] == before["distances"] + 4 * blocks
 
     def test_threads_simulating_and_estimating_at_one_site_set_match_serial_results(self):
         xy = derived_rng(69).uniform(0.0, 300.0, size=(40, 2))

@@ -6,15 +6,17 @@ Every command runs in a fresh interpreter with ``PYTHONPATH=SRC_DIR``, on
 seeded inputs built here with numpy only. For each command the manifest
 records the exit code, stdout and stderr (the session's temporary
 directory replaced by ``<TMP>``) and the sha256 of every file it wrote.
-The ``<input>/in_process`` entries instead run ``variogram``, ``ess`` and
-``ess`` again on one input through ``fess.cli.main`` in one interpreter,
-so the later steps reuse what the earlier ones kept in memory; the
-``switch/in_process`` entry puts an ``ess`` on other sites between a
-``variogram`` and two ``ess`` steps on one input, so those steps start
-again from nothing kept. Their files are recorded under the step that
-wrote them, and the exit code is the first non-zero step's. Two source
-trees whose manifests are identical give byte-identical CLI results on this
-session, so a refactor is checked against its base commit with
+The ``<input>/in_process`` entries instead run ``variogram`` and three
+``ess`` steps on one input through ``fess.cli.main`` in one interpreter,
+so the later steps reuse what the earlier ones kept in memory: the
+second ``ess`` fills the ESS sum's kept distances and the third reads
+them. The ``switch/in_process`` entry puts an ``ess`` on other sites
+between a ``variogram`` and three ``ess`` steps on one input, so those
+steps start again from nothing kept. Their files are recorded under the
+step that wrote them, and the exit code is the first non-zero step's.
+Two source trees whose manifests are identical give byte-identical CLI
+results on this session, so a refactor is checked against its base
+commit with
 ``python tools/manifest_diff.py BASE.json HEAD.json``, which lists each
 difference and exits 1 on any.
 """
@@ -243,16 +245,19 @@ def in_process_sessions(tmp: Path) -> list[tuple[str, list[tuple[str, list[str]]
             ("variogram", ["variogram"] + data(tag)),
             ("ess", ["ess"] + data(tag) + fams),
             ("ess_again", ["ess"] + data(tag) + fams),
+            ("ess_third", ["ess"] + data(tag) + fams),
         ])
         for tag in INPUTS
     ]
     # the iid sites between two field steps drop what the field's first
-    # pass kept; the last two steps keep the field's key again, then fill
+    # pass kept; the last three steps keep the field's keys again, fill
+    # the tables, then read them
     sessions.append(("switch/in_process", [
         ("variogram", ["variogram"] + data("field")),
         ("ess_iid", ["ess"] + data("iid") + fams),
         ("ess", ["ess"] + data("field") + fams),
         ("ess_again", ["ess"] + data("field") + fams),
+        ("ess_third", ["ess"] + data("field") + fams),
     ]))
     return sessions
 
