@@ -285,8 +285,9 @@ _PAIR_BLOCK_ELEMENTS = 2**20
 # gained 1.2-1.5x from n = 1700 on.
 _MIN_BLOCKS_PER_WORKER = 16
 
-# Marks block entries that are not pairs (the diagonal and below it).
-# LagBins.index_of maps it to -1 and it never exceeds a real distance.
+# Marks block entries that are not pairs (the diagonal and below it). It
+# never exceeds a real distance: LagBins._slots puts it in slot 0, which
+# the variogram drops, and the ESS sum compresses it away.
 _NOT_A_PAIR = -1.0
 
 
@@ -327,26 +328,6 @@ def _site_record(sites: bytes) -> _SiteRecord:
 # byte a pair, the variogram's bin slots of about 23 000 sites; with eight,
 # the ESS sum's distances of about 8000.
 _MAX_KEPT_TABLE_BYTES = 1 << 28
-
-
-def _kept_table(sites: _SiteRecord, stage: str, key, nbytes: int) -> tuple:
-    """``(table, fill)``: what the pair stage ``stage`` kept of ``sites`` at
-    ``key``, and whether this pass is to keep it.
-
-    The first pass at a key keeps only the key under ``stage`` in
-    ``sites.kept``, so a one-shot call keeps nothing: ``(None, False)``.
-    The second gets ``(None, True)`` if the table's ``nbytes`` fit in
-    ``_MAX_KEPT_TABLE_BYTES``; it computes what a fresh pass does and
-    stores its read-only table as ``sites.kept[stage] = (key, table)``
-    once its blocks are done. Later passes get the table and read it
-    instead of computing the blocks' distances, so a stage whose table
-    holds what a fresh pass computes gives the same results bit for bit.
-    """
-    seen, table = sites.kept.get(stage, (None, None))
-    if seen != key:
-        sites.kept[stage] = (key, None)
-        return None, False
-    return table, table is None and nbytes <= _MAX_KEPT_TABLE_BYTES
 
 
 def _canonical_order(dataset: "SpatialFunctionalDataset", sites: _SiteRecord) -> np.ndarray:
@@ -491,21 +472,26 @@ def _block_distances(xy: np.ndarray, i0: int, i1: int) -> np.ndarray:
     return d
 
 
-def _pair_map(
-    fn, dataset: "SpatialFunctionalDataset", sites: _SiteRecord, rows=None, threads=None,
-    distances=True,
-) -> list:
-    """``fn(k, d, X[i0:i1], X[i0:])`` for every canonical pair block, in block order.
+def _pair_map(fn, dataset: "SpatialFunctionalDataset", keep, rows=None, threads=None) -> list:
+    """``fn(block, X[i0:i1], X[i0:])`` for every canonical pair block, in block order.
 
-    ``k`` numbers the block ``(i0, i1)`` among the :func:`_pair_spans` of
-    the dataset's n rows and m grid levels, whatever the width of
-    ``rows``. ``X`` is ``rows`` in :func:`_canonical_order` under
-    ``sites``, the caller's :func:`_site_record` of the dataset's sites:
-    the one row order of every pair stage. Without ``rows`` the stage
-    reads only distances, no row matrix is formed and ``fn`` gets None for
-    both slices. ``d`` is the block's :func:`_block_distances`, or None
-    without ``distances``: a stage that kept what it needs of them from an
-    earlier pass over the same sites does not form them.
+    The blocks ``(i0, i1)`` are the :func:`_pair_spans` of the dataset's n
+    rows and m grid levels, whatever the width of ``rows``. ``X`` is
+    ``rows`` in :func:`_canonical_order` under the dataset's
+    :func:`_site_record`: the one row order of every pair stage. Without
+    ``rows`` the stage reads only distances, no row matrix is formed and
+    ``fn`` gets None for both slices.
+
+    ``keep = (stage, key, nbytes, derive)``: ``block`` is ``derive(d)``,
+    the read-only value the stage derives from the block's
+    :func:`_block_distances` ``d``, which depends only on the sites, the
+    block layout and ``key``. The first pass at a key keeps only the key
+    under ``stage`` in the site record's ``kept``, so a one-shot pass
+    keeps nothing. The second keeps every block's value, as
+    ``kept[stage] = (key, blocks)``, if their ``nbytes`` fit in
+    ``_MAX_KEPT_TABLE_BYTES``. Later passes read the kept values and
+    compute no distances, so ``fn`` gets what a fresh pass derives, bit
+    for bit. ``threads`` is checked before the record is read or written.
 
     The blocks run on :func:`_worker_count` workers of ``threads`` (default:
     the usable cores), each taking one contiguous run of them and building
@@ -513,12 +499,21 @@ def _pair_map(
     alive at a time; with one worker the blocks run on the calling thread.
     Results come back in block order whatever the thread count, so callers
     that reduce them in that order give outputs that do not depend on
-    ``threads``. ``fn`` must be safe to call from several threads at once.
+    ``threads``. ``fn`` and ``derive`` must be safe to call from several
+    threads at once.
     """
+    spans = _pair_spans(dataset.n_curves, dataset.n_levels)
+    workers = _worker_count(threads, len(spans))
+    sites = _site_record(dataset.xy.tobytes())
+    stage, key, nbytes, derive = keep
+    seen, table = sites.kept.get(stage, (None, None))
+    fill = seen == key and table is None and nbytes <= _MAX_KEPT_TABLE_BYTES
+    if seen != key:
+        sites.kept[stage] = (key, None)
+        table = None
     order = _canonical_order(dataset, sites)
     xy = dataset.xy[order]
     X = None if rows is None else rows[order]
-    blocks = list(enumerate(_pair_spans(dataset.n_curves, dataset.n_levels)))
 
     def run(chunk):
         # a block's distances are freed only once the next block's exist;
@@ -526,18 +521,28 @@ def _pair_map(
         # block (10x the page faults of a one-shot n = 5000 variogram)
         out = []
         for k, (i0, i1) in chunk:
-            d = _block_distances(xy, i0, i1) if distances else None
+            if table is None:
+                d = _block_distances(xy, i0, i1)
+                block = derive(d)
+            else:
+                block = table[k]
             head, tail = (None, None) if X is None else (X[i0:i1], X[i0:])
-            out.append(fn(k, d, head, tail))
+            # only a filling pass holds every block's value, so a pass that
+            # keeps nothing needs O(n m) memory
+            out.append((fn(block, head, tail), block if fill else None))
         return out
 
-    workers = _worker_count(threads, len(blocks))
+    blocks = list(enumerate(spans))
     if workers == 1:
-        return run(blocks)
-    runs = [blocks[k * len(blocks) // workers:(k + 1) * len(blocks) // workers]
-            for k in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [r for out in pool.map(run, runs) for r in out]
+        results = run(blocks)
+    else:
+        runs = [blocks[k * len(blocks) // workers:(k + 1) * len(blocks) // workers]
+                for k in range(workers)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = [r for out in pool.map(run, runs) for r in out]
+    if fill:
+        sites.kept[stage] = (key, tuple(block for _, block in results))
+    return [r for r, _ in results]
 
 
 def trapz_inner(a, b, grid: EvalGrid) -> float:

@@ -24,10 +24,8 @@ from .dataset import (
     _NOT_A_PAIR,
     SpatialFunctionalDataset,
     _check_threads,
-    _kept_table,
     _pair_map,
     _pair_spans,
-    _site_record,
     _sorted_sum,
 )
 from .errors import ValidationError
@@ -173,14 +171,10 @@ def _plugin_ess(
     depend on their number.
 
     The pairs' distances depend only on the sites and the block layout,
-    so the sums at one site set keep a table under ``"distances"`` in
-    their :func:`fess.dataset._site_record`'s ``kept``, keyed by the
-    block spans (see :func:`fess.dataset._kept_table`: the second sum at
-    a key fills it, later ones read it). It holds each block's pair
-    distances, compressed and read-only, and its count of coincident
-    pairs: 8 bytes a pair, 4 n (n - 1) bytes for n sites (0.6 MB at
-    n = 400, 100 MB at n = 5000). A sum that reads it adds what a fresh
-    sum adds, so its reports are the same bit for bit.
+    so ``_pair_map`` keeps, under ``"distances"`` and keyed by the block
+    spans, each block's pair distances, compressed and read-only, and its
+    count of coincident pairs: 8 bytes a pair, 4 n (n - 1) bytes for n
+    sites (0.6 MB at n = 400, 100 MB at n = 5000).
     """
     # reject a bad family, nugget or thread count before the O(n^2) pair passes
     for family in families:
@@ -194,28 +188,22 @@ def _plugin_ess(
     models = [(fit.model, *_unit_parts(fit.model)) for fit in fits]
 
     n = dataset.n_curves
-    spans = tuple(_pair_spans(n, dataset.n_levels))
-    sites = _site_record(dataset.xy.tobytes())
-    table, fill = _kept_table(sites, "distances", spans, 4 * n * (n - 1))
 
-    def block_sums(k, d, head, tail):
-        if table is not None:
-            d, coincident = table[k]
-        else:
-            d = d[d != _NOT_A_PAIR]
-            d.flags.writeable = False
-            coincident = int(np.count_nonzero(d == 0.0))
-        sums = [
+    def derive(d):
+        d = d[d != _NOT_A_PAIR]
+        d.flags.writeable = False
+        return d, int(np.count_nonzero(d == 0.0))
+
+    def block_sums(block, head, tail):
+        d, coincident = block
+        return [
             sill * float(np.sum(_CORR[model.family](d / model.range_km))) + nugget * coincident
             for model, sill, nugget in models
         ]
-        return sums, (d, coincident) if fill else None
 
-    results = _pair_map(block_sums, dataset, sites, threads=threads, distances=table is None)
-    if fill:
-        sites.kept["distances"] = (spans, tuple(block for _, block in results))
+    keep = ("distances", tuple(_pair_spans(n, dataset.n_levels)), 4 * n * (n - 1), derive)
     upper = [0.0] * len(fits)
-    for sums, _ in results:
+    for sums in _pair_map(block_sums, dataset, keep, threads=threads):
         for k, value in enumerate(sums):
             upper[k] += value
     reports = []
@@ -239,14 +227,13 @@ def ess_plugin(
     fitted model; fit warnings propagate.
     Every pair stage streams over row blocks and runs on the usable cores;
     the report does not depend on their number. A one-shot estimate
-    needs O(n m) memory for the streamed blocks; from the second estimate
-    at the same sites, memory also holds the pairs' bin slots at its bins,
-    about n**2 / 2 bytes, and their distances, 4 n**2 bytes (13 and
-    100 MB at n = 5000), so later estimates there compute no distances
-    (see :func:`fess.variogram._binned_pair_stats` and
-    :func:`_plugin_ess`). Both tables live in the one record kept for
-    the last site set (:func:`fess.dataset._site_record`), beside the
-    factor of :func:`fess.far1.gauss_field_simulate`; a call at other
-    sites drops all three.
+    needs O(n m) memory for the streamed blocks. Repeated estimates at the
+    same sites keep the pairs' bin slots at their bins, about n**2 / 2
+    bytes, and their distances, 4 n**2 bytes (13 and 100 MB at n = 5000),
+    and then compute no distances (see :func:`fess.dataset._pair_map`).
+    Both tables live in the one record kept for the last site set
+    (:func:`fess.dataset._site_record`), beside the factor of
+    :func:`fess.far1.gauss_field_simulate`; a call at other sites drops
+    all three.
     """
     return _plugin_ess(dataset, [family], bins, nugget)[0]

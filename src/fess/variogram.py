@@ -23,7 +23,6 @@ from .dataset import (
     SpatialFunctionalDataset,
     _column_means,
     _frozen_array,
-    _kept_table,
     _pair_map,
     _pair_spans,
     _parse_cell,
@@ -321,17 +320,12 @@ def _binned_pair_stats(
     and do not depend on ``threads``. ``sigma0`` is the mean of the
     kernel's squared norms, the i = j terms.
 
-    The bin of each pair depends only on the sites and the bins, so the
-    passes at one site set keep a slot table under ``"slots"`` in their
-    :func:`fess.dataset._site_record`'s ``kept``, keyed by the bin edges
-    and the block layout (see :func:`fess.dataset._kept_table`: the
-    second pass at a key fills it, later ones read it). It holds each
-    block's bin slots (:meth:`LagBins._slots` of its distances,
-    flattened, in the smallest unsigned type holding every slot: one byte
-    a pair up to 254 bins, about n**2 / 2 bytes for n sites) and the
-    per-bin pair counts and distance sums, each added in block order, all
-    read-only. Passes that read it bin their pairs as a fresh pass bins
-    them, so their results are the same bit for bit.
+    The bin of each pair depends only on the sites and the bins, so
+    ``_pair_map`` keeps, under ``"slots"`` and keyed by the bin edges and
+    the block layout, each block's bin slots (:meth:`LagBins._slots` of
+    its distances, flattened, in the smallest unsigned type holding every
+    slot: one byte a pair up to 254 bins, about n**2 / 2 bytes for n
+    sites) with its per-bin pair counts and distance sums, all read-only.
     """
     if dataset.n_curves < 2:
         raise ValidationError("empirical estimation needs at least 2 curves")
@@ -350,44 +344,34 @@ def _binned_pair_stats(
     if not math.isfinite(4.0 * max(norms) + sum(norms)):
         raise ValidationError(_TOO_LARGE)
     spans = tuple(_pair_spans(n, dataset.n_levels))
-    sites = _site_record(dataset.xy.tobytes())
-    key = (bins.edges.tobytes(), spans)
     dtype = np.min_scalar_type(n_bins + 1)
     size = sum((i1 - i0) * (n - i0) for i0, i1 in spans) * dtype.itemsize
-    table, fill = _kept_table(sites, "slots", key, size)
 
-    def block_stats(k, d, head, tail):
-        g = np.einsum("km,cm->kc", head[:, :-1] * w, tail[:, :-1])
-        values = from_gram(g, head[:, -1:], tail[:, -1]).ravel()
-        # slots 0 and n_bins + 1 collect the pairs outside the bins and the
-        # entries that are not pairs, and are dropped
-        if table is not None:
-            return np.bincount(table[0][k], weights=values, minlength=n_bins + 2)[1:-1], None
+    # slots 0 and n_bins + 1 collect the pairs outside the bins and the
+    # entries that are not pairs, and are dropped
+    def derive(d):
         d = d.ravel()
         slots = bins._slots(d)
-        return np.bincount(slots, weights=values, minlength=n_bins + 2)[1:-1], (
-            np.bincount(slots, minlength=n_bins + 2)[1:-1],
-            np.bincount(slots, weights=d, minlength=n_bins + 2)[1:-1],
-            _frozen_array(slots, dtype) if fill else None,
-        )
+        counts = np.bincount(slots, minlength=n_bins + 2)[1:-1]
+        hsums = np.bincount(slots, weights=d, minlength=n_bins + 2)[1:-1]
+        counts.flags.writeable = hsums.flags.writeable = False
+        return _frozen_array(slots, dtype), counts, hsums
 
-    results = _pair_map(block_stats, dataset, sites, rows, threads, distances=table is None)
-    if table is not None:
-        _, counts, hsums = table
-    else:
-        counts = np.zeros(n_bins, dtype=np.int64)
-        hsums = np.zeros(n_bins)
-        for _, (c, h, _) in results:
+    def block_stats(block, head, tail):
+        g = np.einsum("km,cm->kc", head[:, :-1] * w, tail[:, :-1])
+        values = from_gram(g, head[:, -1:], tail[:, -1]).ravel()
+        slots, counts, hsums = block
+        return np.bincount(slots, weights=values, minlength=n_bins + 2)[1:-1], counts, hsums
+
+    keep = ("slots", (bins.edges.tobytes(), spans), size, derive)
+    sums = np.zeros(n_bins)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    hsums = np.zeros(n_bins)
+    with np.errstate(over="ignore"):
+        for v, c, h in _pair_map(block_stats, dataset, keep, rows, threads):
+            sums += v
             counts += c
             hsums += h
-        if fill:
-            counts.flags.writeable = hsums.flags.writeable = False
-            slots = tuple(s for _, (_, _, s) in results)
-            sites.kept["slots"] = (key, (slots, counts, hsums))
-    sums = np.zeros(n_bins)
-    with np.errstate(over="ignore"):
-        for v, _ in results:
-            sums += v
     if not np.all(np.isfinite(sums)):
         raise ValidationError(_TOO_LARGE)
     occ = counts > 0

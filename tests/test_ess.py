@@ -430,8 +430,8 @@ class TestPairSlotMemo:
 
     @staticmethod
     def table(ds, bins):
-        """The ``(slots, counts, hsums)`` kept for ``ds``'s sites at ``bins``,
-        None while only the key is kept."""
+        """The ``(slots, counts, hsums)`` of each block kept for ``ds``'s
+        sites at ``bins``, None while only the key is kept."""
         spans = tuple(fess.dataset._pair_spans(ds.n_curves, ds.n_levels))
         kept = fess.dataset._site_record(ds.xy.tobytes()).kept
         key, table = kept["slots"]
@@ -487,6 +487,18 @@ class TestPairSlotMemo:
         assert self.table(ds, bins) is None and self.distances(ds) is None
         assert set(fess.dataset._site_record(ds.xy.tobytes()).kept) == {"slots", "distances"}
         assert len(measured) == 2 * blocks
+
+    def test_a_refused_pass_leaves_the_kept_key(self, binned):
+        ds = random_dataset(derived_rng(70), 40, 4)
+        bins = fess.default_lag_bins(ds)
+        blocks = len(fess.dataset._pair_spans(40, 4))
+        empirical_trace_variogram(ds, bins)
+        # a bad thread count is refused before the kept key is read or replaced
+        with pytest.raises(ValidationError, match="threads"):
+            empirical_trace_variogram(ds, LagBins.equal_width(100.0, 4), threads=0)
+        empirical_trace_variogram(ds, bins)
+        assert self.table(ds, bins) is not None
+        assert len(binned) == 2 * blocks
 
     def test_each_part_of_the_key_misses(self, binned, measured, monkeypatch):
         n, m = 40, 4
@@ -565,7 +577,7 @@ class TestPairSlotMemo:
         fess.dataset._site_record.cache_clear()
         for _ in range(2):
             empirical_trace_variogram(ds, bins)
-        slots, counts, hsums = self.table(ds, bins)
+        slots, counts, hsums = zip(*self.table(ds, bins))
         assert slots[0].dtype == np.uint8
         for _ in range(2):
             fess.ess._plugin_ess(ds, ["exponential"], bins)
@@ -576,7 +588,7 @@ class TestPairSlotMemo:
         # each of the 10 sites is shared by 3 rows
         assert sum(coincident) == 30
         record = fess.dataset._site_record(ds.xy.tobytes())
-        for a in [*slots, counts, hsums, *distances, record.order, record.tied, record.groups]:
+        for a in [*slots, *counts, *hsums, *distances, record.order, record.tied, record.groups]:
             assert a.size and not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1

@@ -12,8 +12,11 @@ so the later steps reuse what the earlier ones kept in memory: the
 second ``ess`` fills the ESS sum's kept distances and the third reads
 them. The ``switch/in_process`` entry puts an ``ess`` on other sites
 between a ``variogram`` and three ``ess`` steps on one input, so those
-steps start again from nothing kept. Their files are recorded under the
-step that wrote them, and the exit code is the first non-zero step's.
+steps start again from nothing kept. The ``large/in_process_t2`` entry
+runs those four steps on the large input with ``--threads 2``, so both
+kept tables are filled and read on 2 workers. Their files are recorded
+under the step that wrote them, and the exit code is the first non-zero
+step's.
 Two source trees whose manifests are identical give byte-identical CLI
 results on this session, so a refactor is checked against its base
 commit with
@@ -258,6 +261,16 @@ def in_process_sessions(tmp: Path) -> list[tuple[str, list[tuple[str, list[str]]
         ("ess", ["ess"] + data("field") + fams),
         ("ess_again", ["ess"] + data("field") + fams),
         ("ess_third", ["ess"] + data("field") + fams),
+    ]))
+    # the large CSV's 69 pair blocks on 2 workers, whatever the cores: the
+    # first ess fills the slot table, the second the distance table, and
+    # the third reads both
+    t2 = ["--threads", "2"]
+    sessions.append(("large/in_process_t2", [
+        ("variogram", ["variogram"] + data("large") + t2),
+        ("ess", ["ess"] + data("large") + fams + t2),
+        ("ess_again", ["ess"] + data("large") + fams + t2),
+        ("ess_third", ["ess"] + data("large") + fams + t2),
     ]))
     return sessions
 
