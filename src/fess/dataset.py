@@ -270,11 +270,15 @@ def pairwise_distances(locs) -> np.ndarray:
 # the w columns right of its first row is sized so that b * w * m is about
 # this many values. The pair kernels form no b x w x m array, so each of a
 # block's b x w pair arrays holds about 2**20 / m float64s (380 KB at
-# m = 22). At n = 5000, m = 22 on 2 cores, 2**20 ran both pair passes
-# fastest on 1 and 2 threads (variogram 0.25 and 0.15 s, ESS sum 0.07 and
-# 0.05 s). Smaller blocks gained nothing from a second thread at 2**18,
-# because their many small numpy calls hold the GIL; 2**21 and 2**22 were
-# 0.03-0.1 s slower per pass.
+# m = 22). At n = 5000, m = 22 on 2 cores (Python 3.11, numpy 2.4), 2**20
+# ran the variogram pass fastest on 2 threads: 0.20-0.21 s one-shot and
+# 0.08-0.10 s from kept slots, against 0.26-0.33 and 0.10-0.12 s at 2**19
+# and 0.24-0.25 and 0.09-0.11 s at 2**21; on 1 thread the three sizes
+# tied (0.32-0.42 and 0.13-0.15 s). The ESS sum took 0.08-0.09 s one-shot
+# on 2 threads (0.10-0.13 s on 1) and 0.02-0.05 s from kept distances,
+# within noise of the neighbouring sizes. Smaller blocks gained nothing
+# from a second thread at 2**18, because their many small numpy calls
+# hold the GIL.
 _PAIR_BLOCK_ELEMENTS = 2**20
 
 # Fewest pair blocks per worker thread. Starting and feeding threads
@@ -473,14 +477,16 @@ def _block_distances(xy: np.ndarray, i0: int, i1: int) -> np.ndarray:
 
 
 def _pair_map(fn, dataset: "SpatialFunctionalDataset", keep, rows=None, threads=None) -> list:
-    """``fn(block, X[i0:i1], X[i0:])`` for every canonical pair block, in block order.
+    """``fn(block, X[:, i0:i1], X[:, i0:])`` for every canonical pair block, in block order.
 
     The blocks ``(i0, i1)`` are the :func:`_pair_spans` of the dataset's n
-    rows and m grid levels, whatever the width of ``rows``. ``X`` is
-    ``rows`` in :func:`_canonical_order` under the dataset's
-    :func:`_site_record`: the one row order of every pair stage. Without
-    ``rows`` the stage reads only distances, no row matrix is formed and
-    ``fn`` gets None for both slices.
+    rows and m grid levels, whatever the height of ``rows``. ``rows`` is
+    level-major, one column per dataset row, and ``X`` is its columns in
+    :func:`_canonical_order` under the dataset's :func:`_site_record`: the
+    one row order of every pair stage. ``X`` is gathered once per pass,
+    and each block reads column slices of it. Without ``rows`` the stage
+    reads only distances, no row matrix is formed and ``fn`` gets None for
+    both slices.
 
     ``keep = (stage, key, nbytes, derive)``: ``block`` is ``derive(d)``,
     the read-only value the stage derives from the block's
@@ -513,7 +519,9 @@ def _pair_map(fn, dataset: "SpatialFunctionalDataset", keep, rows=None, threads=
         table = None
     order = _canonical_order(dataset, sites)
     xy = dataset.xy[order]
-    X = None if rows is None else rows[order]
+    # C-ordered, as fess.variogram._lane_dot needs for einsum's bits;
+    # rows[:, order] would lay X out by column
+    X = None if rows is None else np.take(rows, order, axis=1)
 
     def run(chunk):
         # a block's distances are freed only once the next block's exist;
@@ -526,7 +534,7 @@ def _pair_map(fn, dataset: "SpatialFunctionalDataset", keep, rows=None, threads=
                 block = derive(d)
             else:
                 block = table[k]
-            head, tail = (None, None) if X is None else (X[i0:i1], X[i0:])
+            head, tail = (None, None) if X is None else (X[:, i0:i1], X[:, i0:])
             # only a filling pass holds every block's value, so a pass that
             # keeps nothing needs O(n m) memory
             out.append((fn(block, head, tail), block if fill else None))

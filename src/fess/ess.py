@@ -228,9 +228,10 @@ def ess_plugin(
     Every pair stage streams over row blocks and runs on the usable cores;
     the report does not depend on their number. A one-shot estimate
     needs O(n m) memory for the streamed blocks. Repeated estimates at the
-    same sites keep the pairs' bin slots at their bins, about n**2 / 2
-    bytes, and their distances, 4 n**2 bytes (13 and 100 MB at n = 5000),
-    and then compute no distances (see :func:`fess.dataset._pair_map`).
+    same sites keep the pairs' bin slots at their bins, at most about
+    n**2 / 2 bytes, and their distances, 4 n**2 bytes (11.5 and 100 MB at
+    n = 5000 on uniform sites and default bins), and then compute no
+    distances (see :func:`fess.dataset._pair_map`).
     Both tables live in the one record kept for the last site set
     (:func:`fess.dataset._site_record`), beside the factor of
     :func:`fess.far1.gauss_field_simulate`; a call at other sites drops

@@ -332,10 +332,11 @@ class TestEmpiricalVariogram:
         assert np.all(ev.gamma[ev.occupied] == 0.0)
         assert ev.sigma0 == 0.0
 
-    @pytest.mark.parametrize("m", [2, 3, 5, 8, 22, 41])
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 9, 22, 23, 41])
     def test_repeated_curves_give_exactly_zero(self, m):
         # each curve is repeated at its own site, far from the others, so
-        # the first bin holds only pairs of equal curves
+        # the first bin holds only pairs of equal curves; 9 and 23 levels
+        # end the lane kernel's groups of 8 in an odd last level
         rng = derived_rng(31)
         k = 12
         curves = 1e3 * rng.standard_normal((k, m)) + rng.uniform(-5e4, 5e4, size=m)
@@ -483,6 +484,141 @@ class TestEmpiricalVariogram:
         assert np.array_equal(back.gamma, ev.gamma, equal_nan=True)
         assert np.array_equal(back.counts, ev.counts)
         assert back.sigma0 is None
+
+
+class TestLaneKernel:
+    """The variogram's Gram kernel sums each of numpy's two einsum lanes
+    level by level, which gives einsum's dot product bit for bit."""
+
+    def test_lane_levels(self):
+        lanes = fess.variogram._lane_levels
+        assert lanes(2) == ([0], [1])
+        assert lanes(3) == ([0, 2], [1])
+        assert lanes(9) == ([6, 4, 2, 0, 8], [7, 5, 3, 1])
+        assert lanes(22) == (
+            [6, 4, 2, 0, 14, 12, 10, 8, 16, 18, 20], [7, 5, 3, 1, 15, 13, 11, 9, 17, 19, 21]
+        )
+        for m in range(2, 42):
+            lane0, lane1 = lanes(m)
+            assert sorted(lane0 + lane1) == list(range(m))
+            assert len(lane0) - len(lane1) == m % 2
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-50, 1.0, 1e50, 1e150])
+    def test_lane_kernel_is_einsum_bit_for_bit(self, scale):
+        rng = derived_rng(32)
+        for m in range(2, 42):
+            a = scale * (rng.standard_normal((40, m)) + rng.uniform(-50.0, 50.0, size=m))
+            w = EvalGrid(np.cumsum(rng.uniform(0.1, 1.0, m))).quad_weights
+            lane0, lane1 = fess.variogram._lane_levels(m)
+            levels = lane0 + lane1
+            # level-major and C-ordered, as the pair blocks read them
+            a_w = np.ascontiguousarray((a * w)[:, levels].T)
+            a_t = np.ascontiguousarray(a[:, levels].T)
+            kernel = fess.variogram._lane_dot("mk,mc->kc", a_w[:, 5:17], a_t[:, 5:33], len(lane0))
+            ref = np.einsum("km,cm->kc", a[5:17] * w, a[5:33])
+            assert kernel.tobytes() == ref.tobytes(), m
+            norms = fess.variogram._lane_dot("mk,mk->k", a_w, a_t, len(lane0))
+            assert norms.tobytes() == np.einsum("km,km->k", a * w, a).tobytes(), m
+            # the norms are the kernel's self-products
+            assert norms[5:17].tobytes() == np.diag(kernel).copy().tobytes(), m
+
+
+class TestCutBlockTails:
+    """A kept block holds its bin slots up to its last column with a pair in
+    a bin; pair values are computed on that width only, and every estimate
+    equals a per-block sequential sum over the canonical pairs."""
+
+    @staticmethod
+    def brute_force(ds, bins, covariogram):
+        """``(centers, gamma, counts, sigma0)`` from each canonical block's
+        pairs summed one by one in row-major order, the blocks in order."""
+        sites = fess.dataset._site_record(ds.xy.tobytes())
+        order = fess.dataset._canonical_order(ds, sites)
+        dev = ds.curves[order] - fess.dataset._column_means(ds.curves)
+        w = ds.grid.quad_weights
+        g = np.einsum("km,cm->kc", dev * w, dev)
+        norms = np.einsum("km,km->k", dev * w, dev)
+        d = pairwise_distances(ds.xy[order])
+        slot = bins.index_of(d)
+        n, n_bins = ds.n_curves, len(bins)
+        sums, hsums, counts = [0.0] * n_bins, [0.0] * n_bins, [0] * n_bins
+        for i0, i1 in fess.dataset._pair_spans(n, ds.n_levels):
+            block, hblock = [0.0] * n_bins, [0.0] * n_bins
+            for k in range(i0, i1):
+                for c in range(k + 1, n):
+                    b = slot[k, c]
+                    if b < 0:
+                        continue
+                    gkc = float(g[k, c])
+                    block[b] += gkc if covariogram else max(-2.0 * gkc + norms[k] + norms[c], 0.0)
+                    hblock[b] += float(d[k, c])
+                    counts[b] += 1
+            sums = [s + v for s, v in zip(sums, block)]
+            hsums = [s + v for s, v in zip(hsums, hblock)]
+        counts = np.array(counts)
+        occ = counts > 0
+        centers = np.array(bins.centers)
+        centers[occ] = np.array(hsums)[occ] / counts[occ]
+        gamma = np.full(n_bins, np.nan)
+        gamma[occ] = np.array(sums)[occ] / ((1 if covariogram else 2.0) * counts[occ])
+        return centers, gamma, counts, np.sum(np.sort(norms)) / n
+
+    @staticmethod
+    def widths(ds, bins):
+        """Each kept block's width, checked against its distances."""
+        sites = fess.dataset._site_record(ds.xy.tobytes())
+        xy = ds.xy[fess.dataset._canonical_order(ds, sites)]
+        key, table = sites.kept["slots"]
+        widths = []
+        for (i0, i1), (slots, _, _) in zip(key[1], table):
+            d = fess.dataset._block_distances(xy, i0, i1)
+            binned = np.flatnonzero(np.any(bins.index_of(d) >= 0, axis=0))
+            width = slots.size // (i1 - i0)
+            assert width == (binned[-1] + 1 if binned.size else 0)
+            assert np.array_equal(slots, bins._slots(d)[:, :width].ravel())
+            widths.append(width)
+        return widths
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cut_blocks_sum_like_brute_force(self, threads, monkeypatch):
+        n, m = 150, 9
+        monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 3 * n * m)
+        # both estimators on ``threads`` workers, whatever the cores
+        monkeypatch.setattr(fess.dataset, "_MIN_BLOCKS_PER_WORKER", 1)
+        worker_count = fess.dataset._worker_count
+        monkeypatch.setattr(
+            fess.dataset, "_worker_count", lambda t, n_blocks: worker_count(threads, n_blocks)
+        )
+        spans = fess.dataset._pair_spans(n, m)
+        assert worker_count(threads, len(spans)) == threads
+        rng = derived_rng(33)
+        xy = rng.uniform(0.0, 1000.0, size=(n, 2))
+        xy[100:110] = xy[:10]  # coincident pairs, below the first edge of one bin set
+        curves = rng.standard_normal((n, m)) + np.sin(xy[:, :1] / 200.0)
+        ds = make_dataset(curves, xy=xy, grid=EvalGrid(np.cumsum(rng.uniform(0.1, 1.0, m))))
+        # short bins: arithmetic slots from 0, searchsorted slots from 5 km
+        for bins in (LagBins.equal_width(40.0, 3), LagBins([5.0, 25.0, 60.0])):
+            expected = {
+                covariogram: self.brute_force(ds, bins, covariogram)
+                for covariogram in (False, True)
+            }
+            for first, second in [(False, True), (True, False)]:
+                fess.dataset._site_record.cache_clear()
+                # cold, filling, then warm passes of the first; warm of the second
+                for covariogram in (first, first, first, second):
+                    if covariogram:
+                        ev = empirical_trace_covariogram(ds, bins)
+                    else:
+                        ev = empirical_trace_variogram(ds, bins, threads)
+                    centers, gamma, counts, sigma0 = expected[covariogram]
+                    assert ev.centers.tobytes() == centers.tobytes()
+                    assert ev.gamma.tobytes() == gamma.tobytes()
+                    assert np.array_equal(ev.counts, counts)
+                    assert ev.sigma0 == sigma0
+            widths = self.widths(ds, bins)
+            # some blocks keep no column, none keeps the whole block
+            assert 0 in widths and max(widths) > 0
+            assert sum(widths) < sum(n - i0 for i0, _ in spans)
 
 
 def large_curve_dataset(scale):

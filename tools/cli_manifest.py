@@ -14,7 +14,10 @@ them. The ``switch/in_process`` entry puts an ``ess`` on other sites
 between a ``variogram`` and three ``ess`` steps on one input, so those
 steps start again from nothing kept. The ``large/in_process_t2`` entry
 runs those four steps on the large input with ``--threads 2``, so both
-kept tables are filled and read on 2 workers. Their files are recorded
+kept tables are filled and read on 2 workers. The ``levels22`` and
+``levels23`` inputs carry curves on 22 and 23 levels, so the variogram's
+lane kernel runs its groups of 8 levels, and on 23 an odd last level,
+cold and warm. Their files are recorded
 under the step that wrote them, and the exit code is the first non-zero
 step's.
 Two source trees whose manifests are identical give byte-identical CLI
@@ -38,7 +41,7 @@ import numpy as np
 
 PLACEHOLDER = "<TMP>"
 FAMILIES = ("exponential", "spherical", "gaussian")
-INPUTS = ("field", "duplicated", "constant", "iid", "large")
+INPUTS = ("field", "duplicated", "constant", "iid", "large", "levels22", "levels23")
 LEVELS = [str(10 * (i + 1)) for i in range(6)]
 
 # Runs each argv of the JSON list in sys.argv[1] through fess.cli.main in
@@ -53,9 +56,9 @@ sys.exit(next((c for c in codes if c), 0))
 
 def write_field_csv(
     path: Path, seed: int, n: int, repeat_shift: float | None = None,
-    kind: str = "correlated",
+    kind: str = "correlated", levels: int = 6,
 ) -> None:
-    """Lon/lat wide CSV with curves on 6 levels.
+    """Lon/lat wide CSV with curves on ``levels`` levels, labelled 10, 20, ...
 
     ``kind`` is ``"correlated"`` (spatially correlated), ``"iid"``
     (independent N(0, 1) values), ``"constant"`` (one curve at every
@@ -71,21 +74,21 @@ def write_field_csv(
         k = n // 3
         lons[k:2 * k] = lons[:k] + repeat_shift
         lats[k:2 * k] = lats[:k]
-    base = rng.standard_normal(6)
+    base = rng.standard_normal(levels)
     if kind == "iid":
-        curves = rng.standard_normal((n, 6))
+        curves = rng.standard_normal((n, levels))
     elif kind == "constant":
         curves = np.tile(base, (n, 1))
     elif kind == "signed_zero":
         curves = rng.choice([-1.0, 0.0, 1.0, 2.0, 3.0], p=[0.05, 0.45, 0.25, 0.2, 0.05],
-                            size=(n, 6))
+                            size=(n, levels))
         zeros = curves == 0.0
         curves[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
     else:
         curves = base * np.sin(lons / 3.0 + lats)[:, None] + 0.3 * np.cumsum(
-            rng.standard_normal((n, 6)), axis=1
+            rng.standard_normal((n, levels)), axis=1
         )
-    lines = [",".join(["lon", "lat"] + LEVELS)]
+    lines = [",".join(["lon", "lat"] + [str(10 * (i + 1)) for i in range(levels)])]
     for lon, lat, row in zip(lons, lats, curves):
         lines.append(",".join([f"{lon:.8f}", f"{lat:.8f}"] + [f"{v:.10f}" for v in row]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -206,6 +209,14 @@ def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
         ("edge/variogram", ["variogram"] + edge_args, True),
         ("edge/ess3", ["ess"] + edge_args + fams, True),
     ]
+    # curves on 22 and 23 levels: the variogram's lane kernel sums groups of
+    # 8 levels, and on 23 levels an odd last one
+    for tag in ("levels22", "levels23"):
+        data = str(tmp / f"{tag}.csv")
+        runs += [
+            (f"{tag}/variogram", ["variogram", "--input", data], True),
+            (f"{tag}/ess3", ["ess", "--input", data] + fams, True),
+        ]
     # the variogram pair stage on worker threads: a base tree that runs it
     # serially checks it byte for byte. The large CSV spans 69 pair blocks,
     # enough for 4 workers; the small ones fit in one block.
@@ -308,6 +319,8 @@ def run_session(src: Path, tmp: Path) -> dict:
     write_field_csv(tmp / "constant.csv", seed=3030, n=30, kind="constant")
     write_field_csv(tmp / "iid.csv", seed=4002, n=45, repeat_shift=1e-4, kind="iid")
     write_field_csv(tmp / "large.csv", seed=5050, n=2400)
+    write_field_csv(tmp / "levels22.csv", seed=2222, n=600, levels=22)
+    write_field_csv(tmp / "levels23.csv", seed=2323, n=500, levels=23)
     write_field_csv(tmp / "signed_zero.csv", seed=7070, n=40, kind="signed_zero")
     write_coincident_csv(tmp / "coincident.csv", seed=8080, n=20)
     write_edge_csv(tmp / "edge.csv", seed=6060, n=40)
