@@ -397,20 +397,27 @@ def _max_site_distance(xy: np.ndarray) -> float:
     ))
 
 
-def _pair_spans(n: int, m: int) -> list[tuple[int, int]]:
+def _pair_spans(n: int, m: int) -> tuple[tuple[int, int], ...]:
     """Row spans ``(i0, i1)`` of the canonical pair blocks of n rows of m values.
 
     Block ``(i0, i1)`` pairs rows ``i0 <= k < i1`` with the rows right of
     them; together the blocks cover every pair ``i < j`` once. Blocks are
-    sized by ``_PAIR_BLOCK_ELEMENTS``.
+    sized by ``_PAIR_BLOCK_ELEMENTS``. The spans are computed once per
+    shape and block size, since every pair pass and kept-table key of an
+    estimate asks for them.
     """
+    return _spans(n, m, _PAIR_BLOCK_ELEMENTS)
+
+
+@functools.lru_cache(maxsize=8)
+def _spans(n: int, m: int, block: int) -> tuple[tuple[int, int], ...]:
     spans = []
     i0 = 0
     while i0 < n - 1:
-        i1 = min(n - 1, i0 + max(1, _PAIR_BLOCK_ELEMENTS // ((n - i0) * m)))
+        i1 = min(n - 1, i0 + max(1, block // ((n - i0) * m)))
         spans.append((i0, i1))
         i0 = i1
-    return spans
+    return tuple(spans)
 
 
 def _site_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

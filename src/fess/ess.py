@@ -146,7 +146,11 @@ def ess_functional(D: np.ndarray, model: TraceCovModel) -> EssReport:
     """
     D = _validate_distance_matrix(D)
     sill, nugget = _unit_parts(model)
-    cov = sill * _CORR[model.family](D / model.range_km) + np.where(D == 0.0, nugget, 0.0)
+    # in place on the one n x n quotient. The nugget goes only where D == 0:
+    # adding 0.0 elsewhere could only turn a -0.0 into 0.0, which no sum sees
+    cov = _CORR[model.family](D / model.range_km)
+    cov *= sill
+    np.add(cov, nugget, out=cov, where=D == 0.0)
     return _ess_report(D.shape[0], model, _sorted_sum(cov))
 
 
@@ -166,7 +170,10 @@ def _plugin_ess(
     canonical pair blocks, added in block order (bitwise invariant under row
     relabelling); each block adds ``sill * sum corr(d / range)`` over its
     pairs and the nugget once per coincident pair, as the diagonal carries
-    it, in the units of :func:`_unit_parts`. Both pair passes run on
+    it, in the units of :func:`_unit_parts`. A block allocates one
+    scratch array for all the models: each model divides the block's
+    distances by its range into it, and the family's correlation
+    overwrites it in place before it is summed. Both pair passes run on
     ``threads`` workers (default: the usable cores); the reports do not
     depend on their number.
 
@@ -196,12 +203,14 @@ def _plugin_ess(
 
     def block_sums(block, head, tail):
         d, coincident = block
-        return [
-            sill * float(np.sum(_CORR[model.family](d / model.range_km))) + nugget * coincident
-            for model, sill, nugget in models
-        ]
+        u = np.empty_like(d)
+        sums = []
+        for model, sill, nugget in models:
+            corr = _CORR[model.family](np.divide(d, model.range_km, out=u))
+            sums.append(sill * float(np.sum(corr)) + nugget * coincident)
+        return sums
 
-    keep = ("distances", tuple(_pair_spans(n, dataset.n_levels)), 4 * n * (n - 1), derive)
+    keep = ("distances", _pair_spans(n, dataset.n_levels), 4 * n * (n - 1), derive)
     upper = [0.0] * len(fits)
     for sums in _pair_map(block_sums, dataset, keep, threads=threads):
         for k, value in enumerate(sums):
@@ -227,7 +236,9 @@ def ess_plugin(
     fitted model; fit warnings propagate.
     Every pair stage streams over row blocks and runs on the usable cores;
     the report does not depend on their number. A one-shot estimate
-    needs O(n m) memory for the streamed blocks. Repeated estimates at the
+    needs O(n m) memory for the streamed blocks; the ESS sum adds one
+    scratch array of a block's pair distances per worker, which each
+    family's correlation overwrites in place. Repeated estimates at the
     same sites keep the pairs' bin slots at their bins, at most about
     n**2 / 2 bytes, and their distances, 4 n**2 bytes (11.5 and 100 MB at
     n = 5000 on uniform sites and default bins), and then compute no

@@ -34,12 +34,28 @@ from .dataset import (
 )
 from .errors import EstimationError, ValidationError
 
+
+def _spherical_corr(u):
+    # 1 - 1.5 u + 0.5 u**3 within the range, 0 past it or at NaN: the
+    # ufuncs of np.where(u <= 1.0, 1.0 - 1.5 * u + 0.5 * u**3, 0.0), in its order
+    outside = ~(u <= 1.0)
+    cube = np.power(u, 3)
+    cube *= 0.5
+    np.subtract(1.0, np.multiply(u, 1.5, out=u), out=u)
+    u += cube
+    np.copyto(u, 0.0, where=outside)
+    return u
+
+
 # Correlation of each family as a function of ``u = h / range``: the one
-# definition that the model, the fit objective and the simulator share.
+# definition that the model, the fit objective, the ESS and the simulator
+# share. Each overwrites its float array ``u`` (0-d included) with the
+# correlation and returns it, so callers pass a freshly computed
+# ``h / range``, never an array they keep.
 _CORR = {
-    "exponential": lambda u: np.exp(-u),
-    "spherical": lambda u: np.where(u <= 1.0, 1.0 - 1.5 * u + 0.5 * u**3, 0.0),
-    "gaussian": lambda u: np.exp(-(u**2)),
+    "exponential": lambda u: np.exp(np.negative(u, out=u), out=u),
+    "spherical": _spherical_corr,
+    "gaussian": lambda u: np.exp(np.negative(np.square(u, out=u), out=u), out=u),
 }
 FAMILIES = tuple(_CORR)
 
@@ -213,7 +229,9 @@ def model_trace_cov(model: TraceCovModel, h):
     h_arr = np.asarray(h, dtype=float)
     if not np.all(h_arr >= 0):
         raise ValidationError("distances must be non-negative (and not NaN)")
-    c = model.sill * _CORR[model.family](h_arr / model.range_km)
+    # a fresh array for _CORR to overwrite: a 0-d quotient would be a numpy scalar
+    u = np.divide(h_arr, model.range_km, out=np.empty(h_arr.shape))
+    c = model.sill * _CORR[model.family](u)
     c = c + np.where(h_arr == 0.0, model.nugget, 0.0)
     return float(c) if np.isscalar(h) or h_arr.ndim == 0 else c
 
@@ -400,7 +418,7 @@ def _binned_pair_stats(
     norms = rows[-1].tolist()
     if not math.isfinite(4.0 * max(norms) + sum(norms)):
         raise ValidationError(_TOO_LARGE)
-    spans = tuple(_pair_spans(n, m))
+    spans = _pair_spans(n, m)
     dtype = np.min_scalar_type(n_bins + 1)
     size = sum((i1 - i0) * (n - i0) for i0, i1 in spans) * dtype.itemsize
 
@@ -555,7 +573,8 @@ def _profile(fam, hn, gn, log_range, free_nugget):
     nugget the two-column solution is used only when both its values are
     positive, the zero-nugget one otherwise.
     """
-    f = 1.0 - _CORR[fam](hn[None, :] / np.exp(log_range)[:, None])
+    f = _CORR[fam](hn[None, :] / np.exp(log_range)[:, None])
+    np.subtract(1.0, f, out=f)
     # f > 0 at the largest lag (hn = 1) for every range in the box
     sill = np.maximum(f @ gn / np.einsum("rb,rb->r", f, f), _SILL_FLOOR)
     nugget = np.zeros_like(sill)
@@ -570,7 +589,9 @@ def _profile(fam, hn, gn, log_range, free_nugget):
         both = (slope >= _SILL_FLOOR) & (level > 0)
         sill = np.where(both, slope, sill)
         nugget = np.where(both, level, 0.0)
-    resid = gn - nugget[:, None] - sill[:, None] * f
+        gn = gn - nugget[:, None]
+    # with the nugget fixed at zero its term is left out: gn - 0.0 is gn bit for bit
+    resid = np.subtract(gn, np.multiply(f, sill[:, None], out=f), out=f)
     return sill, nugget, np.einsum("rb,rb->r", resid, resid)
 
 

@@ -3,6 +3,14 @@ import pytest
 
 from fess import EvalGrid, PlanarCoord, SpatialFunctionalDataset
 
+# Each family as an expression on a fresh array: the reference that the
+# in-place families of fess.variogram._CORR must equal bit for bit.
+FRESH_CORR = {
+    "exponential": lambda u: np.exp(-u),
+    "spherical": lambda u: np.where(u <= 1.0, 1.0 - 1.5 * u + 0.5 * u**3, 0.0),
+    "gaussian": lambda u: np.exp(-(u**2)),
+}
+
 
 @pytest.fixture
 def unit_grid():

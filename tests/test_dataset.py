@@ -178,7 +178,7 @@ class TestPairwiseDistances:
 
         rng = derived_rng(9)
         xy = rng.uniform(-50.0, 50.0, size=(300, 2))
-        for i0, i1 in _pair_spans(300, 22) + [(0, 1), (5, 9), (298, 299)]:
+        for i0, i1 in _pair_spans(300, 22) + ((0, 1), (5, 9), (298, 299)):
             d = _block_distances(xy, i0, i1)
             # the reference marks the not-a-pair entries through an index array
             ref = pairwise_distances(xy)[i0:i1, i0:]

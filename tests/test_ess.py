@@ -35,7 +35,13 @@ from fess import (
 from fess.dataset import _write_json
 from fess.rng import derived_rng
 
-from conftest import make_dataset, random_dataset, repeated_lattice_dataset, tied_dataset
+from conftest import (
+    FRESH_CORR,
+    make_dataset,
+    random_dataset,
+    repeated_lattice_dataset,
+    tied_dataset,
+)
 
 FAMILIES = ("exponential", "spherical", "gaussian")
 
@@ -76,6 +82,19 @@ class TestEssFunctional:
         report = ess_functional(D, m)
         assert report.ess == pytest.approx(expected, rel=1e-12)
         assert report.ess == pytest.approx(1.89786, abs=1e-5)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_in_place_covariance_keeps_the_sums_bits(self, family):
+        rng = derived_rng(34)
+        xy = rng.uniform(0.0, 300.0, size=(60, 2))
+        D = pairwise_distances(np.vstack([xy, xy[:10]]))  # coincident pairs off the diagonal
+        for range_km, nugget in ((40.0, 0.0), (40.0, 0.6), (float(np.max(D)) * 0.9, 0.3)):
+            m = TraceCovModel(family, 1.3, range_km, nugget=nugget)
+            sill, nug = fess.ess._unit_parts(m)
+            # the dense matrix on fresh arrays, 0.0 added off the zero distances
+            cov = sill * FRESH_CORR[family](D / range_km) + np.where(D == 0.0, nug, 0.0)
+            denom = fess.dataset._sorted_sum(cov)
+            assert ess_functional(D, m) == fess.ess._ess_report(D.shape[0], m, denom)
 
     def test_pure_nugget_limit_gives_n(self):
         rng = derived_rng(31)

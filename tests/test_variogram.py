@@ -29,7 +29,7 @@ from fess.dataset import _write_json
 from fess.ess import ess_plugin
 from fess.rng import derived_rng
 
-from conftest import make_dataset, random_dataset, tied_dataset
+from conftest import FRESH_CORR, make_dataset, random_dataset, tied_dataset
 
 FAMILIES = ("exponential", "spherical", "gaussian")
 
@@ -322,6 +322,80 @@ class TestModelFamilies:
             TraceCovModel("exponential", 1.0, -1.0)
         with pytest.raises(ValidationError):
             TraceCovModel("exponential", 1.0, 1.0, nugget=-0.1)
+
+
+# zero, subnormals, the range and its neighbours, where exp underflows,
+# and past the float range once squared or cubed
+EDGE_U = np.array([
+    0.0, 5e-324, 1e-310, np.finfo(float).tiny, 0.5,
+    np.nextafter(1.0, -np.inf), 1.0, np.nextafter(1.0, np.inf),
+    *np.arange(745.0, 801.0, 5.0), 1e300, np.inf, np.nan,
+])
+
+
+def fresh_model_trace_cov(model, h):
+    """model_trace_cov as computed on a fresh quotient, a numpy scalar for a scalar h."""
+    h_arr = np.asarray(h, dtype=float)
+    c = model.sill * FRESH_CORR[model.family](h_arr / model.range_km)
+    return float(c + np.where(h_arr == 0.0, model.nugget, 0.0))
+
+
+class TestInPlaceFamilies:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_each_family_overwrites_its_argument_with_the_same_bits(self, family):
+        rng = derived_rng(91)
+        inputs = [
+            EDGE_U,
+            rng.uniform(0.0, 3.0, 4001),
+            np.linspace(0.0, 1.0, 257),  # every u within the range
+            np.linspace(1.0, 9.0, 257)[1:],  # every u past it
+            # the (ranges x bins) quotients of the fit's profile
+            np.linspace(0.05, 1.0, 15)[None, :] / np.exp(np.linspace(-3.0, 2.0, 41))[:, None],
+            *(np.array(u) for u in EDGE_U),  # 0-d
+        ]
+        with np.errstate(all="ignore"):
+            for u in inputs:
+                ref = np.asarray(FRESH_CORR[family](u))
+                arg = u.copy()
+                out = fess.variogram._CORR[family](arg)
+                assert out is arg
+                assert out.shape == u.shape
+                assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_scalar_distances_give_the_fresh_quotients_value(self, family):
+        with np.errstate(all="ignore"):
+            for range_km in (1.0, 186.8):
+                m = TraceCovModel(family, 1.7, range_km, nugget=0.3)
+                for h in EDGE_U[~np.isnan(EDGE_U)] * range_km:
+                    for arg in (float(h), np.array(h)):
+                        value = model_trace_cov(m, arg)
+                        assert type(value) is float
+                        assert np.float64(value).tobytes() == np.float64(
+                            fresh_model_trace_cov(m, arg)
+                        ).tobytes()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_scalar_distance_gives_its_value_within_an_array(self, family):
+        m = TraceCovModel(family, 2.3, 40.0, nugget=0.7)
+        h = derived_rng(92).uniform(0.0, 80.0, 2000)
+        on_array = model_trace_cov(m, h)
+        on_scalars = [model_trace_cov(m, float(x)) for x in h]
+        assert np.asarray(on_scalars).tobytes() == on_array.tobytes()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("free_nugget", [False, True])
+    def test_profile_residuals_keep_their_bits(self, family, free_nugget):
+        rng = derived_rng(93)
+        hn = np.sort(rng.uniform(0.05, 1.0, 12))
+        hn[-1] = 1.0
+        gn = 0.2 + (1.0 - FRESH_CORR[family](hn / 0.3)) + rng.normal(0.0, 0.02, hn.size)
+        log_range = np.linspace(-4.0, 2.0, 61)
+        sill, nugget, sse = fess.variogram._profile(family, hn, gn, log_range, free_nugget)
+        f = 1.0 - FRESH_CORR[family](hn[None, :] / np.exp(log_range)[:, None])
+        resid = gn - nugget[:, None] - sill[:, None] * f
+        assert sse.tobytes() == np.einsum("rb,rb->r", resid, resid).tobytes()
+        assert np.any(nugget > 0) == free_nugget
 
 
 class TestEmpiricalVariogram:
