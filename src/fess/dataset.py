@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -169,8 +170,12 @@ def _as_xy(locs) -> np.ndarray:
             raise ValidationError(
                 "locations must be an (n, 2) array or PlanarCoord instances"
             )
-        locs = [(p.x, p.y) for p in locs]
-    xy = _frozen_array(locs)
+        # one pass over the coordinates in C, rather than a list of tuples
+        xy = np.fromiter(itertools.chain.from_iterable((p.x, p.y) for p in locs),
+                         float, 2 * len(locs)).reshape(-1, 2)
+        xy.flags.writeable = False
+    else:
+        xy = _frozen_array(locs)
     if xy.size == 0:
         raise ValidationError("need at least one location")
     if xy.ndim != 2 or xy.shape[1] != 2:
@@ -270,16 +275,32 @@ def pairwise_distances(locs) -> np.ndarray:
 # the w columns right of its first row is sized so that b * w * m is about
 # this many values. The pair kernels form no b x w x m array, so each of a
 # block's b x w pair arrays holds about 2**20 / m float64s (380 KB at
-# m = 22). At n = 5000, m = 22 on 2 cores (Python 3.11, numpy 2.4), 2**20
-# ran the variogram pass fastest on 2 threads: 0.20-0.21 s one-shot and
-# 0.08-0.10 s from kept slots, against 0.26-0.33 and 0.10-0.12 s at 2**19
-# and 0.24-0.25 and 0.09-0.11 s at 2**21; on 1 thread the three sizes
-# tied (0.32-0.42 and 0.13-0.15 s). The ESS sum took 0.08-0.09 s one-shot
-# on 2 threads (0.10-0.13 s on 1) and 0.02-0.05 s from kept distances,
-# within noise of the neighbouring sizes. Smaller blocks gained nothing
-# from a second thread at 2**18, because their many small numpy calls
-# hold the GIL.
+# m = 22); the variogram's pair values, computed per row tile, take no
+# more. These timings predate the row tiles, which change only how much
+# of each block the Gram computes. At n = 5000, m = 22 on 2 cores
+# (Python 3.11, numpy 2.4), 2**20 ran the variogram pass fastest on 2
+# threads: 0.20-0.21 s one-shot and 0.08-0.10 s from kept slots, against
+# 0.26-0.33 and 0.10-0.12 s at 2**19 and 0.24-0.25 and 0.09-0.11 s at
+# 2**21; on 1 thread the three sizes tied (0.32-0.42 and 0.13-0.15 s).
+# The ESS sum took 0.08-0.09 s one-shot on 2 threads (0.10-0.13 s on 1)
+# and 0.02-0.05 s from kept distances, within noise of the neighbouring
+# sizes. Smaller blocks gained nothing from a second thread at 2**18,
+# because their many small numpy calls hold the GIL.
 _PAIR_BLOCK_ELEMENTS = 2**20
+
+# Height of the row tiles in which the variogram computes a block's pair
+# values: each tile computes only the columns from its first pair (down to
+# an even column) to its last in-bin column, so a block taller than a tile
+# skips most of its lower triangle (the blocks of n = 400-600 sites on 22
+# levels are 79-171 rows tall; at n = 5000 only the last 23 of 275 are
+# taller than 32). Each tile costs about 15 us of call overhead (two
+# einsums and the pair-value ufuncs) whatever its width. A warm variogram
+# pass, timed against whole blocks in one process, alternating (2 cores,
+# Python 3.11, numpy 2.4, 40 rounds each), ran at these shares of the
+# whole-block time with tiles of 24, 32, 40, 48 and 64 rows: 0.88, 0.85,
+# 0.84, 0.85 and 0.86 at the benchmark's 400 oracle sites on one thread,
+# 0.81, 0.79, 0.87, 0.81 and 0.83 at its 600 GODAS sites on two.
+_PAIR_TILE_ROWS = 32
 
 # Fewest pair blocks per worker thread. Starting and feeding threads
 # costs more than it saves on small passes: with m = 22 on 2 cores,
@@ -491,9 +512,10 @@ def _pair_map(fn, dataset: "SpatialFunctionalDataset", keep, rows=None, threads=
     level-major, one column per dataset row, and ``X`` is its columns in
     :func:`_canonical_order` under the dataset's :func:`_site_record`: the
     one row order of every pair stage. ``X`` is gathered once per pass,
-    and each block reads column slices of it. Without ``rows`` the stage
-    reads only distances, no row matrix is formed and ``fn`` gets None for
-    both slices.
+    with an even row stride: an odd n adds an unused last column, which
+    the tail slices end with. Each block reads column slices of it.
+    Without ``rows`` the stage reads only distances, no row matrix is
+    formed and ``fn`` gets None for both slices.
 
     ``keep = (stage, key, nbytes, derive)``: ``block`` is ``derive(d)``,
     the read-only value the stage derives from the block's
@@ -525,10 +547,15 @@ def _pair_map(fn, dataset: "SpatialFunctionalDataset", keep, rows=None, threads=
         sites.kept[stage] = (key, None)
         table = None
     order = _canonical_order(dataset, sites)
-    xy = dataset.xy[order]
+    # only a pass that computes distances reads the sites
+    xy = dataset.xy[order] if table is None else None
     # C-ordered, as fess.variogram._lane_dot needs for einsum's bits;
-    # rows[:, order] would lay X out by column
-    X = None if rows is None else np.take(rows, order, axis=1)
+    # rows[:, order] would lay X out by column. An odd n gathers its first
+    # row twice, into an unused last column, so the row stride is even and
+    # a slice from an even column starts on a 16-byte boundary.
+    X = None if rows is None else np.take(
+        rows, np.append(order, order[:dataset.n_curves % 2]), axis=1
+    )
 
     def run(chunk):
         # a block's distances are freed only once the next block's exist;

@@ -240,8 +240,9 @@ def ess_plugin(
     scratch array of a block's pair distances per worker, which each
     family's correlation overwrites in place. Repeated estimates at the
     same sites keep the pairs' bin slots at their bins, at most about
-    n**2 / 2 bytes, and their distances, 4 n**2 bytes (11.5 and 100 MB at
-    n = 5000 on uniform sites and default bins), and then compute no
+    n**2 / 2 bytes, and their distances, 4 n**2 bytes (11.4 and 100 MB at
+    n = 5000 on uniform sites and default bins; the slots hold only the
+    pairs of each block's row tiles), and then compute no
     distances (see :func:`fess.dataset._pair_map`).
     Both tables live in the one record kept for the last site set
     (:func:`fess.dataset._site_record`), beside the factor of

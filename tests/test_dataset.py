@@ -20,7 +20,8 @@ from fess import (
     trapz_inner,
     write_wide_csv,
 )
-from fess.dataset import EARTH_RADIUS_KM, _sinusoidal_xy, _write_csv
+import fess.dataset
+from fess.dataset import EARTH_RADIUS_KM, _as_xy, _sinusoidal_xy, _write_csv
 from fess.variogram import EmpiricalVariogram, default_lag_bins, empirical_trace_variogram
 from fess.rng import derived_rng
 
@@ -185,6 +186,32 @@ class TestPairwiseDistances:
             ref[np.tril_indices(i1 - i0)] = _NOT_A_PAIR
             assert d.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_pair_map_rows_have_an_even_stride(self, n, monkeypatch):
+        # an odd n is gathered with one unused last column, so every row of
+        # the gathered matrix starts on a 16-byte boundary if the first does
+        from fess.dataset import _canonical_order, _pair_map, _pair_spans, _site_record
+
+        monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 5 * n * 3)
+        rng = derived_rng(10)
+        ds = make_dataset(rng.standard_normal((n, 3)), xy=rng.uniform(0.0, 100.0, size=(n, 2)))
+        rows = rng.standard_normal((4, n))
+        seen = []
+
+        def fn(block, head, tail):
+            seen.append((head, tail))
+            return block
+
+        spans = _pair_spans(n, 3)
+        keep = ("stride", "key", 0, lambda d: d.shape)
+        assert _pair_map(fn, ds, keep, rows, threads=1) == [(i1 - i0, n - i0) for i0, i1 in spans]
+        X = rows[:, _canonical_order(ds, _site_record(ds.xy.tobytes()))]
+        assert len(seen) == len(spans) > 1
+        for (i0, i1), (head, tail) in zip(spans, seen):
+            assert head.strides[0] % 16 == 0 and tail.strides[0] == head.strides[0]
+            assert tail.shape[1] == n + n % 2 - i0
+            assert np.array_equal(head, X[:, i0:i1]) and np.array_equal(tail[:, :n - i0], X[:, i0:])
+
     def test_triangle_inequality(self):
         rng = derived_rng(8)
         D = pairwise_distances(rng.uniform(0, 10, size=(15, 2)))
@@ -238,6 +265,25 @@ class TestDataset:
         X[1, 2] = np.inf
         with pytest.raises(ValidationError, match="row 1"):
             make_dataset(X)
+
+    def test_planar_coords_read_like_an_array(self):
+        rng = derived_rng(12)
+        xy = rng.uniform(-1e4, 1e4, size=(25, 2))
+        ref = _as_xy(xy)
+        locs = [PlanarCoord(x, y) for x, y in xy.tolist()]
+        # float, numpy float and int coordinates; a list, a tuple and a generator
+        locs[3] = PlanarCoord(np.float64(xy[3, 0]), 7)
+        expected = np.array(ref)
+        expected[3, 1] = 7.0
+        for given in (locs, tuple(locs), (p for p in locs)):
+            out = _as_xy(given)
+            assert out.dtype == np.float64 and out.shape == (25, 2)
+            assert out.flags.c_contiguous and not out.flags.writeable
+            assert out.tobytes() == expected.tobytes()
+        with pytest.raises(ValidationError, match="^need at least one location$"):
+            _as_xy([])
+        with pytest.raises(ValidationError, match="or PlanarCoord instances$"):
+            _as_xy(locs[:2] + [(1.0, 2.0)])
 
     def test_curves_read_only(self):
         ds = make_dataset(np.zeros((2, 3)))

@@ -449,7 +449,7 @@ class TestPairSlotMemo:
 
     @staticmethod
     def table(ds, bins):
-        """The ``(slots, counts, hsums)`` of each block kept for ``ds``'s
+        """The ``(slots, tiles, counts, hsums)`` of each block kept for ``ds``'s
         sites at ``bins``, None while only the key is kept."""
         spans = tuple(fess.dataset._pair_spans(ds.n_curves, ds.n_levels))
         kept = fess.dataset._site_record(ds.xy.tobytes()).kept
@@ -485,8 +485,8 @@ class TestPairSlotMemo:
         # other curves at equal sites given another way; equal edges in new bins
         locs = [PlanarCoord(float(x), float(y)) for x, y in xy]
         other = SpatialFunctionalDataset(grid, locs, rng.standard_normal((n, m)))
-        again = fess.default_lag_bins(other)
-        assert again is not bins
+        assert fess.default_lag_bins(other) is bins
+        again = LagBins(np.array(bins.edges))
         warm = self.outputs(other, again)
         assert self.outputs(ds, bins) == first
         assert len(binned) == 2 * blocks
@@ -596,8 +596,10 @@ class TestPairSlotMemo:
         fess.dataset._site_record.cache_clear()
         for _ in range(2):
             empirical_trace_variogram(ds, bins)
-        slots, counts, hsums = zip(*self.table(ds, bins))
+        slots, tiles, counts, hsums = zip(*self.table(ds, bins))
         assert slots[0].dtype == np.uint8
+        # each block's tile spans, a tuple of int tuples
+        assert all(type(t) is tuple and all(type(s) is tuple for s in t) for t in tiles)
         for _ in range(2):
             fess.ess._plugin_ess(ds, ["exponential"], bins)
         distances, coincident = zip(*self.distances(ds))

@@ -167,6 +167,19 @@ class TestLagBins:
             with pytest.raises(ValidationError, match="all locations coincide"):
                 default_lag_bins(make_dataset(np.eye(len(xy), 2), xy=xy))
 
+    @pytest.mark.parametrize("n_bins", [0, -1, 2.5, True, [3]])
+    def test_default_bins_are_shared_per_lag_and_count(self, n_bins):
+        rng = derived_rng(22)
+        xy = rng.uniform(0.0, 100.0, size=(12, 2))
+        ds = make_dataset(rng.standard_normal((12, 3)), xy=xy)
+        other = make_dataset(rng.standard_normal((12, 3)), xy=xy.copy())
+        bins = default_lag_bins(ds, 7)
+        assert default_lag_bins(other, 7) is bins
+        assert default_lag_bins(ds) is not bins and len(default_lag_bins(ds)) == 15
+        assert not bins.edges.flags.writeable and not bins.centers.flags.writeable
+        with pytest.raises(ValidationError, match="n_bins must be a positive integer"):
+            default_lag_bins(ds, n_bins)
+
     def test_hull_max_distance_is_the_pair_maximum(self, monkeypatch):
         passes = []
 
@@ -598,8 +611,9 @@ class TestLaneKernel:
 
 
 class TestCutBlockTails:
-    """A kept block holds its bin slots up to its last column with a pair in
-    a bin; pair values are computed on that width only, and every estimate
+    """A kept block holds its bin slots over row tiles, each from an even
+    column at or left of its first pair to its last column with a pair in a
+    bin; pair values are computed on the tiles only, and every estimate
     equals a per-block sequential sum over the canonical pairs."""
 
     @staticmethod
@@ -638,25 +652,57 @@ class TestCutBlockTails:
         return centers, gamma, counts, np.sum(np.sort(norms)) / n
 
     @staticmethod
-    def widths(ds, bins):
-        """Each kept block's width, checked against its distances."""
+    def tiles(ds, bins):
+        """Each kept block's tiles ``(r0, r1, c0, c1)``, checked against its
+        distances: rows in order in tiles of ``_PAIR_TILE_ROWS``; columns from
+        an even one (counted over all rows) at or left of the tile's first
+        pair to its last column with a pair in a bin, or one past it (the
+        unused last column at an odd n) to an even width; no pair in a bin
+        outside the tiles; and the slots of the tiles, concatenated, as the
+        kept slots, 0 in the unused column."""
         sites = fess.dataset._site_record(ds.xy.tobytes())
         xy = ds.xy[fess.dataset._canonical_order(ds, sites)]
         key, table = sites.kept["slots"]
-        widths = []
-        for (i0, i1), (slots, _, _) in zip(key[1], table):
+        height = fess.dataset._PAIR_TILE_ROWS
+        n = ds.n_curves
+        tiles = []
+        for (i0, i1), (slots, block_tiles, _, _) in zip(key[1], table):
             d = fess.dataset._block_distances(xy, i0, i1)
-            binned = np.flatnonzero(np.any(bins.index_of(d) >= 0, axis=0))
-            width = slots.size // (i1 - i0)
-            assert width == (binned[-1] + 1 if binned.size else 0)
-            assert np.array_equal(slots, bins._slots(d)[:, :width].ravel())
-            widths.append(width)
-        return widths
+            binned = bins.index_of(d) >= 0
+            b, w = d.shape
+            assert [t[:2] for t in block_tiles] == [
+                (r0, min(r0 + height, b)) for r0 in range(0, b, height)
+            ]
+            covered = np.zeros_like(binned)
+            for r0, r1, c0, c1 in block_tiles:
+                assert (i0 + c0) % 2 == 0 and r0 <= c0 <= r0 + 1
+                cols = np.flatnonzero(np.any(binned[r0:r1], axis=0))
+                last = cols[-1] + 1 if cols.size else c0
+                assert (c1 - c0) % 2 == 0 and c1 - last in (0, 1) and c1 <= w + n % 2
+                covered[r0:r1, c0:c1] = True
+            assert not np.any(binned & ~covered)
+            padded = np.pad(bins._slots(d), ((0, 0), (0, n % 2)))
+            assert np.array_equal(slots, np.concatenate(
+                [padded[r0:r1, c0:c1].ravel() for r0, r1, c0, c1 in block_tiles]
+            ))
+            tiles += block_tiles
+        return tiles
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_cut_blocks_sum_like_brute_force(self, threads, monkeypatch):
-        n, m = 150, 9
-        monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 3 * n * m)
+        self.check_sums(150, 3, threads, monkeypatch)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_tall_blocks_at_odd_n_sum_like_brute_force(self, threads, monkeypatch):
+        # blocks of 41-64 rows, taller than a tile
+        self.check_sums(151, 45, threads, monkeypatch)
+
+    def check_sums(self, n, rows, threads, monkeypatch):
+        """Cold, filling and warm variograms and covariograms of n sites in
+        blocks of about ``rows`` rows on ``threads`` workers, against
+        :meth:`brute_force`, with their tiles checked."""
+        m = 9
+        monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", rows * n * m)
         # both estimators on ``threads`` workers, whatever the cores
         monkeypatch.setattr(fess.dataset, "_MIN_BLOCKS_PER_WORKER", 1)
         worker_count = fess.dataset._worker_count
@@ -665,13 +711,17 @@ class TestCutBlockTails:
         )
         spans = fess.dataset._pair_spans(n, m)
         assert worker_count(threads, len(spans)) == threads
+        tall = max(i1 - i0 for i0, i1 in spans) > fess.dataset._PAIR_TILE_ROWS
+        assert tall == (rows > fess.dataset._PAIR_TILE_ROWS)
         rng = derived_rng(33)
         xy = rng.uniform(0.0, 1000.0, size=(n, 2))
         xy[100:110] = xy[:10]  # coincident pairs, below the first edge of one bin set
         curves = rng.standard_normal((n, m)) + np.sin(xy[:, :1] / 200.0)
         ds = make_dataset(curves, xy=xy, grid=EvalGrid(np.cumsum(rng.uniform(0.1, 1.0, m))))
-        # short bins: arithmetic slots from 0, searchsorted slots from 5 km
-        for bins in (LagBins.equal_width(40.0, 3), LagBins([5.0, 25.0, 60.0])):
+        # short bins (arithmetic slots from 0, searchsorted slots from 5 km)
+        # and bins past most pairs
+        for bins in (LagBins.equal_width(40.0, 3), LagBins([5.0, 25.0, 60.0]),
+                     LagBins.equal_width(900.0, 6)):
             expected = {
                 covariogram: self.brute_force(ds, bins, covariogram)
                 for covariogram in (False, True)
@@ -689,10 +739,14 @@ class TestCutBlockTails:
                     assert ev.gamma.tobytes() == gamma.tobytes()
                     assert np.array_equal(ev.counts, counts)
                     assert ev.sigma0 == sigma0
-            widths = self.widths(ds, bins)
-            # some blocks keep no column, none keeps the whole block
-            assert 0 in widths and max(widths) > 0
-            assert sum(widths) < sum(n - i0 for i0, _ in spans)
+            tiles = self.tiles(ds, bins)
+            widths = [c1 - c0 for _, _, c0, c1 in tiles]
+            if not tall and bins.edges[-1] < 100.0:
+                # some tiles keep no column, none keeps the whole block
+                assert 0 in widths and max(widths) > 0
+            area = sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in tiles)
+            # the tiles compute fewer entries than whole blocks would
+            assert area < sum((i1 - i0) * (n - i0) for i0, i1 in spans)
 
 
 def large_curve_dataset(scale):

@@ -17,7 +17,9 @@ runs those four steps on the large input with ``--threads 2``, so both
 kept tables are filled and read on 2 workers. The ``levels22`` and
 ``levels23`` inputs carry curves on 22 and 23 levels, so the variogram's
 lane kernel runs its groups of 8 levels, and on 23 an odd last level,
-cold and warm. Their files are recorded
+cold and warm. The ``levels22_odd`` input's 601 sites, an odd count,
+are gathered with an unused padding column, and its pair blocks are
+taller than a row tile. Their files are recorded
 under the step that wrote them, and the exit code is the first non-zero
 step's.
 Two source trees whose manifests are identical give byte-identical CLI
@@ -41,7 +43,9 @@ import numpy as np
 
 PLACEHOLDER = "<TMP>"
 FAMILIES = ("exponential", "spherical", "gaussian")
-INPUTS = ("field", "duplicated", "constant", "iid", "large", "levels22", "levels23")
+INPUTS = (
+    "field", "duplicated", "constant", "iid", "large", "levels22", "levels23", "levels22_odd",
+)
 LEVELS = [str(10 * (i + 1)) for i in range(6)]
 
 # Runs each argv of the JSON list in sys.argv[1] through fess.cli.main in
@@ -210,8 +214,10 @@ def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
         ("edge/ess3", ["ess"] + edge_args + fams, True),
     ]
     # curves on 22 and 23 levels: the variogram's lane kernel sums groups of
-    # 8 levels, and on 23 levels an odd last one
-    for tag in ("levels22", "levels23"):
+    # 8 levels, and on 23 levels an odd last one; 601 sites on 22 levels
+    # gather their rows with an unused column and split each pair block
+    # into several row tiles
+    for tag in ("levels22", "levels23", "levels22_odd"):
         data = str(tmp / f"{tag}.csv")
         runs += [
             (f"{tag}/variogram", ["variogram", "--input", data], True),
@@ -321,6 +327,7 @@ def run_session(src: Path, tmp: Path) -> dict:
     write_field_csv(tmp / "large.csv", seed=5050, n=2400)
     write_field_csv(tmp / "levels22.csv", seed=2222, n=600, levels=22)
     write_field_csv(tmp / "levels23.csv", seed=2323, n=500, levels=23)
+    write_field_csv(tmp / "levels22_odd.csv", seed=6011, n=601, levels=22)
     write_field_csv(tmp / "signed_zero.csv", seed=7070, n=40, kind="signed_zero")
     write_coincident_csv(tmp / "coincident.csv", seed=8080, n=20)
     write_edge_csv(tmp / "edge.csv", seed=6060, n=40)
