@@ -235,12 +235,10 @@ class SpatialFunctionalDataset:
         return self.curves.shape[1]
 
     def subset(self, indices) -> "SpatialFunctionalDataset":
-        """New dataset keeping the given rows (order as given).
-
-        The rows were checked when this dataset was built, so they are
-        gathered and frozen without being checked again: a subset costs
-        about what indexing its rows does. The indices must be integers: a
-        boolean mask or float positions are rejected, not cast.
+        """New dataset of the given rows (order as given), built and checked
+        as any dataset is; it keeps the grid and ``lon0`` and no warnings.
+        The indices must be integers: a boolean mask or float positions are
+        rejected, not cast.
         """
         idx = np.asarray(indices)
         if idx.ndim != 1 or idx.size < 1:
@@ -249,17 +247,7 @@ class SpatialFunctionalDataset:
             raise ValidationError(f"subset indices must be integers, got dtype {idx.dtype}")
         if idx.min() < 0 or idx.max() >= self.n_curves:
             raise ValidationError("subset index out of range")
-        out = object.__new__(SpatialFunctionalDataset)
-        # take gathers rows of a C-ordered array into a fresh C-ordered one,
-        # at a fraction of the cost of fancy indexing on narrow rows
-        rows = {"xy": self.xy.take(idx, axis=0), "curves": self.curves.take(idx, axis=0)}
-        for name, value in rows.items():
-            value.flags.writeable = False
-            object.__setattr__(out, name, value)
-        for name in ("grid", "lon0"):
-            object.__setattr__(out, name, getattr(self, name))
-        object.__setattr__(out, "warnings", ())
-        return out
+        return SpatialFunctionalDataset(self.grid, self.xy[idx], self.curves[idx], lon0=self.lon0)
 
 
 def pairwise_distances(locs) -> np.ndarray:
@@ -520,10 +508,12 @@ def _pair_map(fn, dataset: "SpatialFunctionalDataset", keep, rows=None, threads=
     ``keep = (stage, key, nbytes, derive)``: ``block`` is ``derive(d)``,
     the read-only value the stage derives from the block's
     :func:`_block_distances` ``d``, which depends only on the sites, the
-    block layout and ``key``. The first pass at a key keeps only the key
-    under ``stage`` in the site record's ``kept``, so a one-shot pass
-    keeps nothing. The second keeps every block's value, as
-    ``kept[stage] = (key, blocks)``, if their ``nbytes`` fit in
+    block layout and ``key``. The kept values hold only for the layout
+    built here, so it is added to every key: a pass keys its blocks by
+    ``(spans, key)``. The first pass at a key keeps only the key under
+    ``stage`` in the site record's ``kept``, so a one-shot pass keeps
+    nothing. The second keeps every block's value, as ``kept[stage] =
+    ((spans, key), blocks)``, if their ``nbytes`` fit in
     ``_MAX_KEPT_TABLE_BYTES``. Later passes read the kept values and
     compute no distances, so ``fn`` gets what a fresh pass derives, bit
     for bit. ``threads`` is checked before the record is read or written.
@@ -541,6 +531,7 @@ def _pair_map(fn, dataset: "SpatialFunctionalDataset", keep, rows=None, threads=
     workers = _worker_count(threads, len(spans))
     sites = _site_record(dataset.xy.tobytes())
     stage, key, nbytes, derive = keep
+    key = (spans, key)
     seen, table = sites.kept.get(stage, (None, None))
     fill = seen == key and table is None and nbytes <= _MAX_KEPT_TABLE_BYTES
     if seen != key:
@@ -604,8 +595,9 @@ class CsvSchema:
     order; the numeric column labels define the evaluation grid. With
     ``planar=True`` the coordinate columns are read as planar kilometers
     and no projection is applied. ``lon0`` overrides the central meridian
-    (default: circular mean longitude of the file). ``center_levels`` subtracts
-    the per-level mean after loading (off by default: raw values).
+    (default: circular mean longitude of the file); it is refused with
+    ``planar=True``. ``center_levels`` subtracts the per-level mean after
+    loading (off by default: raw values).
     """
 
     lon_column: str = "lon"
@@ -638,6 +630,9 @@ class CsvSchema:
         for name in ("planar", "center_levels"):
             if not isinstance(getattr(self, name), bool):
                 raise ValidationError(f"schema field '{name}' must be true or false")
+        if self.planar and lon0 is not None:
+            raise ValidationError("schema fields 'lon0' and 'planar' exclude each other: "
+                                  "planar coordinates are not projected")
 
     @classmethod
     def from_json(cls, path) -> "CsvSchema":

@@ -25,7 +25,6 @@ from .dataset import (
     SpatialFunctionalDataset,
     _check_threads,
     _pair_map,
-    _pair_spans,
     _sorted_sum,
 )
 from .errors import ValidationError
@@ -179,9 +178,9 @@ def _plugin_ess(
 
     The pairs' distances depend only on the sites and the block layout,
     so ``_pair_map`` keeps, under ``"distances"`` and keyed by the block
-    spans, each block's pair distances, compressed and read-only, and its
-    count of coincident pairs: 8 bytes a pair, 4 n (n - 1) bytes for n
-    sites (0.6 MB at n = 400, 100 MB at n = 5000).
+    layout alone, each block's pair distances, compressed and read-only,
+    and its count of coincident pairs: 8 bytes a pair, 4 n (n - 1) bytes
+    for n sites (0.6 MB at n = 400, 100 MB at n = 5000).
     """
     # reject a bad family, nugget or thread count before the O(n^2) pair passes
     for family in families:
@@ -210,7 +209,7 @@ def _plugin_ess(
             sums.append(sill * float(np.sum(corr)) + nugget * coincident)
         return sums
 
-    keep = ("distances", _pair_spans(n, dataset.n_levels), 4 * n * (n - 1), derive)
+    keep = ("distances", (), 4 * n * (n - 1), derive)
     upper = [0.0] * len(fits)
     for sums in _pair_map(block_sums, dataset, keep, threads=threads):
         for k, value in enumerate(sums):

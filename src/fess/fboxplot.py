@@ -364,7 +364,9 @@ def subsample_experiment(
     averaged over replicates (the half-width of a median uncertainty
     band). Replicates are scored in batches of ``_BATCH_ELEMENTS`` values,
     bit for bit as ``fidelity_metrics`` scores each one, so no output
-    depends on the batch size.
+    depends on the batch size. A batch gathers its replicates' curve rows,
+    ranks and central-band flags from the full sample by the draws, ``(B,
+    size, ...)`` each; it builds no dataset.
     """
     if not _is_integer(size):
         raise ValidationError(f"size must be an integer, got {size!r}")
@@ -376,7 +378,8 @@ def subsample_experiment(
     full_summary = functional_boxplot(full)
     # The full sample's dense ranks at each grid point order and tie any
     # subsample's values as the values do, and its flags say which curves
-    # lie in its central band; each batch gathers both by its draws.
+    # lie in its central band; each batch gathers both, with the curves,
+    # by its draws.
     ranks = np.ascontiguousarray(_dense_ranks(full.curves.T).T)  # (n, m): a draw's ranks are rows
     inside = _inside(full_summary, full.curves)
     batch = max(1, _BATCH_ELEMENTS // (size * m))
@@ -386,7 +389,7 @@ def subsample_experiment(
         drawn = _replicate_choices(seed, start, min(start + chunk, reps), n, size)
         for b in range(0, len(drawn), batch):
             idx = drawn[b:b + batch]
-            X = full.subset(idx.ravel()).curves.reshape(*idx.shape, m)
+            X = full.curves.take(idx, axis=0)
             R = ranks.take(idx, axis=0).transpose(0, 2, 1)
             scored.append(_fidelity_rows(full, full_summary, X, R, inside[idx]))
     rows = np.concatenate([r for r, _ in scored])

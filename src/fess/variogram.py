@@ -483,7 +483,7 @@ def _binned_pair_stats(
                 from_gram(g, a[-1][:, None], b[-1])
         return np.bincount(slots, weights=values, minlength=n_bins + 2)[1:-1], counts, hsums
 
-    keep = ("slots", (bins.edges.tobytes(), spans), size, derive)
+    keep = ("slots", bins.edges.tobytes(), size, derive)
     sums = np.zeros(n_bins)
     counts = np.zeros(n_bins, dtype=np.int64)
     hsums = np.zeros(n_bins)

@@ -441,7 +441,8 @@ class TestMalformedInput:
         "text",
         ['{"lon0": ', "[1, 2]", '"lon"', '{"value_columns": 5}',
          '{"value_columns": [10, 20]}', '{"lon0": "abc"}', '{"lon0": true}',
-         '{"lon_column": 3}', '{"planar": "no"}', '{"center_levels": 1}'],
+         '{"lon_column": 3}', '{"planar": "no"}', '{"center_levels": 1}',
+         '{"planar": true, "lon0": -145.0}'],
     )
     def test_schema_names_file(self, text, dataset_csv, tmp_path, capsys):
         schema = tmp_path / "bad_schema.json"

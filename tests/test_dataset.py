@@ -300,8 +300,8 @@ class TestDataset:
             ds.subset([7])
 
     def test_subset_is_the_dataset_of_its_rows(self):
-        # subset gathers the rows without checking them again; it must
-        # still give what building a dataset of those rows gives
+        # subset builds a dataset of the rows through the constructor: the
+        # grid and lon0 carry over, the warnings do not
         rng = derived_rng(13)
         ds = SpatialFunctionalDataset(
             EvalGrid(np.arange(4.0)), rng.uniform(0.0, 50.0, size=(6, 2)),
@@ -526,6 +526,18 @@ class TestLoadWideCsv:
         sidecar.write_text('{"lon_column": "longitude", "bogus": 1}')
         with pytest.raises(ValidationError, match="bogus"):
             CsvSchema.from_json(sidecar)
+
+    def test_schema_refuses_lon0_with_planar(self, tmp_path):
+        # planar coordinates are not projected, so a central meridian would
+        # be ignored without a word
+        match = "'lon0' and 'planar'"
+        with pytest.raises(ValidationError, match=match):
+            CsvSchema(lon0=-141.0, planar=True)
+        sidecar = tmp_path / "schema.json"
+        sidecar.write_text('{"planar": true, "lon0": 0}')
+        with pytest.raises(ValidationError, match=f"schema.json: .*{match}"):
+            CsvSchema.from_json(sidecar)
+        assert CsvSchema(lon0=-141.0).lon0 == -141.0 and CsvSchema(planar=True).planar
 
     def test_center_levels_flag(self, tmp_path):
         path = self.write(

@@ -362,15 +362,21 @@ class TestSubsampleExperiment:
 @pytest.mark.parametrize("seed", [0, 5, 2024, np.uint64(2**63 + 11)])
 def test_replicate_draws_are_derived_rng_draws(monkeypatch, seed):
     # subsample_experiment checks the seed once and draws replicate r as
-    # derived_rng(seed, r) would, index for index
+    # derived_rng(seed, r) would, index for index; a batch gathers its
+    # curve rows from the full sample and builds no subset
     drawn = []
-    subset = SpatialFunctionalDataset.subset
+    choices = fess.fboxplot._replicate_choices
 
-    def recording(self, idx):
-        drawn.append(np.array(idx))
-        return subset(self, idx)
+    def recording(*args):
+        rows = choices(*args)
+        drawn.append(rows.ravel().copy())
+        return rows
 
-    monkeypatch.setattr(SpatialFunctionalDataset, "subset", recording)
+    def refused(self, idx):
+        raise AssertionError("subsample_experiment called subset")
+
+    monkeypatch.setattr(fess.fboxplot, "_replicate_choices", recording)
+    monkeypatch.setattr(SpatialFunctionalDataset, "subset", refused)
     full = random_dataset(derived_rng(69), 40, 4)
     for size, reps in ((2, 30), (9, 7), (40, 3)):
         drawn.clear()

@@ -666,7 +666,7 @@ class TestCutBlockTails:
         height = fess.dataset._PAIR_TILE_ROWS
         n = ds.n_curves
         tiles = []
-        for (i0, i1), (slots, block_tiles, _, _) in zip(key[1], table):
+        for (i0, i1), (slots, block_tiles, _, _) in zip(key[0], table):
             d = fess.dataset._block_distances(xy, i0, i1)
             binned = bins.index_of(d) >= 0
             b, w = d.shape
