@@ -540,10 +540,10 @@ def _pair_map(fn, dataset: "SpatialFunctionalDataset", keep, rows=None, threads=
     order = _canonical_order(dataset, sites)
     # only a pass that computes distances reads the sites
     xy = dataset.xy[order] if table is None else None
-    # C-ordered, as fess.variogram._lane_dot needs for einsum's bits;
-    # rows[:, order] would lay X out by column. An odd n gathers its first
-    # row twice, into an unused last column, so the row stride is even and
-    # a slice from an even column starts on a 16-byte boundary.
+    # C-ordered, so einsum adds each Gram entry level by level (by column,
+    # as rows[:, order] lays X out, it sums in lanes). An odd n gathers its
+    # first row twice, into an unused last column, so the row stride is
+    # even and a slice from an even column starts on a 16-byte boundary.
     X = None if rows is None else np.take(
         rows, np.append(order, order[:dataset.n_curves % 2]), axis=1
     )
@@ -844,16 +844,6 @@ def load_wide_csv(path, schema: CsvSchema | None = None) -> SpatialFunctionalDat
         wrapped = int(np.count_nonzero(wrap))
         if wrapped:
             warnings.append(f"wrapped {wrapped} longitudes from (180, 360] to [-180, 180]")
-    coords = list(zip(x.tolist(), y.tolist()))
-
-    seen: dict[tuple[float, float], int] = {}
-    for r, c in enumerate(coords, start=1):
-        if c in seen:
-            warnings.append(
-                f"duplicate location {c} at rows {seen[c]} and {r} (both kept)"
-            )
-        else:
-            seen[c] = r
 
     lon0 = None
     if schema.planar:
@@ -873,6 +863,18 @@ def load_wide_csv(path, schema: CsvSchema | None = None) -> SpatialFunctionalDat
                 math.atan2(math.fsum(np.sin(lam)), math.fsum(np.cos(lam)))
             )
         xy = _sinusoidal_xy(x, y, lon0)
+
+    # keyed on the projected sites, as the pair stages tie them (rows at
+    # 180 and -180 may be one site); named by the later row as read
+    seen: dict[tuple[float, float], int] = {}
+    coords = zip(x.tolist(), y.tolist())
+    for r, (site, c) in enumerate(zip(map(tuple, xy.tolist()), coords), start=1):
+        if site in seen:
+            warnings.append(
+                f"duplicate location {c} at rows {seen[site]} and {r} (both kept)"
+            )
+        else:
+            seen[site] = r
 
     # take() copies in C order, as a list of rows did: pair sums and the
     # column means reduce in memory order, so the layout fixes their bits

@@ -326,47 +326,6 @@ class EmpiricalVariogram:
 _TOO_LARGE = "curves too large: their pair sums exceed the float range; rescale the curves"
 
 
-def _lane_levels(m: int) -> tuple[list[int], list[int]]:
-    """The grid levels of the two lanes of numpy's einsum dot product of m
-    values, each in its order of summation.
-
-    ``np.einsum`` sums a dot product of two contiguous float64 rows in two
-    128-bit lanes (``sum_of_products_contig_contig_outstride0_two``): while
-    8 or more levels remain from level i, lane 0 adds levels i + 6, i + 4,
-    i + 2 and i, lane 1 levels i + 7, i + 5, i + 3 and i + 1; then, while
-    2 or more remain, lane 0 adds level i and lane 1 level i + 1; a last
-    odd level goes to lane 0. The dot product is lane 0 plus lane 1.
-    """
-    lanes = ([], [])
-    i = 0
-    while m - i >= 8:
-        lanes[0].extend((i + 6, i + 4, i + 2, i))
-        lanes[1].extend((i + 7, i + 5, i + 3, i + 1))
-        i += 8
-    while m - i >= 2:
-        lanes[0].append(i)
-        lanes[1].append(i + 1)
-        i += 2
-    if i < m:
-        lanes[0].append(i)
-    return lanes
-
-
-def _lane_dot(spec: str, a: np.ndarray, b: np.ndarray, m0: int, out=None) -> np.ndarray:
-    """``np.einsum(spec, a, b)`` over the level-major ``a`` and ``b``, whose
-    first ``m0`` levels are lane 0 of :func:`_lane_levels` and the rest lane
-    1, summed per lane in level order, then lane 0 plus lane 1: the bits of
-    einsum's dot product of the rows in grid order.
-
-    ``a`` and ``b`` must be slices of C-ordered level-major arrays, so that
-    einsum adds each entry's products level by level; on arrays contiguous
-    along the levels it would split each lane in two lanes again.
-    """
-    out = np.einsum(spec, a[:m0], b[:m0], out=out)
-    out += np.einsum(spec, a[m0:], b[m0:])
-    return out
-
-
 def _binned_pair_stats(
     dataset: SpatialFunctionalDataset, bins: LagBins, from_gram, divisor, threads
 ) -> EmpiricalVariogram:
@@ -377,19 +336,20 @@ def _binned_pair_stats(
     on the mean-centred curves, run per row tile of the block:
     ``from_gram(g, a2, b2)`` overwrites the inner products ``g = a . W b``
     of a tile's head rows against its tail columns, with their squared
-    W-norms ``a2`` and ``b2``, with the pair values. The kernel is
-    :func:`_lane_dot`: per lane of
-    :func:`_lane_levels`, one ``"km,mc->kc"`` einsum over the lane's
-    levels, then lane 0 plus lane 1, which gives each entry the bits of
-    ``np.einsum("km,cm->kc")`` at 0.7x its time. The norms are the same
-    lane sums, so a curve paired with an equal curve has ``g`` equal to
-    both norms bit for bit. BLAS stays out: its blocked FMA sums change
-    the bits of most entries and of the norms, and its threads would
-    compete with the workers. The per-block ``np.bincount`` results are
-    added in block order, which depends only on the data, so results are
-    bitwise invariant under row relabelling and do not depend on
-    ``threads``. ``sigma0`` is the mean of the kernel's squared norms, the
-    i = j terms.
+    W-norms ``a2`` and ``b2``, with the pair values. The kernel is one
+    ``np.einsum("mk,mc->kc")`` per tile over level-major rows, whose
+    stride along the levels is a row of the gathered curves: einsum's
+    multiply-add loop adds each entry's products one level at a time, in
+    grid order. The norms are ``np.einsum("mk,mk->k")`` over the same
+    rows, summed in the same order, so a curve paired with an equal curve
+    has ``g`` equal to both norms bit for bit (on rows contiguous along
+    the levels, einsum would take its dot kernel, which sums in lanes).
+    BLAS stays out: its blocked FMA sums change the bits of most entries
+    and of the norms, and its threads would compete with the workers. The
+    per-block ``np.bincount`` results are added in block order, which
+    depends only on the data, so results are bitwise invariant under row
+    relabelling and do not depend on ``threads``. ``sigma0`` is the mean
+    of the kernel's squared norms, the i = j terms.
 
     The bin of each pair depends only on the sites and the bins, so
     ``_pair_map`` keeps, under ``"slots"`` and keyed by the bin edges and
@@ -408,29 +368,26 @@ def _binned_pair_stats(
     or is out of the bins, and each bin still adds its entries in the
     block's row-major order, so the per-bin sums keep their bits. Even
     starts and widths keep the rows of a tile's operands and of its values
-    16-byte aligned: einsum wrote a 32 x 300 tile in 41-44 us aligned and
-    45-51 us with its output rows 8 bytes off, and a warm variogram pass
-    at 400-601 sites ran 0.95-0.98x as long as with unaligned tiles. The
-    slots take at most about n**2 / 2 bytes for n sites, less where the
-    bins end short of the farthest pairs.
+    16-byte aligned: a 22-level 32 x 300 tile took 119-120 us aligned and
+    125 us with its output rows 8 bytes off, and a warm pass at 400 and
+    601 sites 1.00x and 0.97x the time of unaligned tiles (2 cores, AVX-512).
+    The slots take at most about n**2 / 2 bytes for n sites, less where
+    the bins end short of the farthest pairs.
     """
     if dataset.n_curves < 2:
         raise ValidationError("empirical estimation needs at least 2 curves")
     n_bins = len(bins)
     m = dataset.n_levels
-    lanes = _lane_levels(m)
-    m0 = len(lanes[0])
-    levels = lanes[0] + lanes[1]
     n = dataset.n_curves
-    # C-ordered level-major rows: the weighted lanes, the plain lanes of the
-    # centred curves, then their squared W-norms; a norm beyond the float
-    # range is refused below
+    # C-ordered level-major rows: the weighted centred curves, the centred
+    # curves, then their squared W-norms; a norm beyond the float range is
+    # refused below
     rows = np.empty((2 * m + 1, n))
     dev_w, dev = rows[:m], rows[m:-1]
     with np.errstate(over="ignore"):
-        dev[:] = (dataset.curves - _column_means(dataset.curves)[None, :])[:, levels].T
-        np.multiply(dev, dataset.grid.quad_weights[levels][:, None], out=dev_w)
-        rows[-1] = _lane_dot("mk,mk->k", dev_w, dev, m0)
+        np.subtract(dataset.curves.T, _column_means(dataset.curves)[:, None], out=dev)
+        np.multiply(dev, dataset.grid.quad_weights[:, None], out=dev_w)
+        np.einsum("mk,mk->k", dev_w, dev, out=rows[-1])
     # No step of the kernel exceeds 4 max |a|^2, and sigma0 sums the |a|^2;
     # Python floats make an infinite bound without a numpy warning. A bin's
     # sum of pairs may still overflow: it is checked once the pass is done.
@@ -479,7 +436,7 @@ def _binned_pair_stats(
             if start < end:
                 a, b = head[:, r0:r1], tail[:, c0:c1]
                 g = values[start:end].reshape(r1 - r0, c1 - c0)
-                _lane_dot("mk,mc->kc", a[:m], b[m:-1], m0, out=g)
+                np.einsum("mk,mc->kc", a[:m], b[m:-1], out=g)
                 from_gram(g, a[-1][:, None], b[-1])
         return np.bincount(slots, weights=values, minlength=n_bins + 2)[1:-1], counts, hsums
 

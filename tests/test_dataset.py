@@ -429,6 +429,16 @@ class TestLoadWideCsv:
         assert ds.n_curves == 2
         assert len(ds.warnings) == 1 and "duplicate" in ds.warnings[0]
 
+    @pytest.mark.parametrize("lon0", [None, 0.0, 180.0, -150.0])
+    def test_duplicate_across_the_antimeridian_kept_with_warning(self, tmp_path, lon0):
+        # 180 and -180 at one latitude project to one site, which the pair
+        # stages tie; the warning names the later row as read
+        path = self.write(tmp_path, "lon,lat,10,20\n180,40,1,2\n-180,40,3,4\n")
+        ds = load_wide_csv(path, CsvSchema(lon0=lon0))
+        assert ds.xy[0].tolist() == ds.xy[1].tolist()
+        assert fess.dataset._site_record(ds.xy.tobytes()).tied.size == 2
+        assert ds.warnings == ("duplicate location (-180.0, 40.0) at rows 1 and 2 (both kept)",)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):
             load_wide_csv(tmp_path / "absent.csv")

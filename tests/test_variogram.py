@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,8 +426,8 @@ class TestEmpiricalVariogram:
     @pytest.mark.parametrize("m", [2, 3, 5, 8, 9, 22, 23, 41])
     def test_repeated_curves_give_exactly_zero(self, m):
         # each curve is repeated at its own site, far from the others, so
-        # the first bin holds only pairs of equal curves; 9 and 23 levels
-        # end the lane kernel's groups of 8 in an odd last level
+        # the first bin holds only pairs of equal curves: their Gram entry
+        # and both norms add the same products in the same grid order
         rng = derived_rng(31)
         k = 12
         curves = 1e3 * rng.standard_normal((k, m)) + rng.uniform(-5e4, 5e4, size=m)
@@ -573,43 +577,6 @@ class TestEmpiricalVariogram:
         assert back.sigma0 is None
 
 
-class TestLaneKernel:
-    """The variogram's Gram kernel sums each of numpy's two einsum lanes
-    level by level, which gives einsum's dot product bit for bit."""
-
-    def test_lane_levels(self):
-        lanes = fess.variogram._lane_levels
-        assert lanes(2) == ([0], [1])
-        assert lanes(3) == ([0, 2], [1])
-        assert lanes(9) == ([6, 4, 2, 0, 8], [7, 5, 3, 1])
-        assert lanes(22) == (
-            [6, 4, 2, 0, 14, 12, 10, 8, 16, 18, 20], [7, 5, 3, 1, 15, 13, 11, 9, 17, 19, 21]
-        )
-        for m in range(2, 42):
-            lane0, lane1 = lanes(m)
-            assert sorted(lane0 + lane1) == list(range(m))
-            assert len(lane0) - len(lane1) == m % 2
-
-    @pytest.mark.parametrize("scale", [1e-150, 1e-50, 1.0, 1e50, 1e150])
-    def test_lane_kernel_is_einsum_bit_for_bit(self, scale):
-        rng = derived_rng(32)
-        for m in range(2, 42):
-            a = scale * (rng.standard_normal((40, m)) + rng.uniform(-50.0, 50.0, size=m))
-            w = EvalGrid(np.cumsum(rng.uniform(0.1, 1.0, m))).quad_weights
-            lane0, lane1 = fess.variogram._lane_levels(m)
-            levels = lane0 + lane1
-            # level-major and C-ordered, as the pair blocks read them
-            a_w = np.ascontiguousarray((a * w)[:, levels].T)
-            a_t = np.ascontiguousarray(a[:, levels].T)
-            kernel = fess.variogram._lane_dot("mk,mc->kc", a_w[:, 5:17], a_t[:, 5:33], len(lane0))
-            ref = np.einsum("km,cm->kc", a[5:17] * w, a[5:33])
-            assert kernel.tobytes() == ref.tobytes(), m
-            norms = fess.variogram._lane_dot("mk,mk->k", a_w, a_t, len(lane0))
-            assert norms.tobytes() == np.einsum("km,km->k", a * w, a).tobytes(), m
-            # the norms are the kernel's self-products
-            assert norms[5:17].tobytes() == np.diag(kernel).copy().tobytes(), m
-
-
 class TestCutBlockTails:
     """A kept block holds its bin slots over row tiles, each from an even
     column at or left of its first pair to its last column with a pair in a
@@ -623,9 +590,12 @@ class TestCutBlockTails:
         sites = fess.dataset._site_record(ds.xy.tobytes())
         order = fess.dataset._canonical_order(ds, sites)
         dev = ds.curves[order] - fess.dataset._column_means(ds.curves)
-        w = ds.grid.quad_weights
-        g = np.einsum("km,cm->kc", dev * w, dev)
-        norms = np.einsum("km,km->k", dev * w, dev)
+        # level-major C-ordered rows, whose products einsum adds one level
+        # at a time
+        dev_w = np.ascontiguousarray((dev * ds.grid.quad_weights).T)
+        dev = np.ascontiguousarray(dev.T)
+        g = np.einsum("mk,mc->kc", dev_w, dev)
+        norms = np.einsum("mk,mk->k", dev_w, dev)
         d = pairwise_distances(ds.xy[order])
         slot = bins.index_of(d)
         n, n_bins = ds.n_curves, len(bins)
@@ -747,6 +717,93 @@ class TestCutBlockTails:
             area = sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in tiles)
             # the tiles compute fewer entries than whole blocks would
             assert area < sum((i1 - i0) * (n - i0) for i0, i1 in spans)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-50, 1.0, 1e50, 1e150])
+    def test_every_level_count_sums_like_brute_force(self, scale):
+        # 2 to 41 levels at curve scales across the float range; 34 sites
+        # end in a one-row tile, 41 gather an unused column
+        rng = derived_rng(32)
+        for m in range(2, 42):
+            n = 34 if m % 2 else 41
+            curves = scale * (rng.standard_normal((n, m)) + rng.uniform(-50.0, 50.0, size=m))
+            grid = EvalGrid(np.cumsum(rng.uniform(0.1, 1.0, m)))
+            ds = make_dataset(curves, xy=rng.uniform(0.0, 100.0, size=(n, 2)), grid=grid)
+            bins = default_lag_bins(ds)
+            for covariogram in (False, True):
+                estimator = empirical_trace_covariogram if covariogram else empirical_trace_variogram
+                ev = estimator(ds, bins)
+                centers, gamma, counts, sigma0 = self.brute_force(ds, bins, covariogram)
+                assert ev.centers.tobytes() == centers.tobytes(), m
+                assert ev.gamma.tobytes() == gamma.tobytes(), m
+                assert np.array_equal(ev.counts, counts), m
+                assert ev.sigma0 == sigma0, m
+
+
+def dispatched_features():
+    """The CPU features above numpy's baseline that numpy dispatches to on
+    this host and has not been told to disable."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [f for f in umath.__cpu_dispatch__
+            if umath.__cpu_features__.get(f) and f not in umath.__cpu_baseline__]
+
+
+def dispatch_estimates(path):
+    """Hex bytes of the variogram's and the covariogram's centers, values,
+    counts and sigma0 on the default bins of each dataset in the ``.npz``
+    file at ``path``."""
+    estimates = []
+    with np.load(path) as inputs:
+        for k in range(len(inputs.files) // 3):
+            grid = EvalGrid(inputs[f"points{k}"])
+            ds = make_dataset(inputs[f"curves{k}"], xy=inputs[f"xy{k}"], grid=grid)
+            bins = default_lag_bins(ds)
+            for estimator in (empirical_trace_variogram, empirical_trace_covariogram):
+                ev = estimator(ds, bins)
+                estimates.append(b"".join(
+                    [ev.centers.tobytes(), ev.gamma.tobytes(), ev.counts.tobytes(),
+                     np.float64(ev.sigma0).tobytes()]
+                ).hex())
+    return estimates
+
+
+# Runs dispatch_estimates on the .npz file sys.argv[1], with this module
+# imported from the directory sys.argv[2], and prints the features numpy
+# still dispatches to and the estimates as JSON.
+_DISPATCH_SESSION = """
+import json, sys
+sys.path.insert(0, sys.argv[2])
+from test_variogram import dispatch_estimates, dispatched_features
+print(json.dumps({"features": dispatched_features(), "estimates": dispatch_estimates(sys.argv[1])}))
+"""
+
+
+class TestCpuDispatch:
+    def test_variogram_bits_do_not_depend_on_cpu_dispatch(self, tmp_path):
+        # README: the Gram's multiply-add loop is built at numpy's baseline,
+        # so the estimates keep their bits with every dispatched feature off
+        features = dispatched_features()
+        if not features:
+            pytest.skip("numpy dispatches to no feature above its baseline on this host")
+        rng = derived_rng(34)
+        inputs = {}
+        for k, (m, n) in enumerate([(m, n) for m in (6, 22, 23) for n in (80, 81)]):
+            inputs[f"curves{k}"] = rng.standard_normal((n, m)) + rng.uniform(-5.0, 5.0, m)
+            inputs[f"xy{k}"] = rng.uniform(0.0, 500.0, size=(n, 2))
+            inputs[f"points{k}"] = np.cumsum(rng.uniform(0.1, 1.0, m))
+        path = tmp_path / "inputs.npz"
+        np.savez(path, **inputs)
+        src = Path(fess.variogram.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", _DISPATCH_SESSION, str(path), str(Path(__file__).parent)],
+            env={**os.environ, "PYTHONPATH": str(src), "NPY_DISABLE_CPU_FEATURES": " ".join(features)},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        child = json.loads(proc.stdout.splitlines()[-1])
+        assert child["features"] == []
+        assert child["estimates"] == dispatch_estimates(path)
 
 
 def large_curve_dataset(scale):

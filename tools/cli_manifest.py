@@ -15,11 +15,11 @@ between a ``variogram`` and three ``ess`` steps on one input, so those
 steps start again from nothing kept. The ``large/in_process_t2`` entry
 runs those four steps on the large input with ``--threads 2``, so both
 kept tables are filled and read on 2 workers. The ``levels22`` and
-``levels23`` inputs carry curves on 22 and 23 levels, so the variogram's
-lane kernel runs its groups of 8 levels, and on 23 an odd last level,
-cold and warm. The ``levels22_odd`` input's 601 sites, an odd count,
-are gathered with an unused padding column, and its pair blocks are
-taller than a row tile. Their files are recorded
+``levels23`` inputs carry curves on 22 and 23 levels, the paper's grid
+and an odd level count, so the variogram's Gram sums an even and an odd
+number of levels, cold and warm. The ``levels22_odd`` input's 601
+sites, an odd count, are gathered with an unused padding column, and its
+pair blocks are taller than a row tile. Their files are recorded
 under the step that wrote them, and the exit code is the first non-zero
 step's.
 Two source trees whose manifests are identical give byte-identical CLI
@@ -213,8 +213,8 @@ def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
         ("edge/variogram", ["variogram"] + edge_args, True),
         ("edge/ess3", ["ess"] + edge_args + fams, True),
     ]
-    # curves on 22 and 23 levels: the variogram's lane kernel sums groups of
-    # 8 levels, and on 23 levels an odd last one; 601 sites on 22 levels
+    # curves on 22 and 23 levels: the variogram's Gram sums an even and an
+    # odd number of levels in grid order; 601 sites on 22 levels
     # gather their rows with an unused column and split each pair block
     # into several row tiles
     for tag in ("levels22", "levels23", "levels22_odd"):
