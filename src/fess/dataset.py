@@ -135,7 +135,8 @@ def project_sinusoidal(p: GeoCoord, lon0: float) -> PlanarCoord:
     Equal-area projection about the central meridian ``lon0``:
     ``x = R (lon - lon0) cos(lat)``, ``y = R lat`` with angles in radians,
     ``lon - lon0`` wrapped into [-180, 180) degrees, and R the mean Earth
-    radius 6371.0088 km. The one-site case of :func:`_sinusoidal_xy`.
+    radius 6371.0088 km; ``lon = 180`` is taken as -180, the same
+    meridian. The one-site case of :func:`_sinusoidal_xy`.
     """
     x, y = _sinusoidal_xy(np.array([p.lon]), np.array([p.lat]), lon0)[0].tolist()
     return PlanarCoord(x, y)
@@ -147,8 +148,10 @@ def _sinusoidal_xy(lon: np.ndarray, lat: np.ndarray, lon0: float) -> np.ndarray:
     # Wrap the offset into [-180, 180) so that sites on either side of the
     # antimeridian stay neighbours. fmod is exact, and so is moving its
     # result of (-360, 360) into [-180, 180) (Sterbenz's lemma), so offsets
-    # already in range pass through unchanged.
-    dlon = np.fmod(lon - float(lon0), 360.0)
+    # already in range pass through unchanged. 180 is folded onto -180
+    # first: the two subtractions of lon0 may round apart, which would make
+    # one meridian two.
+    dlon = np.fmod(np.where(lon == 180.0, -180.0, lon) - float(lon0), 360.0)
     dlon[dlon >= 180.0] -= 360.0
     dlon[dlon < -180.0] += 360.0
     lam = np.radians(dlon)
@@ -263,32 +266,19 @@ def pairwise_distances(locs) -> np.ndarray:
 # the w columns right of its first row is sized so that b * w * m is about
 # this many values. The pair kernels form no b x w x m array, so each of a
 # block's b x w pair arrays holds about 2**20 / m float64s (380 KB at
-# m = 22); the variogram's pair values, computed per row tile, take no
-# more. These timings predate the row tiles, which change only how much
-# of each block the Gram computes. At n = 5000, m = 22 on 2 cores
-# (Python 3.11, numpy 2.4), 2**20 ran the variogram pass fastest on 2
-# threads: 0.20-0.21 s one-shot and 0.08-0.10 s from kept slots, against
-# 0.26-0.33 and 0.10-0.12 s at 2**19 and 0.24-0.25 and 0.09-0.11 s at
-# 2**21; on 1 thread the three sizes tied (0.32-0.42 and 0.13-0.15 s).
+# m = 22); the variogram's pair values take no more. These timings
+# predate the variogram's row tiles (fess.variogram._PAIR_TILE_ROWS),
+# which change only how much of each block its Gram computes. At
+# n = 5000, m = 22 on 2 cores (Python 3.11, numpy 2.4), 2**20 ran the
+# variogram pass fastest on 2 threads: 0.20-0.21 s one-shot and
+# 0.08-0.10 s from kept slots, against 0.26-0.33 and 0.10-0.12 s at 2**19
+# and 0.24-0.25 and 0.09-0.11 s at 2**21; on 1 thread the three sizes
+# tied (0.32-0.42 and 0.13-0.15 s).
 # The ESS sum took 0.08-0.09 s one-shot on 2 threads (0.10-0.13 s on 1)
 # and 0.02-0.05 s from kept distances, within noise of the neighbouring
 # sizes. Smaller blocks gained nothing from a second thread at 2**18,
 # because their many small numpy calls hold the GIL.
 _PAIR_BLOCK_ELEMENTS = 2**20
-
-# Height of the row tiles in which the variogram computes a block's pair
-# values: each tile computes only the columns from its first pair (down to
-# an even column) to its last in-bin column, so a block taller than a tile
-# skips most of its lower triangle (the blocks of n = 400-600 sites on 22
-# levels are 79-171 rows tall; at n = 5000 only the last 23 of 275 are
-# taller than 32). Each tile costs about 15 us of call overhead (two
-# einsums and the pair-value ufuncs) whatever its width. A warm variogram
-# pass, timed against whole blocks in one process, alternating (2 cores,
-# Python 3.11, numpy 2.4, 40 rounds each), ran at these shares of the
-# whole-block time with tiles of 24, 32, 40, 48 and 64 rows: 0.88, 0.85,
-# 0.84, 0.85 and 0.86 at the benchmark's 400 oracle sites on one thread,
-# 0.81, 0.79, 0.87, 0.81 and 0.83 at its 600 GODAS sites on two.
-_PAIR_TILE_ROWS = 32
 
 # Fewest pair blocks per worker thread. Starting and feeding threads
 # costs more than it saves on small passes: with m = 22 on 2 cores,
@@ -317,6 +307,19 @@ class _SiteRecord(NamedTuple):
     kept: dict
 
 
+def _site_ties(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, same)`` of the ``(n, 2)`` sites ``xy``: the rows sorted by
+    x, then y, equal sites in row order (a stable ``np.lexsort``), and
+    whether each sorted site after the first equals the one before it.
+
+    The one rule by which sites are the same: equal x and equal y, so 0.0
+    equals -0.0 (the sort ranks them alike, so equal sites are adjacent).
+    """
+    order = np.lexsort((xy[:, 1], xy[:, 0]))
+    x, y = xy[order].T
+    return order, (x[1:] == x[:-1]) & (y[1:] == y[:-1])
+
+
 @functools.lru_cache(maxsize=1)
 def _site_record(sites: bytes) -> _SiteRecord:
     """The :class:`_SiteRecord` of the ``(n, 2)`` float site array ``sites``.
@@ -326,9 +329,7 @@ def _site_record(sites: bytes) -> _SiteRecord:
     that its stages kept. Its arrays are read-only and O(n).
     """
     xy = np.frombuffer(sites).reshape(-1, 2)
-    order = np.lexsort((xy[:, 1], xy[:, 0]))
-    x, y = xy[order].T
-    same = (x[1:] == x[:-1]) & (y[1:] == y[:-1])
+    order, same = _site_ties(xy)
     tied = np.flatnonzero(np.append(same, False) | np.insert(same, 0, False))
     first = np.insert(~same, 0, True)
     groups = np.cumsum(first)[tied]
@@ -500,8 +501,7 @@ def _pair_map(fn, dataset: "SpatialFunctionalDataset", keep, rows=None, threads=
     level-major, one column per dataset row, and ``X`` is its columns in
     :func:`_canonical_order` under the dataset's :func:`_site_record`: the
     one row order of every pair stage. ``X`` is gathered once per pass,
-    with an even row stride: an odd n adds an unused last column, which
-    the tail slices end with. Each block reads column slices of it.
+    and each block reads column slices of it.
     Without ``rows`` the stage reads only distances, no row matrix is
     formed and ``fn`` gets None for both slices.
 
@@ -541,12 +541,8 @@ def _pair_map(fn, dataset: "SpatialFunctionalDataset", keep, rows=None, threads=
     # only a pass that computes distances reads the sites
     xy = dataset.xy[order] if table is None else None
     # C-ordered, so einsum adds each Gram entry level by level (by column,
-    # as rows[:, order] lays X out, it sums in lanes). An odd n gathers its
-    # first row twice, into an unused last column, so the row stride is
-    # even and a slice from an even column starts on a 16-byte boundary.
-    X = None if rows is None else np.take(
-        rows, np.append(order, order[:dataset.n_curves % 2]), axis=1
-    )
+    # as rows[:, order] lays X out, it sums in lanes)
+    X = None if rows is None else np.take(rows, order, axis=1)
 
     def run(chunk):
         # a block's distances are freed only once the next block's exist;
@@ -864,17 +860,19 @@ def load_wide_csv(path, schema: CsvSchema | None = None) -> SpatialFunctionalDat
             )
         xy = _sinusoidal_xy(x, y, lon0)
 
-    # keyed on the projected sites, as the pair stages tie them (rows at
-    # 180 and -180 may be one site); named by the later row as read
-    seen: dict[tuple[float, float], int] = {}
-    coords = zip(x.tolist(), y.tolist())
-    for r, (site, c) in enumerate(zip(map(tuple, xy.tolist()), coords), start=1):
-        if site in seen:
-            warnings.append(
-                f"duplicate location {c} at rows {seen[site]} and {r} (both kept)"
-            )
-        else:
-            seen[site] = r
+    # the projected sites that the pair stages tie (rows at 180 and -180
+    # are one site); each later row of a group, in file order, is named
+    # beside the group's first row, with its coordinates as read
+    order, same = _site_ties(xy)
+    first = np.insert(~same, 0, True)
+    later = order[~first]
+    heads = order[first][np.cumsum(first)[~first] - 1]
+    k = np.argsort(later)
+    for h, r in zip(heads[k].tolist(), later[k].tolist()):
+        warnings.append(
+            f"duplicate location {(float(x[r]), float(y[r]))} at rows {h + 1} and {r + 1} "
+            "(both kept)"
+        )
 
     # take() copies in C order, as a list of rows did: pair sums and the
     # column means reduce in memory order, so the layout fixes their bits

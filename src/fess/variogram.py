@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import (
-    _PAIR_TILE_ROWS,
     SpatialFunctionalDataset,
     _column_means,
     _frozen_array,
@@ -325,6 +324,20 @@ class EmpiricalVariogram:
 
 _TOO_LARGE = "curves too large: their pair sums exceed the float range; rescale the curves"
 
+# Height of the row tiles in which the variogram computes a block's pair
+# values: each tile computes only the columns from its first pair to its
+# last in-bin column, so a block taller than a tile skips most of its
+# lower triangle (the blocks of n = 400-600 sites on 22 levels are
+# 79-171 rows tall; at n = 5000 only the last 23 of 275 are taller than
+# 32). Each tile costs about 15 us of call overhead (two einsums and the
+# pair-value ufuncs) whatever its width. A warm variogram pass, timed
+# against whole blocks in one process, alternating (2 cores, Python 3.11,
+# numpy 2.4, 40 rounds each), ran at these shares of the whole-block time
+# with tiles of 24, 32, 40, 48 and 64 rows: 0.88, 0.85, 0.84, 0.85 and
+# 0.86 at the benchmark's 400 oracle sites on one thread, 0.81, 0.79,
+# 0.87, 0.81 and 0.83 at its 600 GODAS sites on two.
+_PAIR_TILE_ROWS = 32
+
 
 def _binned_pair_stats(
     dataset: SpatialFunctionalDataset, bins: LagBins, from_gram, divisor, threads
@@ -358,19 +371,14 @@ def _binned_pair_stats(
     byte a pair up to 254 bins), its tiles and its per-bin pair counts and
     distance sums, all read-only. A block is cut into tiles of
     ``_PAIR_TILE_ROWS`` rows; a tile ``(r0, r1, c0, c1)`` spans the
-    block's rows ``r0:r1`` and columns ``c0:c1``, from an even column of
-    the gathered rows at or left of its first pair (column ``r0 + 1``) to
-    its last column that holds a pair in a bin, one column further where
-    that gives an even width (at an odd n, the gathered rows' unused last
-    column, at slot 0). The slots are the tiles' in row-major order,
-    concatenated, and the pass computes pair values on the tiles only,
-    into one buffer in that order: every entry outside them is not a pair
-    or is out of the bins, and each bin still adds its entries in the
-    block's row-major order, so the per-bin sums keep their bits. Even
-    starts and widths keep the rows of a tile's operands and of its values
-    16-byte aligned: a 22-level 32 x 300 tile took 119-120 us aligned and
-    125 us with its output rows 8 bytes off, and a warm pass at 400 and
-    601 sites 1.00x and 0.97x the time of unaligned tiles (2 cores, AVX-512).
+    block's rows ``r0:r1`` and columns ``c0:c1``, from its first pair
+    (column ``c0 = r0 + 1``) to one past its last column that holds a pair
+    in a bin (``c1 = c0`` where there is none). The slots are the tiles'
+    in row-major order, concatenated, and the pass computes pair values on
+    the tiles only, into one buffer in that order: every entry outside
+    them is not a pair or is out of the bins, and each bin still adds its
+    entries in the block's row-major order, so the per-bin sums keep their
+    bits.
     The slots take at most about n**2 / 2 bytes for n sites, less where
     the bins end short of the farthest pairs.
     """
@@ -396,7 +404,7 @@ def _binned_pair_stats(
         raise ValidationError(_TOO_LARGE)
     spans = _pair_spans(n, m)
     dtype = np.min_scalar_type(n_bins + 1)
-    size = sum((i1 - i0) * (n + n % 2 - i0) for i0, i1 in spans) * dtype.itemsize
+    size = sum((i1 - i0) * (n - i0) for i0, i1 in spans) * dtype.itemsize
 
     # slots 0 and n_bins + 1 collect the pairs outside the bins and the
     # entries that are not pairs, and are dropped
@@ -406,29 +414,22 @@ def _binned_pair_stats(
         hsums = np.bincount(slots, weights=d.ravel(), minlength=n_bins + 2)[1:-1]
         counts.flags.writeable = hsums.flags.writeable = False
         b, w = d.shape
-        # an odd n's rows end in an unused column (see _pair_map), slot 0 here
-        slots = np.pad(slots.astype(dtype).reshape(b, w), ((0, 0), (0, n % 2)))
+        slots = slots.astype(dtype).reshape(b, w)
         binned = (slots > 0) & (slots <= n_bins)
-        # each row tile's columns, from an even column at or left of its
-        # first pair (row r's are right of column r; the block starts at
-        # column n - w of the rows) to its last column with a pair in a
-        # bin, one dropped column further where the width would be odd:
-        # the padded rows have an even number of columns, so one is left
+        # each row tile's columns, from its first pair (row r's are right
+        # of column r) to its last column with a pair in a bin
         tiles = []
         for r0 in range(0, b, _PAIR_TILE_ROWS):
-            r1 = min(r0 + _PAIR_TILE_ROWS, b)
-            c0 = r0 + 1 - (n - w + r0 + 1) % 2
+            r1, c0 = min(r0 + _PAIR_TILE_ROWS, b), r0 + 1
             cols = np.flatnonzero(np.any(binned[r0:r1, c0:], axis=0))
-            c1 = c0 + (int(cols[-1]) + 1 if cols.size else 0)
-            tiles.append((r0, r1, c0, c1 + (c1 - c0) % 2))
+            tiles.append((r0, r1, c0, c0 + (int(cols[-1]) + 1 if cols.size else 0)))
         kept = np.concatenate([slots[r0:r1, c0:c1].ravel() for r0, r1, c0, c1 in tiles])
         kept.flags.writeable = False
         return kept, tuple(tiles), counts, hsums
 
     def block_stats(block, head, tail):
         slots, tiles, counts, hsums = block
-        # the tiles' pair values in slot order; every width is even, so
-        # each tile's rows start 16-byte aligned
+        # the tiles' pair values in slot order
         values = np.empty(slots.size)
         end = 0
         for r0, r1, c0, c1 in tiles:

@@ -85,6 +85,14 @@ class TestProjection:
         p = project_sinusoidal(GeoCoord(-179.0, 0.0), lon0=179.0)
         assert p.x == pytest.approx(2.0 * EARTH_RADIUS_KM * math.pi / 180.0, rel=1e-12)
 
+    def test_antimeridian_projects_to_one_x_for_every_lon0(self):
+        # 180 - lon0 and -180 - lon0 round apart for about 5% of lon0
+        lon0 = np.concatenate([derived_rng(45).uniform(-720.0, 720.0, 5000), [176.67043694469768]])
+        lon, lat = np.array([180.0, -180.0]), np.array([40.0, 40.0])
+        for a in lon0.tolist():
+            x = _sinusoidal_xy(lon, lat, a)[:, 0]
+            assert x[0] == x[1], a
+
     @pytest.mark.parametrize(
         "lon0", [-145.0, 0.0, 179.0, 180.0, -180.0, -179.5, 12.25, 359.75, -725.3, 1e4]
     )
@@ -104,7 +112,8 @@ class TestProjection:
         ])
 
         def closed_form(lon, lat):
-            dlon = math.remainder(lon - lon0, 360.0)
+            # 180 and -180 are one meridian
+            dlon = math.remainder((-180.0 if lon == 180.0 else lon) - lon0, 360.0)
             if dlon == 180.0:
                 dlon = -180.0
             lam, phi = math.radians(dlon), math.radians(lat)
@@ -187,9 +196,9 @@ class TestPairwiseDistances:
             assert d.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n", [40, 41])
-    def test_pair_map_rows_have_an_even_stride(self, n, monkeypatch):
-        # an odd n is gathered with one unused last column, so every row of
-        # the gathered matrix starts on a 16-byte boundary if the first does
+    def test_pair_map_slices_the_gathered_rows(self, n, monkeypatch):
+        # each block reads column slices of the rows gathered in canonical
+        # order: head its own rows, tail every row from its first on
         from fess.dataset import _canonical_order, _pair_map, _pair_spans, _site_record
 
         monkeypatch.setattr(fess.dataset, "_PAIR_BLOCK_ELEMENTS", 5 * n * 3)
@@ -203,14 +212,14 @@ class TestPairwiseDistances:
             return block
 
         spans = _pair_spans(n, 3)
-        keep = ("stride", "key", 0, lambda d: d.shape)
+        keep = ("slices", "key", 0, lambda d: d.shape)
         assert _pair_map(fn, ds, keep, rows, threads=1) == [(i1 - i0, n - i0) for i0, i1 in spans]
         X = rows[:, _canonical_order(ds, _site_record(ds.xy.tobytes()))]
         assert len(seen) == len(spans) > 1
         for (i0, i1), (head, tail) in zip(spans, seen):
-            assert head.strides[0] % 16 == 0 and tail.strides[0] == head.strides[0]
-            assert tail.shape[1] == n + n % 2 - i0
-            assert np.array_equal(head, X[:, i0:i1]) and np.array_equal(tail[:, :n - i0], X[:, i0:])
+            assert tail.shape == (4, n - i0)
+            assert head.tobytes() == X[:, i0:i1].tobytes()
+            assert tail.tobytes() == X[:, i0:].tobytes()
 
     def test_triangle_inequality(self):
         rng = derived_rng(8)
@@ -438,6 +447,26 @@ class TestLoadWideCsv:
         assert ds.xy[0].tolist() == ds.xy[1].tolist()
         assert fess.dataset._site_record(ds.xy.tobytes()).tied.size == 2
         assert ds.warnings == ("duplicate location (-180.0, 40.0) at rows 1 and 2 (both kept)",)
+
+    def test_duplicates_named_by_group_in_file_order(self, tmp_path):
+        # three interleaved groups, 0.0 and -0.0 alike: each later row, in
+        # file order, beside its group's first row, as read
+        rows = ["0.0,1", "5,5", "-0.0,1", "5,5", "2,2", "0.0,1.0", "2,2", "5,5"]
+        path = self.write(tmp_path, "x,y,1,2\n" + "".join(f"{r},0,0\n" for r in rows))
+        assert load_wide_csv(path).warnings == tuple(
+            f"duplicate location {c} at rows {a} and {b} (both kept)"
+            for c, a, b in [("(-0.0, 1.0)", 1, 3), ("(5.0, 5.0)", 2, 4), ("(0.0, 1.0)", 1, 6),
+                            ("(2.0, 2.0)", 5, 7), ("(5.0, 5.0)", 2, 8)]
+        )
+
+    def test_antimeridian_rows_are_one_site_at_the_files_own_lon0(self, tmp_path):
+        # this file's circular-mean lon0 rounds 180 - lon0 and -180 - lon0
+        # apart, which made two sites 2e-12 km apart without a warning
+        path = self.write(tmp_path, "lon,lat,10,20\n180,40,1,2\n170,-5,3,4\n-180,40,5,6\n")
+        ds = load_wide_csv(path)
+        assert ds.xy[0].tolist() == ds.xy[2].tolist()
+        assert fess.dataset._site_record(ds.xy.tobytes()).tied.size == 2
+        assert ds.warnings == ("duplicate location (-180.0, 40.0) at rows 1 and 3 (both kept)",)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):

@@ -578,9 +578,8 @@ class TestEmpiricalVariogram:
 
 
 class TestCutBlockTails:
-    """A kept block holds its bin slots over row tiles, each from an even
-    column at or left of its first pair to its last column with a pair in a
-    bin; pair values are computed on the tiles only, and every estimate
+    """A kept block holds its bin slots over row tiles, each from its first
+    pair to its last column with a pair in a bin; pair values are computed on the tiles only, and every estimate
     equals a per-block sequential sum over the canonical pairs."""
 
     @staticmethod
@@ -625,16 +624,14 @@ class TestCutBlockTails:
     def tiles(ds, bins):
         """Each kept block's tiles ``(r0, r1, c0, c1)``, checked against its
         distances: rows in order in tiles of ``_PAIR_TILE_ROWS``; columns from
-        an even one (counted over all rows) at or left of the tile's first
-        pair to its last column with a pair in a bin, or one past it (the
-        unused last column at an odd n) to an even width; no pair in a bin
-        outside the tiles; and the slots of the tiles, concatenated, as the
-        kept slots, 0 in the unused column."""
+        the tile's first pair, ``r0 + 1``, to one past its last column with a
+        pair in a bin (``c0`` when there is none); no pair in a bin outside
+        the tiles; and the slots of the tiles, concatenated, as the kept
+        slots."""
         sites = fess.dataset._site_record(ds.xy.tobytes())
         xy = ds.xy[fess.dataset._canonical_order(ds, sites)]
         key, table = sites.kept["slots"]
-        height = fess.dataset._PAIR_TILE_ROWS
-        n = ds.n_curves
+        height = fess.variogram._PAIR_TILE_ROWS
         tiles = []
         for (i0, i1), (slots, block_tiles, _, _) in zip(key[0], table):
             d = fess.dataset._block_distances(xy, i0, i1)
@@ -645,15 +642,13 @@ class TestCutBlockTails:
             ]
             covered = np.zeros_like(binned)
             for r0, r1, c0, c1 in block_tiles:
-                assert (i0 + c0) % 2 == 0 and r0 <= c0 <= r0 + 1
+                assert c0 == r0 + 1
                 cols = np.flatnonzero(np.any(binned[r0:r1], axis=0))
-                last = cols[-1] + 1 if cols.size else c0
-                assert (c1 - c0) % 2 == 0 and c1 - last in (0, 1) and c1 <= w + n % 2
+                assert c1 == (cols[-1] + 1 if cols.size else c0) and c1 <= w
                 covered[r0:r1, c0:c1] = True
             assert not np.any(binned & ~covered)
-            padded = np.pad(bins._slots(d), ((0, 0), (0, n % 2)))
             assert np.array_equal(slots, np.concatenate(
-                [padded[r0:r1, c0:c1].ravel() for r0, r1, c0, c1 in block_tiles]
+                [bins._slots(d)[r0:r1, c0:c1].ravel() for r0, r1, c0, c1 in block_tiles]
             ))
             tiles += block_tiles
         return tiles
@@ -681,8 +676,8 @@ class TestCutBlockTails:
         )
         spans = fess.dataset._pair_spans(n, m)
         assert worker_count(threads, len(spans)) == threads
-        tall = max(i1 - i0 for i0, i1 in spans) > fess.dataset._PAIR_TILE_ROWS
-        assert tall == (rows > fess.dataset._PAIR_TILE_ROWS)
+        tall = max(i1 - i0 for i0, i1 in spans) > fess.variogram._PAIR_TILE_ROWS
+        assert tall == (rows > fess.variogram._PAIR_TILE_ROWS)
         rng = derived_rng(33)
         xy = rng.uniform(0.0, 1000.0, size=(n, 2))
         xy[100:110] = xy[:10]  # coincident pairs, below the first edge of one bin set
@@ -721,7 +716,7 @@ class TestCutBlockTails:
     @pytest.mark.parametrize("scale", [1e-150, 1e-50, 1.0, 1e50, 1e150])
     def test_every_level_count_sums_like_brute_force(self, scale):
         # 2 to 41 levels at curve scales across the float range; 34 sites
-        # end in a one-row tile, 41 gather an unused column
+        # end in a one-row tile, 41 are an odd count
         rng = derived_rng(32)
         for m in range(2, 42):
             n = 34 if m % 2 else 41

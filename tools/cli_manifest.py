@@ -17,11 +17,11 @@ runs those four steps on the large input with ``--threads 2``, so both
 kept tables are filled and read on 2 workers. The ``levels22`` and
 ``levels23`` inputs carry curves on 22 and 23 levels, the paper's grid
 and an odd level count, so the variogram's Gram sums an even and an odd
-number of levels, cold and warm. The ``levels22_odd`` input's 601
-sites, an odd count, are gathered with an unused padding column, and its
-pair blocks are taller than a row tile. Their files are recorded
-under the step that wrote them, and the exit code is the first non-zero
-step's.
+number of levels, cold and warm. The ``levels22_odd`` input has 601
+sites, an odd count, and pair blocks taller than a row tile. The
+``antimeridian`` input writes one site at longitude 180 and at -180.
+The in-process files are recorded under the step that wrote them, and
+the exit code is the first non-zero step's.
 Two source trees whose manifests are identical give byte-identical CLI
 results on this session, so a refactor is checked against its base
 commit with
@@ -135,6 +135,26 @@ def write_coincident_csv(path: Path, seed: int, n: int) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_antimeridian_csv(path: Path, seed: int, n: int) -> None:
+    """The correlated lon/lat CSV of ``write_field_csv`` moved 325 degrees
+    east, onto 175 E to 175 W, longitudes written in [-180, 180], with the
+    first row at 180 and the last at -180 on the first row's latitude: one
+    site written two ways."""
+    write_field_csv(path, seed, n)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    lines = [header]
+    for k, line in enumerate(rows):
+        cells = line.split(",")
+        lon = float(cells[0]) + 325.0
+        cells[0] = f"{lon - 360.0 if lon > 180.0 else lon:.8f}"
+        if k == 0:
+            cells[0] = "180.00000000"
+        elif k == len(rows) - 1:
+            cells[:2] = ["-180.00000000", lines[1].split(",")[1]]
+        lines.append(",".join(cells))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
     """``(name, argv, writes_to_out_dir)`` for each command, in run order."""
     field, dup, iid, large, edge, edge_schema = (
@@ -213,10 +233,17 @@ def session(tmp: Path) -> list[tuple[str, list[str], bool]]:
         ("edge/variogram", ["variogram"] + edge_args, True),
         ("edge/ess3", ["ess"] + edge_args + fams, True),
     ]
+    # one site written at 180 and at -180 (see write_antimeridian_csv),
+    # which the file's own lon0 must project to one site: the loader warns
+    # and the pair stages tie the two rows
+    antimeridian = str(tmp / "antimeridian.csv")
+    runs += [
+        ("antimeridian/variogram", ["variogram", "--input", antimeridian], True),
+        ("antimeridian/ess3", ["ess", "--input", antimeridian] + fams, True),
+    ]
     # curves on 22 and 23 levels: the variogram's Gram sums an even and an
-    # odd number of levels in grid order; 601 sites on 22 levels
-    # gather their rows with an unused column and split each pair block
-    # into several row tiles
+    # odd number of levels in grid order; 601 sites on 22 levels, an odd
+    # count, split each pair block into several row tiles
     for tag in ("levels22", "levels23", "levels22_odd"):
         data = str(tmp / f"{tag}.csv")
         runs += [
@@ -331,6 +358,7 @@ def run_session(src: Path, tmp: Path) -> dict:
     write_field_csv(tmp / "signed_zero.csv", seed=7070, n=40, kind="signed_zero")
     write_coincident_csv(tmp / "coincident.csv", seed=8080, n=20)
     write_edge_csv(tmp / "edge.csv", seed=6060, n=40)
+    write_antimeridian_csv(tmp / "antimeridian.csv", seed=9001, n=40)
     (tmp / "edge_schema.json").write_text(json.dumps({"value_columns": LEVELS}))
     manifest = {}
     for name, argv, to_dir in session(tmp):
